@@ -1,18 +1,21 @@
 """Command-line surface: invariant queries, expansion inspection, families, sweeps.
 
 Exit codes: 0 = success / all checks hold, 1 = usage or input error,
-2 = verification finding or internal failure.
+2 = verification finding, internal failure, or a run that did not complete.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from math import gcd
-from pathlib import Path
+from stat import S_IMODE, S_ISREG
+from typing import Iterable, Iterator, TextIO
 
 from .continued_fractions import (
     HalfInteger,
@@ -22,6 +25,7 @@ from .continued_fractions import (
     skipped_sum,
 )
 from .torus_knots import (
+    UNKNOT,
     IntegralityError,
     InvariantRecord,
     invariants,
@@ -31,27 +35,17 @@ from .torus_knots import (
 )
 from .verify import (
     CHECK_NAMES,
+    BoundCheckRecord,
     SweepCapError,
     SweepConfig,
-    check_knot,
-    enumerate_coprime,
+    iter_checked,
     run_verification,
     serialize_report,
+    summarize,
 )
 
-RECORD_FIELDS = (
-    "p",
-    "q",
-    "parity",
-    "genus",
-    "crossing",
-    "crosscap",
-    "bound_clark",
-    "bound_my",
-    "bound_thm1",
-    "bound_thm2",
-    "gap",
-)
+#: CSV header of a record: the keys of `InvariantRecord.as_dict`, in wire order.
+RECORD_FIELDS = tuple(invariants(UNKNOT).as_dict())
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,24 +89,60 @@ def _add_format_flags(sub: argparse.ArgumentParser, with_csv: bool = True) -> No
         )
 
 
-def _emit(text: str, target: str) -> None:
+@contextmanager
+def _output(target: str) -> Iterator[TextIO]:
+    """Stdout for "-", else the file at `target`, written in place."""
     if target == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(target).write_text(text)
+        with open(target, "w") as out:
+            yield out
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+@contextmanager
+def _output_on_success(target: str) -> Iterator[TextIO]:
+    """`_output`, except that a new file, or a regular file of ours with one link,
+    is written beside its real path and renamed over it, keeping its mode, only
+    when the block completes, so an aborted run leaves `target` as it was."""
+    path = os.path.realpath(target)  # write through a symlink, not over it
+    st = os.stat(path) if os.path.exists(path) else None
+    if st is None:
+        # a new file, unless `target` is a /proc fd link, like /dev/stdout to a pipe
+        replaceable = not os.path.exists(target)
+    else:
+        replaceable = S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+    if target == "-" or not replaceable or not os.access(os.path.dirname(path), os.W_OK):
+        with _output(target) as out:
+            yield out
+        return
+    partial = f"{path}.{os.getpid()}.partial"
+    out = open(partial, "x")
+    try:
+        with out:
+            if st is not None:
+                os.chmod(partial, S_IMODE(st.st_mode))
+            yield out
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
+
+
+def _emit(text: str, target: str) -> None:
+    with _output(target) as out:
+        out.write(text)
+
+
+def _csv_writer(out: TextIO, header: Iterable[str]):
+    """A CSV writer on `out`, with the header row written."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return writer
 
 
-def _record_row(rec: InvariantRecord) -> list:
-    fields = rec.as_dict()
-    return [fields[name] for name in RECORD_FIELDS]
+def _record_row(rec: InvariantRecord, lead: Iterable = (), trail: Iterable = ()) -> list:
+    """One CSV row: `lead`, the record's fields under RECORD_FIELDS, `trail`."""
+    return [*lead, *rec.as_dict().values(), *trail]
 
 
 def _print_record_human(rec: InvariantRecord, a: int, b: int) -> None:
@@ -139,14 +169,12 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         knot = normalize(args.p, args.q)
     except ValueError as exc:
         return _usage_error(str(exc))
-    try:
-        rec = invariants(knot)
-    except IntegralityError as exc:
-        return _finding_error(str(exc))
+    rec = invariants(knot)
     if args.json is not None:
         _emit(json.dumps(rec.as_dict(), indent=2) + "\n", args.json)
     elif args.csv is not None:
-        _emit(_csv_text(list(RECORD_FIELDS), [_record_row(rec)]), args.csv)
+        with _output(args.csv) as out:
+            _csv_writer(out, RECORD_FIELDS).writerow(_record_row(rec))
     else:
         _print_record_human(rec, args.p, args.q)
     return EXIT_OK
@@ -179,14 +207,12 @@ def cmd_cf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_csv_text(max_p: int) -> str:
-    header = list(RECORD_FIELDS) + [f"violated_{name}" for name in CHECK_NAMES]
-    rows = []
-    for knot in enumerate_coprime(max_p):
-        checked = check_knot(knot)
-        flags = [1 if name in checked.violated else 0 for name in CHECK_NAMES]
-        rows.append(_record_row(checked.record) + flags)
-    return _csv_text(header, rows)
+def _written(writer, records: Iterable[BoundCheckRecord]) -> Iterator[BoundCheckRecord]:
+    """Pass each record on after writing its CSV row with the violation flags."""
+    for checked in records:
+        flags = (int(name in checked.violated) for name in CHECK_NAMES)
+        writer.writerow(_record_row(checked.record, trail=flags))
+        yield checked
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -196,12 +222,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _finding_error(str(exc))
     except ValueError as exc:
         return _usage_error(str(exc))
-    try:
+    if args.csv is None:
         report = run_verification(config)
-        if args.csv is not None:
-            _emit(_verify_csv_text(config.max_p), args.csv)
-    except IntegralityError as exc:
-        return _finding_error(str(exc))
+    else:
+        # one in-process pass: the CSV rows and the report come from the same records
+        header = [*RECORD_FIELDS, *(f"violated_{name}" for name in CHECK_NAMES)]
+        with _output_on_success(args.csv) as out:
+            report = summarize(config, _written(_csv_writer(out, header), iter_checked(config)))
 
     if args.json is not None:
         _emit(serialize_report(report), args.json)
@@ -230,16 +257,10 @@ def cmd_family(args: argparse.Namespace) -> int:
         return _usage_error(f"count must be at least 1, got {args.count}")
     generator = mobius_family if args.name == "mobius" else sharp_family
     rows = []
-    all_match = True
-    try:
-        for n in range(1, args.count + 1):
-            knot, expected = generator(n)
-            computed = invariants(knot)
-            match = computed == expected
-            all_match = all_match and match
-            rows.append((n, computed, expected, match))
-    except IntegralityError as exc:
-        return _finding_error(str(exc))
+    for n in range(1, args.count + 1):
+        knot, expected = generator(n)
+        computed = invariants(knot)
+        rows.append((n, computed, expected, computed == expected))
 
     if args.json is not None:
         payload = [
@@ -253,21 +274,13 @@ def cmd_family(args: argparse.Namespace) -> int:
         ]
         _emit(json.dumps(payload, indent=2) + "\n", args.json)
     elif args.csv is not None:
-        header = ["n"] + list(RECORD_FIELDS) + [
-            "expected_genus",
-            "expected_crossing",
-            "expected_crosscap",
-            "expected_gap",
-            "match",
-        ]
-        csv_rows = [
-            [n]
-            + _record_row(computed)
-            + [expected.genus, expected.crossing, expected.crosscap, expected.gap]
-            + [1 if match else 0]
-            for n, computed, expected, match in rows
-        ]
-        _emit(_csv_text(header, csv_rows), args.csv)
+        expected_fields = ("genus", "crossing", "crosscap", "gap")
+        header = ["n", *RECORD_FIELDS, *(f"expected_{f}" for f in expected_fields), "match"]
+        with _output(args.csv) as out:
+            writer = _csv_writer(out, header)
+            for n, computed, expected, match in rows:
+                trail = [*(getattr(expected, f) for f in expected_fields), int(match)]
+                writer.writerow(_record_row(computed, lead=[n], trail=trail))
     else:
         print(f"{args.name} family, n = 1..{args.count}")
         print(f"{'n':>4}  {'knot':>10}  {'genus':>6}  {'crossing':>8}  {'crosscap':>8}  {'gap':>6}  match")
@@ -277,7 +290,7 @@ def cmd_family(args: argparse.Namespace) -> int:
                 f"{n:>4}  {str(knot):>10}  {computed.genus:>6}  {computed.crossing:>8}  "
                 f"{computed.crosscap:>8}  {computed.gap:>6}  {'ok' if match else 'MISMATCH'}"
             )
-    if not all_match:
+    if not all(match for *_, match in rows):
         return EXIT_FINDING
     return EXIT_OK
 
@@ -334,6 +347,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except OSError as exc:
         return _usage_error(f"cannot write output: {exc}")
+    except IntegralityError as exc:
+        return _finding_error(str(exc))
+    except (BrokenProcessPool, KeyboardInterrupt) as exc:
+        return _finding_error(f"{args.command} did not complete: {exc!r}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -39,6 +39,7 @@ from .torus_knots import (
 CHECK_NAMES = ("thm1", "thm2", "clark", "my", "lemma2", "lemma9", "q3", "gap")
 
 _BOUND_CHECKS = ("thm1", "thm2", "clark", "my")
+_SHARPENED = frozenset({"thm1", "thm2"})
 _LEMMA_CHECKS = ("lemma2", "lemma9")
 
 #: Upper cap on the sweep range.  Exactness never degrades (Python ints are
@@ -94,16 +95,17 @@ class VerificationReport:
     lemma_failures: tuple[tuple[TorusKnot, tuple[str, ...]], ...]
 
 
-def enumerate_coprime(max_p: int) -> Iterator[TorusKnot]:
-    """Every torus knot with 2 <= q < p <= max_p, ascending by (p, q)."""
-    if max_p < 3:
-        raise ValueError(f"max_p must be at least 3, got {max_p}")
-    if max_p > MAX_SWEEP_P:
-        raise SweepCapError(f"max_p {max_p} exceeds the sweep cap {MAX_SWEEP_P}")
-    for p in range(3, max_p + 1):
+def _pairs(p_lo: int, p_hi: int) -> Iterator[TorusKnot]:
+    """Every torus knot with 2 <= q < p and p_lo <= p <= p_hi, ascending by (p, q)."""
+    for p in range(p_lo, p_hi + 1):
         for q in range(2, p):
             if gcd(p, q) == 1:
                 yield TorusKnot(p, q)
+
+
+def enumerate_coprime(max_p: int) -> Iterator[TorusKnot]:
+    """Every torus knot with 2 <= q < p <= max_p, ascending by (p, q)."""
+    return _pairs(3, SweepConfig(max_p).max_p)
 
 
 def check_knot(k: TorusKnot, checks: Iterable[str] = CHECK_NAMES) -> BoundCheckRecord:
@@ -123,18 +125,13 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = CHECK_NAMES) -> BoundCheckR
     violated: set[str] = set()
     hits: set[str] = set()
 
-    bound_values = {
-        "thm1": rec.bounds.thm1,
-        "thm2": rec.bounds.thm2,
-        "clark": rec.bounds.clark,
-        "my": rec.bounds.murakami_yasuhara,
-    }
-    for name in _BOUND_CHECKS:
+    b = rec.bounds
+    for name, bound in zip(_BOUND_CHECKS, (b.thm1, b.thm2, b.clark, b.murakami_yasuhara)):
         if name not in enabled:
             continue
-        if rec.crosscap > bound_values[name]:
+        if rec.crosscap > bound:
             violated.add(name)
-        elif rec.crosscap == bound_values[name]:
+        elif rec.crosscap == bound:
             hits.add(name)
 
     if "gap" in enabled and rec.gap < 0:
@@ -168,50 +165,75 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = CHECK_NAMES) -> BoundCheckR
 
 @dataclass
 class _Partial:
-    """Worker-local aggregate over one contiguous block of p values."""
+    """Knot count, listed records and first max-gap knot of a run in (p, q) order."""
 
-    count: int
-    violations: list[BoundCheckRecord]
-    sharpness_hits: list[TorusKnot]
-    lemma_failures: list[tuple[TorusKnot, tuple[str, ...]]]
-    best: InvariantRecord | None
+    count: int = 0
+    listed: list[BoundCheckRecord] = field(default_factory=list)  # violations, sharp hits
+    best: InvariantRecord | None = None  # strict > in extend: the earliest knot wins ties
+
+    @classmethod
+    def fold(cls, records: Iterable[BoundCheckRecord]) -> _Partial:
+        """The aggregate of `records`, given in (p, q) order: one run per record."""
+        return cls().extend(
+            (1, (c,) if c.violated or _SHARPENED & c.equality_hits else (), c.record)
+            for c in records
+        )
+
+    def extend(self, runs: Iterable[tuple]) -> _Partial:
+        """Append, in order, runs given as (knot count, listed records, first max-gap knot)."""
+        for count, listed, best in runs:
+            self.count += count
+            self.listed += listed
+            if self.best is None or best.gap > self.best.gap:
+                self.best = best
+        return self
+
+    def report(self, config: SweepConfig) -> VerificationReport:
+        assert self.best is not None  # max_p >= 3 guarantees at least the (3,2) knot
+        return VerificationReport(
+            max_p=config.max_p,
+            checks=tuple(sorted(config.checks)),
+            knots_checked=self.count,
+            violations=tuple(c for c in self.listed if c.violated),
+            sharpness_hits=tuple(
+                c.record.knot for c in self.listed if _SHARPENED & c.equality_hits
+            ),
+            max_gap_witness=self.best,
+            lemma_failures=tuple(
+                (c.record.knot, failed)
+                for c in self.listed
+                if (failed := tuple(n for n in _LEMMA_CHECKS if n in c.violated))
+            ),
+        )
+
+
+def _checked(p_lo: int, p_hi: int, checks: frozenset[str]) -> Iterator[BoundCheckRecord]:
+    """`check_knot` over every knot with p_lo <= p <= p_hi, in (p, q) order."""
+    return (check_knot(knot, checks) for knot in _pairs(p_lo, p_hi))
 
 
 def _sweep_block(args: tuple[int, int, frozenset[str]]) -> _Partial:
-    p_lo, p_hi, checks = args
-    partial = _Partial(0, [], [], [], None)
-    for p in range(p_lo, p_hi + 1):
-        for q in range(2, p):
-            if gcd(p, q) != 1:
-                continue
-            checked = check_knot(TorusKnot(p, q), checks)
-            partial.count += 1
-            if checked.violated:
-                partial.violations.append(checked)
-            if {"thm1", "thm2"} & checked.equality_hits:
-                partial.sharpness_hits.append(checked.record.knot)
-            failed_lemmas = tuple(
-                name for name in _LEMMA_CHECKS if name in checked.violated
-            )
-            if failed_lemmas:
-                partial.lemma_failures.append((checked.record.knot, failed_lemmas))
-            if partial.best is None or checked.record.gap > partial.best.gap:
-                partial.best = checked.record
-    return partial
+    return _Partial.fold(_checked(*args))
+
+
+def iter_checked(config: SweepConfig) -> Iterator[BoundCheckRecord]:
+    """Every knot of the configured range, checked in-process, in (p, q) order."""
+    return _checked(3, config.max_p, config.checks)
+
+
+def summarize(config: SweepConfig, records: Iterable[BoundCheckRecord]) -> VerificationReport:
+    """Fold records given in (p, q) order into the report for `config`; folding
+    `iter_checked(config)` gives `run_verification(config)`."""
+    return _Partial.fold(records).report(config)
 
 
 def _blocks(max_p: int, workers: int) -> list[tuple[int, int]]:
-    """Split [3, max_p] into at most `workers` contiguous, ordered blocks."""
+    """Split [3, max_p] into at most `workers` contiguous, ordered blocks whose
+    p-ranges differ in length by at most one."""
     span = max_p - 2
     n_blocks = min(workers, span)
-    base, extra = divmod(span, n_blocks)
-    blocks = []
-    lo = 3
-    for i in range(n_blocks):
-        size = base + (1 if i < extra else 0)
-        blocks.append((lo, lo + size - 1))
-        lo += size
-    return blocks
+    edges = [3 + span * i // n_blocks for i in range(n_blocks + 1)]
+    return [(lo, hi - 1) for lo, hi in zip(edges, edges[1:])]
 
 
 def run_verification(config: SweepConfig) -> VerificationReport:
@@ -221,37 +243,13 @@ def run_verification(config: SweepConfig) -> VerificationReport:
     does not depend on worker count or scheduling.  The max-gap tie-break
     is the first (smallest-(p, q)) knot attaining the maximum.
     """
-    blocks = _blocks(config.max_p, config.workers)
-    tasks = [(lo, hi, config.checks) for lo, hi in blocks]
-    if len(tasks) == 1 or config.workers == 1:
+    tasks = [(lo, hi, config.checks) for lo, hi in _blocks(config.max_p, config.workers)]
+    if len(tasks) == 1:
         partials = [_sweep_block(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             partials = list(pool.map(_sweep_block, tasks))
-
-    count = 0
-    violations: list[BoundCheckRecord] = []
-    sharpness: list[TorusKnot] = []
-    lemma_failures: list[tuple[TorusKnot, tuple[str, ...]]] = []
-    best: InvariantRecord | None = None
-    for partial in partials:
-        count += partial.count
-        violations.extend(partial.violations)
-        sharpness.extend(partial.sharpness_hits)
-        lemma_failures.extend(partial.lemma_failures)
-        if partial.best is not None and (best is None or partial.best.gap > best.gap):
-            best = partial.best
-    assert best is not None  # max_p >= 3 guarantees at least the (3,2) knot
-
-    return VerificationReport(
-        max_p=config.max_p,
-        checks=tuple(sorted(config.checks)),
-        knots_checked=count,
-        violations=tuple(violations),
-        sharpness_hits=tuple(sharpness),
-        max_gap_witness=best,
-        lemma_failures=tuple(lemma_failures),
-    )
+    return _Partial().extend((p.count, p.listed, p.best) for p in partials).report(config)
 
 
 def report_as_dict(report: VerificationReport) -> dict:

@@ -2,15 +2,62 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import crosscap.cli as cli_module
+import crosscap.verify as verify_module
+from crosscap import (
+    CHECK_NAMES,
+    HalfInteger,
+    IntegralityError,
+    TorusKnot,
+    check_knot,
+    enumerate_coprime,
+)
 from crosscap.cli import main
 
 EXPECTED_HEADER = "p,q,parity,genus,crossing,crosscap,bound_clark,bound_my,bound_thm1,bound_thm2,gap"
+
+
+def two_pass_csv(max_p):
+    """verify --csv as first defined: check_knot over enumerate_coprime, a row per knot."""
+    fields = EXPECTED_HEADER.split(",")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields + [f"violated_{name}" for name in CHECK_NAMES])
+    for knot in enumerate_coprime(max_p):
+        checked = check_knot(knot)
+        record = checked.record.as_dict()
+        flags = [1 if name in checked.violated else 0 for name in CHECK_NAMES]
+        writer.writerow([record[name] for name in fields] + flags)
+    return buf.getvalue()
+
+
+def count_check_knot(monkeypatch, fail_at=None, exc=None):
+    """Count check_knot calls made through verify's name and, if cli has one, cli's;
+    raise `exc` on call number `fail_at`."""
+    calls = []
+    real = verify_module.check_knot
+
+    def counted(knot, *args, **kwargs):
+        calls.append(knot)
+        if len(calls) == fail_at:
+            raise exc
+        return real(knot, *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "check_knot", counted)
+    monkeypatch.setattr(cli_module, "check_knot", counted, raising=False)
+    return calls
 
 
 def run_cli(argv, capsys):
@@ -200,6 +247,98 @@ class TestVerifyCommand:
         # no violated flags set anywhere
         assert all(row.endswith(",0,0,0,0,0,0,0,0") for row in lines[1:])
 
+    def test_csv_checks_each_knot_once(self, tmp_path, capsys, monkeypatch):
+        calls = count_check_knot(monkeypatch)
+        path = tmp_path / "knots.csv"
+        code, _, _ = run_cli(["verify", "--max-p", "60", "--csv", str(path)], capsys)
+        assert code == 0
+        assert calls == list(enumerate_coprime(60))
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_csv_bytes_and_summary_match_two_pass(self, tmp_path, capsys, workers):
+        code, summary, _ = run_cli(["verify", "--max-p", "60"], capsys)
+        assert code == 0
+        path = tmp_path / "knots.csv"
+        code, out, _ = run_cli(
+            ["verify", "--max-p", "60", "--workers", workers, "--csv", str(path)], capsys
+        )
+        assert code == 0
+        assert path.read_bytes() == two_pass_csv(60).encode()
+        assert out == summary
+
+    @pytest.mark.parametrize(
+        "exc", [IntegralityError(TorusKnot(7, 5), HalfInteger(7)), KeyboardInterrupt()]
+    )
+    def test_aborted_csv_sweep_leaves_no_file(self, tmp_path, capsys, monkeypatch, exc):
+        count_check_knot(monkeypatch, fail_at=50, exc=exc)
+        path = tmp_path / "knots.csv"
+        code, _, _ = run_cli(["verify", "--max-p", "60", "--csv", str(path)], capsys)
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_to_missing_dir_fails_before_sweeping(self, tmp_path, capsys, monkeypatch):
+        calls = count_check_knot(monkeypatch)
+        path = tmp_path / "no" / "such" / "knots.csv"
+        code, _, err = run_cli(["verify", "--max-p", "20", "--csv", str(path)], capsys)
+        assert code == 1
+        assert "cannot write output" in err
+        assert calls == []
+
+    def test_aborted_csv_sweep_keeps_old_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "knots.csv"
+        path.write_text("old rows\n")
+        stray = tmp_path / "knots.csv.partial"
+        stray.write_text("not ours\n")
+        count_check_knot(monkeypatch, fail_at=50, exc=KeyboardInterrupt())
+        code, _, _ = run_cli(["verify", "--max-p", "60", "--csv", str(path)], capsys)
+        assert code == 2
+        assert sorted(tmp_path.iterdir()) == [path, stray]
+        assert path.read_text() == "old rows\n"
+        assert stray.read_text() == "not ours\n"
+
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_output_through_symlink_keeps_link_and_mode(self, tmp_path, capsys, flag):
+        code, _, _ = run_cli(["verify", "--max-p", "20", flag, str(tmp_path / "plain")], capsys)
+        assert code == 0
+        real = tmp_path / "real"
+        real.write_text("old\n")
+        real.chmod(0o640)
+        link = tmp_path / "link"
+        link.symlink_to(real)
+        code, _, _ = run_cli(["verify", "--max-p", "20", flag, str(link)], capsys)
+        assert code == 0
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_bytes() == (tmp_path / "plain").read_bytes()
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "plain", "real"]
+
+    def test_csv_to_fifo_writes_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "rows"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        code, _, _ = run_cli(["verify", "--max-p", "20", "--csv", str(fifo)], capsys)
+        reader.join(timeout=30)
+        assert code == 0
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert received == [two_pass_csv(20).encode()]
+
+    @pytest.mark.parametrize(
+        "exc", [BrokenProcessPool("a worker was terminated abruptly"), KeyboardInterrupt()]
+    )
+    def test_incomplete_sweep_exits_2(self, capsys, monkeypatch, exc):
+        def fail(config):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "run_verification", fail)
+        code, _, err = run_cli(["verify", "--max-p", "20", "--workers", "2"], capsys)
+        assert code == 2
+        assert err.startswith("crosscap: verify did not complete: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestFamilyCommand:
     def test_sharp_table(self, capsys):
@@ -285,3 +424,17 @@ class TestConsoleEntry:
             text=True,
         )
         assert proc.returncode == 1
+
+    def test_verify_csv_to_stdout_fd_link(self, tmp_path):
+        # like /dev/stdout, but a broken version can only replace this link
+        link = tmp_path / "stdout"
+        link.symlink_to("/proc/self/fd/1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "crosscap", "verify", "--max-p", "20", "--csv", str(link)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(two_pass_csv(20))
+        assert "checked 108 torus knots" in proc.stdout
+        assert link.is_symlink()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -22,7 +23,7 @@ from crosscap import (
     run_verification,
     serialize_report,
 )
-from crosscap.verify import _blocks
+from crosscap.verify import _blocks, iter_checked, summarize
 
 
 def phi_sieve(n: int) -> list[int]:
@@ -136,7 +137,8 @@ class TestRunVerification:
         reports = [
             run_verification(SweepConfig(max_p=60, workers=w)) for w in (1, 2, 5)
         ]
-        assert reports[0] == reports[1] == reports[2]
+        config = SweepConfig(max_p=60)
+        assert reports[0] == reports[1] == reports[2] == summarize(config, iter_checked(config))
         texts = {serialize_report(r) for r in reports}
         assert len(texts) == 1
 
@@ -153,6 +155,34 @@ class TestRunVerification:
         assert {(6 * n - 2, 3) for n in range(1, 51)} <= hits
 
 
+class TestSummarize:
+    def test_fold_lists_findings_in_order_and_keeps_first_max_gap(self):
+        # the shipped checks find nothing, so doctor two records and append a
+        # later knot that ties the largest gap
+        config = SweepConfig(max_p=12)
+        records = list(iter_checked(config))
+        lemma_only = BoundCheckRecord(records[3].record, frozenset({"lemma2"}), frozenset())
+        mixed = BoundCheckRecord(
+            records[9].record, frozenset({"thm1", "lemma9", "lemma2"}), frozenset({"thm2"})
+        )
+        records[3], records[9] = lemma_only, mixed
+        best = max((c.record for c in records), key=lambda rec: rec.gap)
+        tie = replace(best, knot=TorusKnot(13, 12))
+        records.append(BoundCheckRecord(tie, frozenset(), frozenset()))
+
+        report = summarize(config, records)
+        assert report.knots_checked == len(records)
+        assert report.violations == (lemma_only, mixed)
+        assert report.lemma_failures == (
+            (lemma_only.record.knot, ("lemma2",)),
+            (mixed.record.knot, ("lemma2", "lemma9")),
+        )
+        assert report.sharpness_hits == tuple(
+            c.record.knot for c in records if {"thm1", "thm2"} & c.equality_hits
+        )
+        assert report.max_gap_witness is best
+
+
 class TestBlocks:
     def test_partition_covers_range_contiguously(self):
         for max_p, workers in [(20, 3), (5, 100), (300, 8), (3, 1)]:
@@ -160,6 +190,8 @@ class TestBlocks:
             flat = [p for lo, hi in blocks for p in range(lo, hi + 1)]
             assert flat == list(range(3, max_p + 1))
             assert len(blocks) <= workers
+            spans = [hi - lo + 1 for lo, hi in blocks]
+            assert max(spans) - min(spans) <= 1
 
 
 class TestSerialization:
