@@ -3,6 +3,10 @@
 Everything here is integer-exact: Python's arbitrary-precision ints mean
 no intermediate can overflow or wrap, so values like (p*q - 1) / p**2 are
 safe for any p the sweep cap admits.
+
+The algorithms run on plain int lists (``euclid``, ``skip_total``,
+``lemma9_lists``, ``continuant``); the typed functions below them validate
+their arguments and wrap the results, so each algorithm exists once.
 """
 
 from __future__ import annotations
@@ -92,6 +96,63 @@ class HalfInteger:
         return f"{self.doubled}/2"
 
 
+# --- plain-int kernel: no validation, no objects ------------------------------
+
+
+def euclid(n: int, d: int) -> list[int]:
+    """Coefficients of n/d (n >= 0, d >= 1) by the Euclidean algorithm."""
+    coeffs = []
+    while d:
+        a, n, d = n // d, d, n % d
+        coeffs.append(a)
+    return coeffs
+
+
+def skip_total(coeffs: Sequence[int]) -> int:
+    """Sum with the Bredon-Wood skip rule: after an addition that leaves the
+    total even, skip the next coefficient.  The total is 2N, un-halved."""
+    total = 0
+    i = 0
+    end = len(coeffs)
+    while i < end:
+        total += coeffs[i]
+        i += 2 if total % 2 == 0 else 1
+    return total
+
+
+def lemma9_lists(coeffs: list[int]) -> tuple[list[int], list[int]]:
+    """Teragaito's expansions of (p*q - 1)/p^2 and (p*q + 1)/p^2 from the
+    expansion [0, a1, ..., an] of q/p, n >= 2 (see :func:`lemma9_expansions`)."""
+    n = len(coeffs) - 1
+    last = coeffs[n]
+    head = coeffs[:n]
+    tail = coeffs[n - 1 : 0 : -1]
+    up = head + [last + 1, last - 1] + tail
+    down = head + [last - 1, last + 1] + tail
+    pair = (up, down) if n % 2 else (down, up)
+    if coeffs[1] == 1:
+        for merged in pair:
+            _merge_trailing_one(merged)
+    return pair
+
+
+def continuant(coeffs: Sequence[int]) -> tuple[int, int]:
+    """(numerator, denominator) of a coefficient sequence, always coprime."""
+    num, den = coeffs[-1], 1
+    for a in coeffs[-2::-1]:
+        num, den = a * num + den, num
+    return num, den
+
+
+def _merge_trailing_one(coeffs: list[int]) -> None:
+    """[..., a, 1] -> [..., a + 1] in place; a + 1/1 = a + 1 keeps the value."""
+    coeffs.pop()
+    coeffs[-1] += 1
+
+
+# --- typed API -----------------------------------------------------------------
+
+
 def _validate_raw(coeffs: Sequence[int]) -> None:
     """Reject coefficient sequences that are not a simple continued fraction."""
     if len(coeffs) == 0:
@@ -119,12 +180,7 @@ def cf_expand(r: Rational) -> ContinuedFraction:
     The result is canonical by construction: the algorithm can only end
     with a coefficient of 1 when the whole expansion is the single term [1].
     """
-    coeffs = []
-    n, d = r.numerator, r.denominator
-    while d:
-        a, n, d = n // d, d, n % d
-        coeffs.append(a)
-    return ContinuedFraction(tuple(coeffs))
+    return ContinuedFraction(tuple(euclid(r.numerator, r.denominator)))
 
 
 def cf_value(cf: ContinuedFraction | Sequence[int]) -> Rational:
@@ -136,10 +192,7 @@ def cf_value(cf: ContinuedFraction | Sequence[int]) -> Rational:
     """
     coeffs = cf.coefficients if isinstance(cf, ContinuedFraction) else tuple(cf)
     _validate_raw(coeffs)
-    num, den = coeffs[-1], 1
-    for a in reversed(coeffs[:-1]):
-        num, den = a * num + den, num
-    return Rational(num, den)
+    return Rational(*continuant(coeffs))
 
 
 def cf_canonicalize(coefficients: Sequence[int]) -> ContinuedFraction:
@@ -153,8 +206,7 @@ def cf_canonicalize(coefficients: Sequence[int]) -> ContinuedFraction:
     coeffs = list(coefficients)
     _validate_raw(coeffs)
     if len(coeffs) > 1 and coeffs[-1] == 1:
-        coeffs.pop()
-        coeffs[-1] += 1
+        _merge_trailing_one(coeffs)
     return ContinuedFraction(tuple(coeffs))
 
 
@@ -171,13 +223,7 @@ def skipped_sum(cf: ContinuedFraction) -> int:
     coefficient.  The caller halves the total (see :class:`HalfInteger`);
     keeping the doubled value here keeps this step purely integral.
     """
-    coeffs = cf.coefficients
-    total = 0
-    i = 0
-    while i < len(coeffs):
-        total += coeffs[i]
-        i += 2 if total % 2 == 0 else 1
-    return total
+    return skip_total(cf.coefficients)
 
 
 def bredon_wood_N(x: int, y: int) -> HalfInteger:
@@ -190,7 +236,7 @@ def bredon_wood_N(x: int, y: int) -> HalfInteger:
         raise ValueError(f"arguments must be positive, got ({x}, {y})")
     if gcd(x, y) != 1:
         raise ValueError(f"arguments must be coprime, got ({x}, {y})")
-    return HalfInteger(skipped_sum(cf_expand(make_rational(x, y))))
+    return HalfInteger(skip_total(euclid(x, y)))
 
 
 def lemma9_expansions(
@@ -216,14 +262,5 @@ def lemma9_expansions(
         )
     if len(coeffs) < 3:
         raise ValueError(f"q must exceed 1, but {list(coeffs)} is the expansion of 1/a1")
-    n = len(coeffs) - 1
-    head = list(coeffs[:-1])
-    last = coeffs[-1]
-    reversed_prefix = list(coeffs[n - 1 : 0 : -1])
-    if n % 2 == 1:
-        minus_mid, plus_mid = [last + 1, last - 1], [last - 1, last + 1]
-    else:
-        minus_mid, plus_mid = [last - 1, last + 1], [last + 1, last - 1]
-    cf_minus = cf_canonicalize(head + minus_mid + reversed_prefix)
-    cf_plus = cf_canonicalize(head + plus_mid + reversed_prefix)
-    return cf_minus, cf_plus
+    cf_minus, cf_plus = lemma9_lists(list(coeffs))
+    return ContinuedFraction(tuple(cf_minus)), ContinuedFraction(tuple(cf_plus))

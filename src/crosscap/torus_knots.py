@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .continued_fractions import (
-    HalfInteger,
-    bredon_wood_N,
-)
+from .continued_fractions import HalfInteger, euclid, lemma9_lists, skip_total
 
 
 class Parity(Enum):
@@ -171,23 +168,33 @@ def crosscap(k: TorusKnot | Unknot) -> int:
 
     The even parameter always goes first in the even-knot call to N.  Every
     candidate N value consumed here must be integral; an odd skipped total
-    raises :class:`IntegralityError`.
+    raises :class:`IntegralityError`.  One Euclid pass on q/p feeds every
+    candidate (see :func:`crosscap_from`).
     """
     if isinstance(k, Unknot):
         return 0
-    if k.parity is Parity.EVEN:
-        even, odd = (k.p, k.q) if k.p % 2 == 0 else (k.q, k.p)
-        candidates = [bredon_wood_N(even, odd)]
+    coeffs = euclid(k.q, k.p)
+    return crosscap_from(k, coeffs, lemma9_lists(coeffs) if k.p * k.q % 2 else None)
+
+
+def crosscap_from(
+    k: TorusKnot, coeffs: list[int], branches: tuple[list[int], list[int]] | None
+) -> int:
+    """Crosscap number of `k` from the expansion [0, a1, ..., an] of q/p.
+
+    An even knot needs no more: N(q, p) is the skip total of that list, and
+    N(p, q) that of [a1, ..., an], the expansion of p/q.  An odd knot passes
+    `branches`, the expansions of (p*q - 1)/p^2 and (p*q + 1)/p^2 that
+    :func:`lemma9_lists` builds from the list, and takes the lesser N.
+    """
+    if branches is None:
+        totals = (skip_total(coeffs[1:] if k.p % 2 == 0 else coeffs),)
     else:
-        p_sq = k.p * k.p
-        candidates = [
-            bredon_wood_N(k.p * k.q - 1, p_sq),
-            bredon_wood_N(k.p * k.q + 1, p_sq),
-        ]
-    for value in candidates:
-        if not value.is_integral:
-            raise IntegralityError(k, value)
-    return min(value.as_integer() for value in candidates)
+        totals = (skip_total(branches[0]), skip_total(branches[1]))
+    for total in totals:
+        if total % 2:
+            raise IntegralityError(k, HalfInteger(total))
+    return min(totals) // 2
 
 
 def bounds_for(genus: int, crossing: int) -> Bounds:
@@ -267,7 +274,11 @@ def invariants(k: TorusKnot | Unknot) -> InvariantRecord:
     """Fully populated invariant record for a knot; all zeros for the unknot."""
     if isinstance(k, Unknot):
         return InvariantRecord(k, None, 0, 0, 0, Bounds(0, 0, 0, 0), 0)
+    return record_with(k, crosscap(k))
+
+
+def record_with(k: TorusKnot, c: int) -> InvariantRecord:
+    """The invariant record of `k`, given its crosscap number `c`."""
     g = genus(k)
     cr = crossing_number(k)
-    c = crosscap(k)
     return InvariantRecord(k, k.parity, g, cr, c, bounds_for(g, cr), g - c)

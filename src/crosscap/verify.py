@@ -19,25 +19,20 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Iterator
 
-from .continued_fractions import (
-    bredon_wood_N,
-    cf_expand,
-    cf_value,
-    coefficient_sum,
-    lemma9_expansions,
-    make_rational,
-)
+from .continued_fractions import bredon_wood_N, continuant, euclid, lemma9_lists
 from .torus_knots import (
     InvariantRecord,
     TorusKnot,
-    invariants,
+    crosscap_from,
     q3_closed_form,
     q3_congruence_selector,
+    record_with,
 )
 
 #: All check names, in canonical (wire) order.
 CHECK_NAMES = ("thm1", "thm2", "clark", "my", "lemma2", "lemma9", "q3", "gap")
 
+_ALL_CHECKS = frozenset(CHECK_NAMES)
 _BOUND_CHECKS = ("thm1", "thm2", "clark", "my")
 _SHARPENED = frozenset({"thm1", "thm2"})
 _LEMMA_CHECKS = ("lemma2", "lemma9")
@@ -67,10 +62,15 @@ class SweepConfig:
             raise ValueError(f"max_p must be at least 3, got {self.max_p}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        object.__setattr__(self, "checks", frozenset(self.checks))
-        unknown = self.checks - set(CHECK_NAMES)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
+        object.__setattr__(self, "checks", _enabled(self.checks))
+
+
+def _enabled(checks: Iterable[str]) -> frozenset[str]:
+    """`checks` as a frozenset; raises ValueError on a name not in CHECK_NAMES."""
+    enabled = frozenset(checks)
+    if not enabled <= _ALL_CHECKS:
+        raise ValueError(f"unknown checks: {sorted(enabled - _ALL_CHECKS)}")
+    return enabled
 
 
 @dataclass(frozen=True)
@@ -108,20 +108,27 @@ def enumerate_coprime(max_p: int) -> Iterator[TorusKnot]:
     return _pairs(3, SweepConfig(max_p).max_p)
 
 
-def check_knot(k: TorusKnot, checks: Iterable[str] = CHECK_NAMES) -> BoundCheckRecord:
+def check_knot(k: TorusKnot, checks: Iterable[str] = _ALL_CHECKS) -> BoundCheckRecord:
     """Evaluate every enabled check against one knot.
 
-    Bound checks compare the crosscap number against the four bounds and
-    record equality hits.  The lemma checks are range-independent facts
-    about continued fractions: the coefficient sum of p/q stays at most p,
-    and the two constructed expansions of (p*q -/+ 1)/p^2 evaluate exactly.
-    The lemma9 check applies to every p > q > 1 regardless of knot parity.
+    One Euclid pass on q/p feeds the crosscap number and both lemma
+    checks.  Bound checks compare the crosscap number against the four
+    bounds and record equality hits.  The lemma checks are range-independent
+    facts about continued fractions: the coefficient sum of p/q stays at
+    most p, and the two constructed expansions of (p*q -/+ 1)/p^2 evaluate
+    exactly.  The lemma9 check applies to every p > q > 1 regardless of
+    knot parity; for an odd knot it checks the very expansions the crosscap
+    number was read from.  An unknown check name raises ValueError.
     The q3 check (only when q = 3 and p is odd, the closed form's domain)
     compares the closed form against the general pipeline and confirms the
     congruence-selected branch attains the minimum.
     """
-    enabled = frozenset(checks)
-    rec = invariants(k)
+    enabled = _enabled(checks)
+    p, q = k.p, k.q
+    coeffs = euclid(q, p)  # [0, a1, ..., an]: q/p, and p/q after the leading 0
+    odd = p * q % 2
+    branches = lemma9_lists(coeffs) if odd or "lemma9" in enabled else None
+    rec = record_with(k, crosscap_from(k, coeffs, branches if odd else None))
     violated: set[str] = set()
     hits: set[str] = set()
 
@@ -137,17 +144,15 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = CHECK_NAMES) -> BoundCheckR
     if "gap" in enabled and rec.gap < 0:
         violated.add("gap")
 
-    if "lemma2" in enabled:
-        if coefficient_sum(cf_expand(make_rational(k.p, k.q))) > k.p:
-            violated.add("lemma2")
+    if "lemma2" in enabled and sum(coeffs) > p:
+        violated.add("lemma2")
 
-    if "lemma9" in enabled:
-        cf_minus, cf_plus = lemma9_expansions(cf_expand(make_rational(k.q, k.p)))
-        p_sq = k.p * k.p
-        if cf_value(cf_minus) != make_rational(k.p * k.q - 1, p_sq) or cf_value(
-            cf_plus
-        ) != make_rational(k.p * k.q + 1, p_sq):
-            violated.add("lemma9")
+    # exact: continuants are coprime, and so are p*q -/+ 1 and p^2
+    if "lemma9" in enabled and (
+        continuant(branches[0]) != (p * q - 1, p * p)
+        or continuant(branches[1]) != (p * q + 1, p * p)
+    ):
+        violated.add("lemma9")
 
     if "q3" in enabled and k.q == 3 and k.p % 2 == 1:
         _, closed = q3_closed_form(k.p)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from crosscap import (
@@ -125,12 +125,18 @@ class TestCrosscap:
         assert crosscap(TorusKnot(3, 2)) == bredon_wood_N(2, 3).as_integer()
         assert not bredon_wood_N(3, 2).is_integral
 
-    def test_odd_knot_is_min_of_both_branches(self):
-        for p, q in [(7, 5), (13, 9), (11, 3), (25, 7)]:
-            k = TorusKnot(p, q)
-            n_minus = bredon_wood_N(p * q - 1, p * p)
-            n_plus = bredon_wood_N(p * q + 1, p * p)
-            assert crosscap(k) == min(n_minus, n_plus).as_integer()
+    @given(st.integers(2, 5 * 10**11), st.integers(1, 5 * 10**11))
+    @example(3, 1)  # (7, 5)
+    @example(6, 3)  # (13, 9)
+    @example(5, 4)  # (11, 3)
+    @example(12, 2)  # (25, 7)
+    def test_odd_knot_is_min_of_both_branches(self, half_p, half_q):
+        p, q = 2 * half_p + 1, 2 * (half_q % (half_p - 1)) + 3  # odd, 3 <= q < p
+        assume(gcd(p, q) == 1)
+        k = TorusKnot(p, q)
+        n_minus = bredon_wood_N(p * q - 1, p * p)
+        n_plus = bredon_wood_N(p * q + 1, p * p)
+        assert crosscap(k) == min(n_minus, n_plus).as_integer()
 
     def test_every_consumed_total_is_even_in_range(self):
         # empirical integrality invariant: no knot in range raises

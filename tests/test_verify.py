@@ -4,25 +4,39 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from math import gcd
+from fractions import Fraction
 
 import pytest
 
+import crosscap.continued_fractions as cf_module
+import crosscap.torus_knots as torus_module
+import crosscap.verify as verify_module
 from crosscap import (
     CHECK_NAMES,
     MAX_SWEEP_P,
     BoundCheckRecord,
+    HalfInteger,
+    IntegralityError,
+    InvariantRecord,
     SweepCapError,
     SweepConfig,
     TorusKnot,
     VerificationReport,
+    bounds_for,
+    bredon_wood_N,
     check_knot,
+    crosscap,
+    crossing_number,
     enumerate_coprime,
+    genus,
     invariants,
+    q3_closed_form,
+    q3_congruence_selector,
     report_as_dict,
     run_verification,
     serialize_report,
 )
+from crosscap.cli import main
 from crosscap.verify import _blocks, iter_checked, summarize
 
 
@@ -34,6 +48,84 @@ def phi_sieve(n: int) -> list[int]:
             for k in range(p, n + 1, p):
                 phi[k] -= phi[k] // p
     return phi
+
+
+def fraction_expansion(x: Fraction) -> list[int]:
+    """Simple continued fraction of a non-negative Fraction, by floor and reciprocal."""
+    coeffs = []
+    while True:
+        a = x.numerator // x.denominator
+        coeffs.append(a)
+        x -= a
+        if x == 0:
+            return coeffs
+        x = 1 / x
+
+
+def fraction_value(coeffs: list[int]) -> Fraction:
+    value = Fraction(coeffs[-1])
+    for a in reversed(coeffs[:-1]):
+        value = a + 1 / value
+    return value
+
+
+def stated_lemma9(p: int, q: int) -> tuple[list[int], list[int]]:
+    """Lemma 9 as the paper states it: from q/p = [0, a1, ..., an], replace an
+    by (an + 1, an - 1) or (an - 1, an + 1) and append an-1, ..., a1.  The
+    minus sign takes (an + 1, an - 1) when n is odd.  Not canonicalized:
+    a trailing 1 does not change the value."""
+    a = fraction_expansion(Fraction(q, p))
+    n = len(a) - 1
+    up, down = [a[n] + 1, a[n] - 1], [a[n] - 1, a[n] + 1]
+    minus_mid, plus_mid = (up, down) if n % 2 else (down, up)
+    tail = a[n - 1 : 0 : -1]
+    return a[:n] + minus_mid + tail, a[:n] + plus_mid + tail
+
+
+def reference_check_knot(k: TorusKnot, checks=CHECK_NAMES) -> BoundCheckRecord:
+    """check_knot by Teragaito's rule applied directly: N on (p*q -/+ 1)/p^2 for
+    an odd knot and N(even, odd) for an even one.  The lemmas are evaluated
+    with fractions.Fraction; the program's lemma-9 construction is not used."""
+    p, q = k.p, k.q
+    if p * q % 2:
+        candidates = [bredon_wood_N(p * q - 1, p * p), bredon_wood_N(p * q + 1, p * p)]
+    else:
+        candidates = [bredon_wood_N(p, q) if p % 2 == 0 else bredon_wood_N(q, p)]
+    assert all(n.is_integral for n in candidates)
+    c = min(candidates).as_integer()
+    g, cr = genus(k), crossing_number(k)
+    rec = InvariantRecord(k, k.parity, g, cr, c, bounds_for(g, cr), g - c)
+    b = rec.bounds
+    violated, hits = set(), set()
+    for name, bound in (("thm1", b.thm1), ("thm2", b.thm2), ("clark", b.clark),
+                        ("my", b.murakami_yasuhara)):
+        if name in checks and c > bound:
+            violated.add(name)
+        elif name in checks and c == bound:
+            hits.add(name)
+    if "gap" in checks and g < c:
+        violated.add("gap")
+    if "lemma2" in checks and sum(fraction_expansion(Fraction(p, q))) > p:
+        violated.add("lemma2")
+    if "lemma9" in checks:
+        minus, plus = stated_lemma9(p, q)
+        if (fraction_value(minus), fraction_value(plus)) != (
+            Fraction(p * q - 1, p * p), Fraction(p * q + 1, p * p)
+        ):
+            violated.add("lemma9")
+    if "q3" in checks and q == 3 and p % 2:
+        branch = bredon_wood_N(3 * p + q3_congruence_selector(p), p * p)
+        if q3_closed_form(p)[1] != c or branch != HalfInteger(2 * c):
+            violated.add("q3")
+    return BoundCheckRecord(rec, frozenset(violated), frozenset(hits))
+
+
+def patch_kernel(monkeypatch, name, replacement):
+    """Replace the kernel function `name` in every crosscap module that binds it."""
+    real = getattr(cf_module, name)
+    for module in (cf_module, torus_module, verify_module):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, replacement)
 
 
 class TestEnumerate:
@@ -99,6 +191,50 @@ class TestCheckKnot:
     def test_no_violations_up_to_120(self):
         for knot in enumerate_coprime(120):
             assert check_knot(knot).violated == frozenset()
+
+    def test_unknown_check_name_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown checks: \['lemma_9'\]"):
+            check_knot(TorusKnot(7, 5), {"lemma_9"})
+
+
+class TestAgainstReference:
+    def test_all_checks_to_300(self):
+        for knot in enumerate_coprime(300):
+            assert check_knot(knot) == reference_check_knot(knot), knot
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_each_check_alone_to_120(self, name):
+        for knot in enumerate_coprime(120):
+            assert check_knot(knot, {name}) == reference_check_knot(knot, {name}), knot
+
+
+class TestKernelGuards:
+    def test_swapped_lemma9_branches_are_caught_by_lemma9(self, monkeypatch):
+        # swapping the middle pair for odd n exchanges the two lists: the
+        # crosscap number (their minimum) and integrality are unaffected, so
+        # only an independent evaluation of the lists can notice
+        real = cf_module.lemma9_lists
+
+        def swapped(coeffs):
+            minus, plus = real(coeffs)
+            return (plus, minus) if (len(coeffs) - 1) % 2 else (minus, plus)
+
+        knot = TorusKnot(7, 5)  # 5/7 = [0, 1, 2, 2], n = 3
+        expected = reference_check_knot(knot)
+        patch_kernel(monkeypatch, "lemma9_lists", swapped)
+        checked = check_knot(knot)
+        assert checked.record == expected.record
+        assert checked.violated == {"lemma9"}
+        assert check_knot(TorusKnot(7, 3)).violated == frozenset()  # 3/7 = [0, 2, 3], n = 2
+
+    def test_odd_skip_total_aborts(self, monkeypatch, capsys):
+        patch_kernel(monkeypatch, "skip_total", lambda coeffs: 7)
+        with pytest.raises(IntegralityError) as info:
+            crosscap(TorusKnot(7, 5))
+        assert info.value.knot == TorusKnot(7, 5)
+        assert info.value.value == HalfInteger(7)
+        assert main(["verify", "--max-p", "10"]) == 2
+        assert "7/2" in capsys.readouterr().err
 
 
 class TestRunVerification:
