@@ -222,16 +222,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _finding_error(str(exc))
     except ValueError as exc:
         return _usage_error(str(exc))
-    if args.csv is None:
-        report = run_verification(config)
-    else:
+    if args.csv is not None:
         # one in-process pass: the CSV rows and the report come from the same records
         header = [*RECORD_FIELDS, *(f"violated_{name}" for name in CHECK_NAMES)]
         with _output_on_success(args.csv) as out:
             report = summarize(config, _written(_csv_writer(out, header), iter_checked(config)))
-
-    if args.json is not None:
-        _emit(serialize_report(report), args.json)
+    elif args.json is not None:
+        with _output_on_success(args.json) as out:
+            report = run_verification(config)
+            out.write(serialize_report(report))
+    else:
+        report = run_verification(config)
     if args.json != "-" and args.csv != "-":
         witness = report.max_gap_witness
         wd = witness.as_dict()

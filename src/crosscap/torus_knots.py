@@ -141,6 +141,10 @@ class IntegralityError(Exception):
             f"non-integral crosscap candidate N = {value} for torus knot {knot}"
         )
 
+    def __reduce__(self):
+        # the default passes __init__ only the message: a pool error would not unpickle
+        return type(self), (self.knot, self.value)
+
 
 def normalize(a: int, b: int) -> TorusKnot | Unknot:
     """Order a coprime positive pair into a TorusKnot, or the Unknot if either is 1."""
@@ -173,24 +177,24 @@ def crosscap(k: TorusKnot | Unknot) -> int:
     """
     if isinstance(k, Unknot):
         return 0
-    coeffs = euclid(k.q, k.p)
-    return crosscap_from(k, coeffs, lemma9_lists(coeffs) if k.p * k.q % 2 else None)
+    return crosscap_from(k, euclid(k.q, k.p))
 
 
 def crosscap_from(
-    k: TorusKnot, coeffs: list[int], branches: tuple[list[int], list[int]] | None
+    k: TorusKnot, coeffs: list[int], branches: tuple[list[int], list[int]] | None = None
 ) -> int:
     """Crosscap number of `k` from the expansion [0, a1, ..., an] of q/p.
 
     An even knot needs no more: N(q, p) is the skip total of that list, and
-    N(p, q) that of [a1, ..., an], the expansion of p/q.  An odd knot passes
-    `branches`, the expansions of (p*q - 1)/p^2 and (p*q + 1)/p^2 that
-    :func:`lemma9_lists` builds from the list, and takes the lesser N.
+    N(p, q) that of [a1, ..., an], the expansion of p/q.  An odd knot takes the
+    lesser N of `branches`, the expansions of (p*q -/+ 1)/p^2, which
+    :func:`lemma9_lists` builds from the list when the caller has not.
     """
-    if branches is None:
+    if k.p * k.q % 2 == 0:
         totals = (skip_total(coeffs[1:] if k.p % 2 == 0 else coeffs),)
     else:
-        totals = (skip_total(branches[0]), skip_total(branches[1]))
+        minus, plus = branches or lemma9_lists(coeffs)
+        totals = (skip_total(minus), skip_total(plus))
     for total in totals:
         if total % 2:
             raise IntegralityError(k, HalfInteger(total))

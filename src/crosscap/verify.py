@@ -6,9 +6,9 @@ data, never an exception: the whole point is to surface one if it exists.
 A non-integral crosscap candidate, by contrast, aborts the sweep, because it
 means the computation itself is wrong.
 
-Parallel runs partition the pair space by p into contiguous blocks, one per
-worker; each block's results are already sorted by (p, q) and the blocks are
-merged in order, so the report is identical for every worker count.
+A parallel run makes each p one task, a row of knots sorted by q; the process
+pool hands rows out as workers free up and returns them in p order, and they
+are merged in that order, so the report is identical for every worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -41,6 +42,9 @@ _LEMMA_CHECKS = ("lemma2", "lemma9")
 #: arbitrary precision), so this bounds runtime, not correctness: the pair
 #: count grows quadratically and a full sweep at the cap is ~30M knots.
 MAX_SWEEP_P = 10_000
+
+#: p rows per pool task: with one row per task, dispatch costs more than balance saves.
+_ROWS_PER_TASK = 8
 
 
 class SweepCapError(ValueError):
@@ -126,9 +130,8 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = _ALL_CHECKS) -> BoundCheckR
     enabled = _enabled(checks)
     p, q = k.p, k.q
     coeffs = euclid(q, p)  # [0, a1, ..., an]: q/p, and p/q after the leading 0
-    odd = p * q % 2
-    branches = lemma9_lists(coeffs) if odd or "lemma9" in enabled else None
-    rec = record_with(k, crosscap_from(k, coeffs, branches if odd else None))
+    branches = lemma9_lists(coeffs) if "lemma9" in enabled else None
+    rec = record_with(k, crosscap_from(k, coeffs, branches))
     violated: set[str] = set()
     hits: set[str] = set()
 
@@ -217,8 +220,8 @@ def _checked(p_lo: int, p_hi: int, checks: frozenset[str]) -> Iterator[BoundChec
     return (check_knot(knot, checks) for knot in _pairs(p_lo, p_hi))
 
 
-def _sweep_block(args: tuple[int, int, frozenset[str]]) -> _Partial:
-    return _Partial.fold(_checked(*args))
+def _sweep_row(p: int, checks: frozenset[str]) -> _Partial:
+    return _Partial.fold(_checked(p, p, checks))
 
 
 def iter_checked(config: SweepConfig) -> Iterator[BoundCheckRecord]:
@@ -232,29 +235,19 @@ def summarize(config: SweepConfig, records: Iterable[BoundCheckRecord]) -> Verif
     return _Partial.fold(records).report(config)
 
 
-def _blocks(max_p: int, workers: int) -> list[tuple[int, int]]:
-    """Split [3, max_p] into at most `workers` contiguous, ordered blocks whose
-    p-ranges differ in length by at most one."""
-    span = max_p - 2
-    n_blocks = min(workers, span)
-    edges = [3 + span * i // n_blocks for i in range(n_blocks + 1)]
-    return [(lo, hi - 1) for lo, hi in zip(edges, edges[1:])]
-
-
 def run_verification(config: SweepConfig) -> VerificationReport:
     """Run the configured sweep and aggregate a deterministic report.
 
-    The merge is order-preserving over the p-ordered blocks, so the result
-    does not depend on worker count or scheduling.  The max-gap tie-break
-    is the first (smallest-(p, q)) knot attaining the maximum.
+    The merge is order-preserving over the p rows, so the result does not
+    depend on worker count or scheduling.  The max-gap tie-break is the
+    first (smallest-(p, q)) knot attaining the maximum.
     """
-    tasks = [(lo, hi, config.checks) for lo, hi in _blocks(config.max_p, config.workers)]
-    if len(tasks) == 1:
-        partials = [_sweep_block(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            partials = list(pool.map(_sweep_block, tasks))
-    return _Partial().extend((p.count, p.listed, p.best) for p in partials).report(config)
+    if config.workers == 1:
+        return summarize(config, iter_checked(config))
+    p_range = range(3, config.max_p + 1)
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        rows = pool.map(_sweep_row, p_range, repeat(config.checks), chunksize=_ROWS_PER_TASK)
+        return _Partial().extend((r.count, r.listed, r.best) for r in rows).report(config)
 
 
 def report_as_dict(report: VerificationReport) -> dict:

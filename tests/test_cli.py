@@ -284,13 +284,22 @@ class TestVerifyCommand:
         assert "cannot write output" in err
         assert calls == []
 
-    def test_aborted_csv_sweep_keeps_old_file(self, tmp_path, capsys, monkeypatch):
+    def test_json_to_missing_dir_fails_before_sweeping(self, tmp_path, capsys, monkeypatch):
+        calls = count_check_knot(monkeypatch)
+        path = tmp_path / "no" / "such" / "r.json"
+        code, _, err = run_cli(["verify", "--max-p", "20", "--json", str(path)], capsys)
+        assert code == 1
+        assert "cannot write output" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_aborted_csv_sweep_keeps_old_file(self, tmp_path, capsys, monkeypatch, flag):
         path = tmp_path / "knots.csv"
         path.write_text("old rows\n")
         stray = tmp_path / "knots.csv.partial"
         stray.write_text("not ours\n")
         count_check_knot(monkeypatch, fail_at=50, exc=KeyboardInterrupt())
-        code, _, _ = run_cli(["verify", "--max-p", "60", "--csv", str(path)], capsys)
+        code, _, _ = run_cli(["verify", "--max-p", "60", flag, str(path)], capsys)
         assert code == 2
         assert sorted(tmp_path.iterdir()) == [path, stray]
         assert path.read_text() == "old rows\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from math import gcd
 
 import pytest
@@ -147,6 +148,15 @@ class TestCrosscap:
         err = IntegralityError(TorusKnot(5, 3), HalfInteger(7))
         assert "(5,3)" in str(err)
         assert "7/2" in str(err)
+
+    def test_integrality_error_survives_pickling(self):
+        # a pool worker's error reaches the parent through pickle
+        err = IntegralityError(TorusKnot(5, 3), HalfInteger(7))
+        copy = pickle.loads(pickle.dumps(err))
+        assert type(copy) is IntegralityError
+        assert copy.knot == TorusKnot(5, 3)
+        assert copy.value == HalfInteger(7)
+        assert str(copy) == str(err)
 
 
 class TestBounds:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 from dataclasses import replace
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ from crosscap import (
     serialize_report,
 )
 from crosscap.cli import main
-from crosscap.verify import _blocks, iter_checked, summarize
+from crosscap.verify import _ROWS_PER_TASK, iter_checked, summarize
 
 
 def phi_sieve(n: int) -> list[int]:
@@ -236,6 +237,17 @@ class TestKernelGuards:
         assert main(["verify", "--max-p", "10"]) == 2
         assert "7/2" in capsys.readouterr().err
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched kernel reaches only forked pool workers",
+    )
+    def test_odd_skip_total_in_a_pool_worker_aborts(self, monkeypatch, capsys):
+        patch_kernel(monkeypatch, "skip_total", lambda coeffs: 7)
+        assert main(["verify", "--max-p", "10", "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "non-integral crosscap candidate N = 7/2 for torus knot (3,2)" in err
+        assert "BrokenProcessPool" not in err
+
 
 class TestRunVerification:
     def test_tiny_sweep_counts(self):
@@ -270,13 +282,18 @@ class TestRunVerification:
         assert gaps == sorted(gaps)
 
     def test_workers_do_not_change_the_report(self):
-        reports = [
-            run_verification(SweepConfig(max_p=60, workers=w)) for w in (1, 2, 5)
-        ]
-        config = SweepConfig(max_p=60)
-        assert reports[0] == reports[1] == reports[2] == summarize(config, iter_checked(config))
-        texts = {serialize_report(r) for r in reports}
-        assert len(texts) == 1
+        # 3 and 4 have fewer p rows than 5 workers; 3 + 2 * _ROWS_PER_TASK has
+        # two full chunks of rows and one row left over
+        for max_p in (3, 4, 60, 3 + 2 * _ROWS_PER_TASK):
+            reports = [
+                run_verification(SweepConfig(max_p=max_p, workers=w)) for w in (1, 2, 5)
+            ]
+            config = SweepConfig(max_p=max_p)
+            assert reports[0] == reports[1] == reports[2] == summarize(
+                config, iter_checked(config)
+            ), max_p
+            texts = {serialize_report(r) for r in reports}
+            assert len(texts) == 1
 
     def test_checks_echoed_sorted(self):
         report = run_verification(SweepConfig(max_p=5, checks=frozenset({"thm2", "thm1"})))
@@ -317,17 +334,6 @@ class TestSummarize:
             c.record.knot for c in records if {"thm1", "thm2"} & c.equality_hits
         )
         assert report.max_gap_witness is best
-
-
-class TestBlocks:
-    def test_partition_covers_range_contiguously(self):
-        for max_p, workers in [(20, 3), (5, 100), (300, 8), (3, 1)]:
-            blocks = _blocks(max_p, workers)
-            flat = [p for lo, hi in blocks for p in range(lo, hi + 1)]
-            assert flat == list(range(3, max_p + 1))
-            assert len(blocks) <= workers
-            spans = [hi - lo + 1 for lo, hi in blocks]
-            assert max(spans) - min(spans) <= 1
 
 
 class TestSerialization:
