@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -38,10 +39,8 @@ from .verify import (
     BoundCheckRecord,
     SweepCapError,
     SweepConfig,
-    iter_checked,
     run_verification,
     serialize_report,
-    summarize,
 )
 
 #: CSV header of a record: the keys of `InvariantRecord.as_dict`, in wire order.
@@ -207,12 +206,14 @@ def cmd_cf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _written(writer, records: Iterable[BoundCheckRecord]) -> Iterator[BoundCheckRecord]:
-    """Pass each record on after writing its CSV row with the violation flags."""
-    for checked in records:
-        flags = (int(name in checked.violated) for name in CHECK_NAMES)
-        writer.writerow(_record_row(checked.record, trail=flags))
-        yield checked
+def _verify_rows(records: list[BoundCheckRecord]) -> str:
+    """The `verify --csv` rows of `records`: each record's fields and violation flags."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        _record_row(c.record, trail=(int(name in c.violated) for name in CHECK_NAMES))
+        for c in records
+    )
+    return buf.getvalue()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -223,10 +224,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.csv is not None:
-        # one in-process pass: the CSV rows and the report come from the same records
+        # one pass: the CSV rows and the report come from the same per-p tasks
         header = [*RECORD_FIELDS, *(f"violated_{name}" for name in CHECK_NAMES)]
         with _output_on_success(args.csv) as out:
-            report = summarize(config, _written(_csv_writer(out, header), iter_checked(config)))
+            _csv_writer(out, header)
+            report = run_verification(config, _verify_rows, out.write)
     elif args.json is not None:
         with _output_on_success(args.json) as out:
             report = run_verification(config)

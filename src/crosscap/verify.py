@@ -6,21 +6,25 @@ data, never an exception: the whole point is to surface one if it exists.
 A non-integral crosscap candidate, by contrast, aborts the sweep, because it
 means the computation itself is wrong.
 
-A parallel run makes each p one task, a row of knots sorted by q; the process
-pool hands rows out as workers free up and returns them in p order, and they
-are merged in that order, so the report is identical for every worker count.
+Each p is one task: a row of knots sorted by q, folded into a partial
+report and, for `verify --csv`, rendered as CSV text.  One driver maps the
+task over p, in-process or on a process pool that hands rows out as workers
+free up, and merges the rows in p order, so the report and the CSV are the
+same for every worker count.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .continued_fractions import bredon_wood_N, continuant, euclid, lemma9_lists
+from .continued_fractions import continuant, euclid, lemma9_lists, skip_total
 from .torus_knots import (
     InvariantRecord,
     TorusKnot,
@@ -125,7 +129,7 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = _ALL_CHECKS) -> BoundCheckR
     number was read from.  An unknown check name raises ValueError.
     The q3 check (only when q = 3 and p is odd, the closed form's domain)
     compares the closed form against the general pipeline and confirms the
-    congruence-selected branch attains the minimum.
+    congruence-selected lemma-9 branch attains the minimum.
     """
     enabled = _enabled(checks)
     p, q = k.p, k.q
@@ -157,15 +161,9 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = _ALL_CHECKS) -> BoundCheckR
     ):
         violated.add("lemma9")
 
-    if "q3" in enabled and k.q == 3 and k.p % 2 == 1:
-        _, closed = q3_closed_form(k.p)
-        sign = q3_congruence_selector(k.p)
-        branch = bredon_wood_N(k.p * 3 + sign, k.p * k.p)
-        if (
-            closed != rec.crosscap
-            or not branch.is_integral
-            or branch.as_integer() != rec.crosscap
-        ):
+    if "q3" in enabled and q == 3 and p % 2 == 1:
+        selected = (branches or lemma9_lists(coeffs))[q3_congruence_selector(p) > 0]
+        if q3_closed_form(p)[1] != rec.crosscap or skip_total(selected) != 2 * rec.crosscap:
             violated.add("q3")
 
     return BoundCheckRecord(rec, frozenset(violated), frozenset(hits))
@@ -177,24 +175,22 @@ class _Partial:
 
     count: int = 0
     listed: list[BoundCheckRecord] = field(default_factory=list)  # violations, sharp hits
-    best: InvariantRecord | None = None  # strict > in extend: the earliest knot wins ties
+    best: InvariantRecord | None = None  # strict > in add: the earliest knot wins ties
 
     @classmethod
     def fold(cls, records: Iterable[BoundCheckRecord]) -> _Partial:
         """The aggregate of `records`, given in (p, q) order: one run per record."""
-        return cls().extend(
-            (1, (c,) if c.violated or _SHARPENED & c.equality_hits else (), c.record)
-            for c in records
-        )
+        part = cls()
+        for c in records:
+            part.add(1, (c,) if c.violated or _SHARPENED & c.equality_hits else (), c.record)
+        return part
 
-    def extend(self, runs: Iterable[tuple]) -> _Partial:
-        """Append, in order, runs given as (knot count, listed records, first max-gap knot)."""
-        for count, listed, best in runs:
-            self.count += count
-            self.listed += listed
-            if self.best is None or best.gap > self.best.gap:
-                self.best = best
-        return self
+    def add(self, count: int, listed: Iterable[BoundCheckRecord], best: InvariantRecord) -> None:
+        """Append the run that follows: its knot count, listed records and first max-gap knot."""
+        self.count += count
+        self.listed += listed
+        if self.best is None or best.gap > self.best.gap:
+            self.best = best
 
     def report(self, config: SweepConfig) -> VerificationReport:
         assert self.best is not None  # max_p >= 3 guarantees at least the (3,2) knot
@@ -215,39 +211,40 @@ class _Partial:
         )
 
 
-def _checked(p_lo: int, p_hi: int, checks: frozenset[str]) -> Iterator[BoundCheckRecord]:
-    """`check_knot` over every knot with p_lo <= p <= p_hi, in (p, q) order."""
-    return (check_knot(knot, checks) for knot in _pairs(p_lo, p_hi))
+def _sweep_row(p: int, checks: frozenset[str], row: Callable | None = None) -> tuple:
+    """The fold of the knots (p, q), and the text `row` renders from their
+    records in q order when it is given (module-level, so that it pickles)."""
+    records = (check_knot(knot, checks) for knot in _pairs(p, p))
+    if row is None:  # fold them as they come: a row's records are held only for `row`
+        return _Partial.fold(records), None
+    records = list(records)
+    return _Partial.fold(records), row(records)
 
 
-def _sweep_row(p: int, checks: frozenset[str]) -> _Partial:
-    return _Partial.fold(_checked(p, p, checks))
-
-
-def iter_checked(config: SweepConfig) -> Iterator[BoundCheckRecord]:
-    """Every knot of the configured range, checked in-process, in (p, q) order."""
-    return _checked(3, config.max_p, config.checks)
-
-
-def summarize(config: SweepConfig, records: Iterable[BoundCheckRecord]) -> VerificationReport:
-    """Fold records given in (p, q) order into the report for `config`; folding
-    `iter_checked(config)` gives `run_verification(config)`."""
-    return _Partial.fold(records).report(config)
-
-
-def run_verification(config: SweepConfig) -> VerificationReport:
+def run_verification(
+    config: SweepConfig,
+    row: Callable[[list[BoundCheckRecord]], str] | None = None,
+    write: Callable[[str], object] | None = None,
+) -> VerificationReport:
     """Run the configured sweep and aggregate a deterministic report.
 
-    The merge is order-preserving over the p rows, so the result does not
-    depend on worker count or scheduling.  The max-gap tie-break is the
-    first (smallest-(p, q)) knot attaining the maximum.
+    Each p is one task; with `row`, a task also renders its knots' rows,
+    which are passed to `write` in p order as they arrive.  The pool has
+    at most one process per p and per CPU, and a pool of one runs
+    in-process.  The merge is order-preserving over the p rows, so the
+    result does not depend on worker count or scheduling.  The max-gap
+    tie-break is the first (smallest-(p, q)) knot attaining the maximum.
     """
-    if config.workers == 1:
-        return summarize(config, iter_checked(config))
     p_range = range(3, config.max_p + 1)
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        rows = pool.map(_sweep_row, p_range, repeat(config.checks), chunksize=_ROWS_PER_TASK)
-        return _Partial().extend((r.count, r.listed, r.best) for r in rows).report(config)
+    tasks = (_sweep_row, p_range, repeat(config.checks), repeat(row))
+    size = min(config.workers, len(p_range), os.cpu_count() or 1)
+    merged = _Partial()
+    with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
+        for part, text in pool.map(*tasks, chunksize=_ROWS_PER_TASK) if pool else map(*tasks):
+            if row is not None:
+                write(text)
+            merged.add(part.count, part.listed, part.best)
+    return merged.report(config)
 
 
 def report_as_dict(report: VerificationReport) -> dict:

@@ -6,7 +6,35 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import pytest
+
 import crosscap
 
 _SRC = str(Path(crosscap.__file__).resolve().parent.parent)
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand verify's ProcessPoolExecutor in with an in-process fake, on a host
+    that reports 64 CPUs; the list returned gets the size of each pool built."""
+    import crosscap.verify as verify_module
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    return sizes

@@ -266,6 +266,15 @@ class TestVerifyCommand:
         assert path.read_bytes() == two_pass_csv(60).encode()
         assert out == summary
 
+    def test_csv_with_workers_uses_the_pool(self, tmp_path, capsys, pool_sizes):
+        path = tmp_path / "knots.csv"
+        code, _, _ = run_cli(
+            ["verify", "--max-p", "60", "--workers", "2", "--csv", str(path)], capsys
+        )
+        assert code == 0
+        assert pool_sizes == [2]
+        assert path.read_bytes() == two_pass_csv(60).encode()
+
     @pytest.mark.parametrize(
         "exc", [IntegralityError(TorusKnot(7, 5), HalfInteger(7)), KeyboardInterrupt()]
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from crosscap import (
     serialize_report,
 )
 from crosscap.cli import main
-from crosscap.verify import _ROWS_PER_TASK, iter_checked, summarize
+from crosscap.verify import _ROWS_PER_TASK, _Partial
 
 
 def phi_sieve(n: int) -> list[int]:
@@ -220,12 +221,13 @@ class TestKernelGuards:
             minus, plus = real(coeffs)
             return (plus, minus) if (len(coeffs) - 1) % 2 else (minus, plus)
 
-        knot = TorusKnot(7, 5)  # 5/7 = [0, 1, 2, 2], n = 3
-        expected = reference_check_knot(knot)
+        # the q3 check reads the congruence-selected list, so it sees the swap too
+        knots = (TorusKnot(7, 5), TorusKnot(11, 3))  # [0, 1, 2, 2] and [0, 3, 1, 2]: n = 3
+        expected = [reference_check_knot(knot) for knot in knots]
         patch_kernel(monkeypatch, "lemma9_lists", swapped)
-        checked = check_knot(knot)
-        assert checked.record == expected.record
-        assert checked.violated == {"lemma9"}
+        checked = [check_knot(knot) for knot in knots]
+        assert [c.record for c in checked] == [e.record for e in expected]
+        assert [c.violated for c in checked] == [{"lemma9"}, {"lemma9", "q3"}]
         assert check_knot(TorusKnot(7, 3)).violated == frozenset()  # 3/7 = [0, 2, 3], n = 2
 
     def test_odd_skip_total_aborts(self, monkeypatch, capsys):
@@ -288,12 +290,26 @@ class TestRunVerification:
             reports = [
                 run_verification(SweepConfig(max_p=max_p, workers=w)) for w in (1, 2, 5)
             ]
-            config = SweepConfig(max_p=max_p)
-            assert reports[0] == reports[1] == reports[2] == summarize(
-                config, iter_checked(config)
+            folded = _Partial.fold(check_knot(k) for k in enumerate_coprime(max_p))
+            assert reports[0] == reports[1] == reports[2] == folded.report(
+                SweepConfig(max_p=max_p)
             ), max_p
             texts = {serialize_report(r) for r in reports}
             assert len(texts) == 1
+
+    @pytest.mark.parametrize(
+        "max_p, workers, cpus, size",
+        [(4, 5, None, 2), (3, 5, None, None), (100, 1000, None, 64), (100, 8, 1, None),
+         (100, 2, None, 2), (100, 1, None, None)],
+    )
+    def test_pool_size_is_capped_by_rows_and_cpus(
+        self, pool_sizes, monkeypatch, max_p, workers, cpus, size
+    ):
+        if cpus is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = run_verification(SweepConfig(max_p=max_p, workers=workers))
+        assert pool_sizes == ([] if size is None else [size])
+        assert report == run_verification(SweepConfig(max_p=max_p))
 
     def test_checks_echoed_sorted(self):
         report = run_verification(SweepConfig(max_p=5, checks=frozenset({"thm2", "thm1"})))
@@ -313,7 +329,7 @@ class TestSummarize:
         # the shipped checks find nothing, so doctor two records and append a
         # later knot that ties the largest gap
         config = SweepConfig(max_p=12)
-        records = list(iter_checked(config))
+        records = [check_knot(k) for k in enumerate_coprime(12)]
         lemma_only = BoundCheckRecord(records[3].record, frozenset({"lemma2"}), frozenset())
         mixed = BoundCheckRecord(
             records[9].record, frozenset({"thm1", "lemma9", "lemma2"}), frozenset({"thm2"})
@@ -323,7 +339,7 @@ class TestSummarize:
         tie = replace(best, knot=TorusKnot(13, 12))
         records.append(BoundCheckRecord(tie, frozenset(), frozenset()))
 
-        report = summarize(config, records)
+        report = _Partial.fold(records).report(config)
         assert report.knots_checked == len(records)
         assert report.violations == (lemma_only, mixed)
         assert report.lemma_failures == (
