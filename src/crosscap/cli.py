@@ -1,5 +1,8 @@
 """Command-line surface: invariant queries, expansion inspection, families, sweeps.
 
+Every subcommand renders JSON, CSV or text and writes it through `_output`, which
+replaces a file at PATH only once the output is complete (the README has details).
+
 Exit codes: 0 = success / all checks hold, 1 = usage or input error,
 2 = verification finding, internal failure, or a run that did not complete.
 """
@@ -14,21 +17,19 @@ import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from math import gcd
 from stat import S_IMODE, S_ISREG
 from typing import Iterable, Iterator, TextIO
 
 from .continued_fractions import (
     HalfInteger,
+    Rational,
     cf_expand,
     coefficient_sum,
-    make_rational,
     skipped_sum,
 )
 from .torus_knots import (
     UNKNOT,
     IntegralityError,
-    InvariantRecord,
     invariants,
     mobius_family,
     normalize,
@@ -90,19 +91,12 @@ def _add_format_flags(sub: argparse.ArgumentParser, with_csv: bool = True) -> No
 
 @contextmanager
 def _output(target: str) -> Iterator[TextIO]:
-    """Stdout for "-", else the file at `target`, written in place."""
+    """Stdout for "-", else `target`. A new file, or a regular file of ours with one
+    link, is written beside its real path and renamed over it, keeping its mode, when
+    the block completes, so an abort leaves it as it was. Others are written in place."""
     if target == "-":
         yield sys.stdout
-    else:
-        with open(target, "w") as out:
-            yield out
-
-
-@contextmanager
-def _output_on_success(target: str) -> Iterator[TextIO]:
-    """`_output`, except that a new file, or a regular file of ours with one link,
-    is written beside its real path and renamed over it, keeping its mode, only
-    when the block completes, so an aborted run leaves `target` as it was."""
+        return
     path = os.path.realpath(target)  # write through a symlink, not over it
     st = os.stat(path) if os.path.exists(path) else None
     if st is None:
@@ -110,8 +104,8 @@ def _output_on_success(target: str) -> Iterator[TextIO]:
         replaceable = not os.path.exists(target)
     else:
         replaceable = S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
-    if target == "-" or not replaceable or not os.access(os.path.dirname(path), os.W_OK):
-        with _output(target) as out:
+    if not replaceable or not os.access(os.path.dirname(path), os.W_OK):
+        with open(target, "w") as out:
             yield out
         return
     partial = f"{path}.{os.getpid()}.partial"
@@ -127,40 +121,41 @@ def _output_on_success(target: str) -> Iterator[TextIO]:
         raise
 
 
-def _emit(text: str, target: str) -> None:
+def _csv_text(rows: Iterable[Iterable]) -> str:
+    """`rows` as CSV lines."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _emit(args: argparse.Namespace, payload, rows: Iterable[Iterable], lines: list[str]) -> None:
+    """Write `payload` as JSON, `rows` as CSV or `lines` as text, as `args` ask."""
+    if args.json is not None:
+        target, text = args.json, json.dumps(payload, indent=2) + "\n"
+    elif args.csv is not None:
+        target, text = args.csv, _csv_text(rows)
+    else:
+        target, text = "-", "".join(f"{line}\n" for line in lines)
     with _output(target) as out:
         out.write(text)
 
 
-def _csv_writer(out: TextIO, header: Iterable[str]):
-    """A CSV writer on `out`, with the header row written."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    return writer
-
-
-def _record_row(rec: InvariantRecord, lead: Iterable = (), trail: Iterable = ()) -> list:
-    """One CSV row: `lead`, the record's fields under RECORD_FIELDS, `trail`."""
-    return [*lead, *rec.as_dict().values(), *trail]
-
-
-def _print_record_human(rec: InvariantRecord, a: int, b: int) -> None:
-    fields = rec.as_dict()
+def _record_lines(fields: dict, a: int, b: int) -> list[str]:
+    """The human-readable lines of a record's `as_dict` fields."""
     if fields["parity"] == "unknot":
-        print(f"({max(a, b)},{min(a, b)}) is the unknot: every invariant is zero")
-        return
-    print(f"torus knot ({fields['p']},{fields['q']}), parity {fields['parity']}")
-    print(f"  genus:     {fields['genus']}")
-    print(f"  crossing:  {fields['crossing']}")
-    print(f"  crosscap:  {fields['crosscap']}")
-    print(f"  gap (genus - crosscap): {fields['gap']}")
-    print(
+        return [f"({max(a, b)},{min(a, b)}) is the unknot: every invariant is zero"]
+    return [
+        f"torus knot ({fields['p']},{fields['q']}), parity {fields['parity']}",
+        f"  genus:     {fields['genus']}",
+        f"  crossing:  {fields['crossing']}",
+        f"  crosscap:  {fields['crosscap']}",
+        f"  gap (genus - crosscap): {fields['gap']}",
         "  bounds:    "
         f"clark={fields['bound_clark']} "
         f"murakami-yasuhara={fields['bound_my']} "
         f"genus-based={fields['bound_thm1']} "
-        f"crossing-based={fields['bound_thm2']}"
-    )
+        f"crossing-based={fields['bound_thm2']}",
+    ]
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
@@ -168,52 +163,44 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         knot = normalize(args.p, args.q)
     except ValueError as exc:
         return _usage_error(str(exc))
-    rec = invariants(knot)
-    if args.json is not None:
-        _emit(json.dumps(rec.as_dict(), indent=2) + "\n", args.json)
-    elif args.csv is not None:
-        with _output(args.csv) as out:
-            _csv_writer(out, RECORD_FIELDS).writerow(_record_row(rec))
-    else:
-        _print_record_human(rec, args.p, args.q)
+    fields = invariants(knot).as_dict()
+    _emit(args, fields, [RECORD_FIELDS, fields.values()], _record_lines(fields, args.p, args.q))
     return EXIT_OK
 
 
 def cmd_cf(args: argparse.Namespace) -> int:
     a, b = args.numerator, args.denominator
-    if a < 0 or b < 1:
-        return _usage_error(f"need numerator >= 0 and denominator >= 1, got {a}/{b}")
-    if gcd(a, b) != 1:
-        return _usage_error(f"{a}/{b} is not in lowest terms (gcd {gcd(a, b)})")
-    cf = cf_expand(make_rational(a, b))
+    try:
+        r = Rational(a, b)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    cf = cf_expand(r)
     total = skipped_sum(cf)
     n_value = HalfInteger(total)
-    if args.json is not None:
-        payload = {
-            "numerator": a,
-            "denominator": b,
-            "coefficients": list(cf.coefficients),
-            "coefficient_sum": coefficient_sum(cf),
-            "skipped_total": total,
-            "n": str(n_value),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.json)
-    else:
-        print(f"{a}/{b} = {cf}")
-        print(f"coefficient sum: {coefficient_sum(cf)}")
-        print(f"skipped total:   {total}")
-        print(f"N:               {n_value}")
+    payload = {
+        "numerator": a,
+        "denominator": b,
+        "coefficients": list(cf.coefficients),
+        "coefficient_sum": coefficient_sum(cf),
+        "skipped_total": total,
+        "n": str(n_value),
+    }
+    lines = [
+        f"{a}/{b} = {cf}",
+        f"coefficient sum: {coefficient_sum(cf)}",
+        f"skipped total:   {total}",
+        f"N:               {n_value}",
+    ]
+    _emit(args, payload, (), lines)
     return EXIT_OK
 
 
 def _verify_rows(records: list[BoundCheckRecord]) -> str:
     """The `verify --csv` rows of `records`: each record's fields and violation flags."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        _record_row(c.record, trail=(int(name in c.violated) for name in CHECK_NAMES))
+    return _csv_text(
+        [*c.record.as_dict().values(), *(int(name in c.violated) for name in CHECK_NAMES)]
         for c in records
     )
-    return buf.getvalue()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -226,18 +213,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.csv is not None:
         # one pass: the CSV rows and the report come from the same per-p tasks
         header = [*RECORD_FIELDS, *(f"violated_{name}" for name in CHECK_NAMES)]
-        with _output_on_success(args.csv) as out:
-            _csv_writer(out, header)
+        with _output(args.csv) as out:
+            out.write(_csv_text([header]))
             report = run_verification(config, _verify_rows, out.write)
     elif args.json is not None:
-        with _output_on_success(args.json) as out:
+        with _output(args.json) as out:
             report = run_verification(config)
             out.write(serialize_report(report))
     else:
         report = run_verification(config)
     if args.json != "-" and args.csv != "-":
         witness = report.max_gap_witness
-        wd = witness.as_dict()
         print(
             f"checked {report.knots_checked} torus knots with 2 <= q < p <= {report.max_p}"
         )
@@ -247,7 +233,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{len(report.sharpness_hits)} sharpness hits"
         )
         print(
-            f"max gap: {wd['gap']} at ({wd['p']},{wd['q']}) "
+            f"max gap: {witness.gap} at {witness.knot} "
             f"(genus {witness.genus}, crosscap {witness.crosscap})"
         )
     if report.violations or report.lemma_failures:
@@ -259,41 +245,29 @@ def cmd_family(args: argparse.Namespace) -> int:
     if args.count < 1:
         return _usage_error(f"count must be at least 1, got {args.count}")
     generator = mobius_family if args.name == "mobius" else sharp_family
-    rows = []
+    expected_fields = ("genus", "crossing", "crosscap", "gap")
+    payload = []
+    rows = [["n", *RECORD_FIELDS, *(f"expected_{f}" for f in expected_fields), "match"]]
+    lines = [
+        f"{args.name} family, n = 1..{args.count}",
+        f"{'n':>4}  {'knot':>10}  {'genus':>6}  {'crossing':>8}  {'crosscap':>8}  {'gap':>6}  match",
+    ]
     for n in range(1, args.count + 1):
         knot, expected = generator(n)
         computed = invariants(knot)
-        rows.append((n, computed, expected, computed == expected))
-
-    if args.json is not None:
-        payload = [
-            {
-                "n": n,
-                "match": match,
-                "computed": computed.as_dict(),
-                "expected": expected.as_dict(),
-            }
-            for n, computed, expected, match in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.json)
-    elif args.csv is not None:
-        expected_fields = ("genus", "crossing", "crosscap", "gap")
-        header = ["n", *RECORD_FIELDS, *(f"expected_{f}" for f in expected_fields), "match"]
-        with _output(args.csv) as out:
-            writer = _csv_writer(out, header)
-            for n, computed, expected, match in rows:
-                trail = [*(getattr(expected, f) for f in expected_fields), int(match)]
-                writer.writerow(_record_row(computed, lead=[n], trail=trail))
-    else:
-        print(f"{args.name} family, n = 1..{args.count}")
-        print(f"{'n':>4}  {'knot':>10}  {'genus':>6}  {'crossing':>8}  {'crosscap':>8}  {'gap':>6}  match")
-        for n, computed, expected, match in rows:
-            knot = computed.knot
-            print(
-                f"{n:>4}  {str(knot):>10}  {computed.genus:>6}  {computed.crossing:>8}  "
-                f"{computed.crosscap:>8}  {computed.gap:>6}  {'ok' if match else 'MISMATCH'}"
-            )
-    if not all(match for *_, match in rows):
+        match = computed == expected
+        fields = computed.as_dict()
+        payload.append(
+            {"n": n, "match": match, "computed": fields, "expected": expected.as_dict()}
+        )
+        trail = [*(getattr(expected, f) for f in expected_fields), int(match)]
+        rows.append([n, *fields.values(), *trail])
+        lines.append(
+            f"{n:>4}  {str(computed.knot):>10}  {computed.genus:>6}  {computed.crossing:>8}  "
+            f"{computed.crosscap:>8}  {computed.gap:>6}  {'ok' if match else 'MISMATCH'}"
+        )
+    _emit(args, payload, rows, lines)
+    if not all(entry["match"] for entry in payload):
         return EXIT_FINDING
     return EXIT_OK
 

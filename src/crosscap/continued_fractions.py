@@ -21,7 +21,7 @@ class Rational:
     """A non-negative fraction in lowest terms.
 
     Construct through :func:`make_rational`, which reduces its arguments;
-    the constructor itself rejects anything not already reduced.
+    the constructor is the only range check, and rejects anything not reduced.
     """
 
     numerator: int
@@ -29,13 +29,11 @@ class Rational:
 
     def __post_init__(self) -> None:
         if self.denominator < 1:
-            raise ValueError(f"denominator must be positive, got {self.denominator}")
+            raise ValueError(f"negative or zero denominator in {self}")
         if self.numerator < 0:
-            raise ValueError(f"numerator must be non-negative, got {self.numerator}")
+            raise ValueError(f"negative numerator in {self}")
         if gcd(self.numerator, self.denominator) != 1:
-            raise ValueError(
-                f"{self.numerator}/{self.denominator} is not in lowest terms"
-            )
+            raise ValueError(f"{self} is not in lowest terms")
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
@@ -165,12 +163,8 @@ def _validate_raw(coeffs: Sequence[int]) -> None:
 
 
 def make_rational(numerator: int, denominator: int) -> Rational:
-    """Reduce numerator/denominator to lowest terms."""
-    if denominator == 0:
-        raise ValueError("zero denominator")
-    if numerator < 0 or denominator < 0:
-        raise ValueError(f"negative input: {numerator}/{denominator}")
-    g = gcd(numerator, denominator)
+    """Reduce numerator/denominator to lowest terms; `Rational` checks the range."""
+    g = gcd(numerator, denominator) or 1  # gcd(0, 0) == 0
     return Rational(numerator // g, denominator // g)
 
 

@@ -31,10 +31,11 @@ class TorusKnot:
     q: int
 
     def __post_init__(self) -> None:
-        if self.q < 2 or self.p <= self.q:
-            raise ValueError(f"need p > q >= 2, got ({self.p}, {self.q})")
+        # coprimality first: normalize leaves it to this check, so (4, 4) is a link
         if gcd(self.p, self.q) != 1:
             raise ValueError(f"({self.p}, {self.q}) is not coprime: a link, not a knot")
+        if self.q < 2 or self.p <= self.q:
+            raise ValueError(f"need p > q >= 2, got ({self.p}, {self.q})")
 
     @property
     def parity(self) -> Parity:
@@ -147,11 +148,10 @@ class IntegralityError(Exception):
 
 
 def normalize(a: int, b: int) -> TorusKnot | Unknot:
-    """Order a coprime positive pair into a TorusKnot, or the Unknot if either is 1."""
+    """Order a positive pair into a TorusKnot, which checks coprimality, or the
+    Unknot if either is 1."""
     if a < 1 or b < 1:
         raise ValueError(f"parameters must be positive, got ({a}, {b})")
-    if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) is not coprime: a link, not a knot")
     if min(a, b) == 1:
         return UNKNOT
     return TorusKnot(max(a, b), min(a, b))

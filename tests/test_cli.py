@@ -23,6 +23,7 @@ from crosscap import (
     TorusKnot,
     check_knot,
     enumerate_coprime,
+    invariants,
 )
 from crosscap.cli import main
 
@@ -314,23 +315,42 @@ class TestVerifyCommand:
         assert path.read_text() == "old rows\n"
         assert stray.read_text() == "not ours\n"
 
-    @pytest.mark.parametrize("flag", ["--json", "--csv"])
-    def test_output_through_symlink_keeps_link_and_mode(self, tmp_path, capsys, flag):
-        code, _, _ = run_cli(["verify", "--max-p", "20", flag, str(tmp_path / "plain")], capsys)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["verify", "--max-p", "20", "--json"], id="--json"),
+            pytest.param(["verify", "--max-p", "20", "--csv"], id="--csv"),
+            pytest.param(["invariants", "7", "5", "--json"], id="invariants-json"),
+            pytest.param(["family", "sharp", "3", "--csv"], id="family-csv"),
+        ],
+    )
+    def test_output_through_symlink_keeps_link_and_mode(self, tmp_path, capsys, argv):
+        code, _, _ = run_cli([*argv, str(tmp_path / "plain")], capsys)
         assert code == 0
         real = tmp_path / "real"
         real.write_text("old\n")
         real.chmod(0o640)
         link = tmp_path / "link"
         link.symlink_to(real)
-        code, _, _ = run_cli(["verify", "--max-p", "20", flag, str(link)], capsys)
+        code, _, _ = run_cli([*argv, str(link)], capsys)
         assert code == 0
         assert link.is_symlink() and link.resolve() == real
         assert real.read_bytes() == (tmp_path / "plain").read_bytes()
         assert stat.S_IMODE(real.stat().st_mode) == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "plain", "real"]
 
-    def test_csv_to_fifo_writes_in_place(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            pytest.param(["verify", "--max-p", "20", "--csv"], two_pass_csv(20), id="verify-csv"),
+            pytest.param(
+                ["invariants", "7", "5", "--json"],
+                json.dumps(invariants(TorusKnot(7, 5)).as_dict(), indent=2) + "\n",
+                id="invariants-json",
+            ),
+        ],
+    )
+    def test_output_to_fifo_writes_in_place(self, tmp_path, capsys, argv, expected):
         fifo = tmp_path / "rows"
         os.mkfifo(fifo)
         received = []
@@ -338,11 +358,11 @@ class TestVerifyCommand:
             target=lambda: received.append(fifo.read_bytes()), daemon=True
         )
         reader.start()
-        code, _, _ = run_cli(["verify", "--max-p", "20", "--csv", str(fifo)], capsys)
+        code, _, _ = run_cli([*argv, str(fifo)], capsys)
         reader.join(timeout=30)
         assert code == 0
         assert stat.S_ISFIFO(fifo.stat().st_mode)
-        assert received == [two_pass_csv(20).encode()]
+        assert received == [expected.encode()]
 
     @pytest.mark.parametrize(
         "exc", [BrokenProcessPool("a worker was terminated abruptly"), KeyboardInterrupt()]

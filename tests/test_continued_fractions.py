@@ -69,6 +69,8 @@ class TestRational:
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):
             make_rational(1, 0)
+        with pytest.raises(ValueError, match="zero denominator"):
+            make_rational(0, 0)
 
     def test_negative_input(self):
         with pytest.raises(ValueError, match="negative"):

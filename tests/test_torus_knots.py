@@ -70,6 +70,8 @@ class TestNormalize:
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError, match="not coprime"):
             normalize(6, 4)
+        with pytest.raises(ValueError, match="not coprime"):
+            normalize(4, 4)
 
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
