@@ -37,7 +37,6 @@ from .torus_knots import (
 )
 from .verify import (
     CHECK_NAMES,
-    BoundCheckRecord,
     SweepCapError,
     SweepConfig,
     run_verification,
@@ -195,14 +194,6 @@ def cmd_cf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_rows(records: list[BoundCheckRecord]) -> str:
-    """The `verify --csv` rows of `records`: each record's fields and violation flags."""
-    return _csv_text(
-        [*c.record.as_dict().values(), *(int(name in c.violated) for name in CHECK_NAMES)]
-        for c in records
-    )
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         config = SweepConfig(max_p=args.max_p, workers=args.workers)
@@ -215,7 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         header = [*RECORD_FIELDS, *(f"violated_{name}" for name in CHECK_NAMES)]
         with _output(args.csv) as out:
             out.write(_csv_text([header]))
-            report = run_verification(config, _verify_rows, out.write)
+            report = run_verification(config, _csv_text, out.write)
     elif args.json is not None:
         with _output(args.json) as out:
             report = run_verification(config)

@@ -177,40 +177,42 @@ def crosscap(k: TorusKnot | Unknot) -> int:
     """
     if isinstance(k, Unknot):
         return 0
-    return crosscap_from(k, euclid(k.q, k.p))
+    return crosscap_from(k.p, k.q, euclid(k.q, k.p))
 
 
 def crosscap_from(
-    k: TorusKnot, coeffs: list[int], branches: tuple[list[int], list[int]] | None = None
+    p: int, q: int, coeffs: list[int], branches: tuple[list[int], list[int]] | None = None
 ) -> int:
-    """Crosscap number of `k` from the expansion [0, a1, ..., an] of q/p.
+    """Crosscap number of the (p, q) knot from the expansion [0, a1, ..., an] of q/p.
 
     An even knot needs no more: N(q, p) is the skip total of that list, and
     N(p, q) that of [a1, ..., an], the expansion of p/q.  An odd knot takes the
     lesser N of `branches`, the expansions of (p*q -/+ 1)/p^2, which
-    :func:`lemma9_lists` builds from the list when the caller has not.
+    :func:`lemma9_lists` builds from the list when the caller has not.  The
+    pair is trusted to be a knot: a `TorusKnot` is built only for the error.
     """
-    if k.p * k.q % 2 == 0:
-        totals = (skip_total(coeffs[1:] if k.p % 2 == 0 else coeffs),)
+    if p * q % 2 == 0:
+        totals = (skip_total(coeffs[1:] if p % 2 == 0 else coeffs),)
     else:
         minus, plus = branches or lemma9_lists(coeffs)
         totals = (skip_total(minus), skip_total(plus))
     for total in totals:
         if total % 2:
-            raise IntegralityError(k, HalfInteger(total))
+            raise IntegralityError(TorusKnot(p, q), HalfInteger(total))
     return min(totals) // 2
+
+
+def bound_ints(genus: int, crossing: int) -> tuple[int, int, int, int]:
+    """(clark, my, thm1, thm2): the four bounds from genus g and crossing number n,
+    unchecked, in `Bounds` field order."""
+    return 2 * genus + 1, crossing // 2, (genus + 9) // 6, (crossing + 16) // 12
 
 
 def bounds_for(genus: int, crossing: int) -> Bounds:
     """Evaluate all four crosscap bounds from genus g and crossing number n."""
     if genus < 0 or crossing < 0:
         raise ValueError(f"genus and crossing must be non-negative, got ({genus}, {crossing})")
-    return Bounds(
-        clark=2 * genus + 1,
-        murakami_yasuhara=crossing // 2,
-        thm1=(genus + 9) // 6,
-        thm2=(crossing + 16) // 12,
-    )
+    return Bounds(*bound_ints(genus, crossing))
 
 
 def _require_q3_p(p: int) -> None:
@@ -264,12 +266,8 @@ def sharp_family(n: int) -> tuple[TorusKnot, InvariantRecord]:
         raise ValueError(f"family index must be positive, got {n}")
     knot = TorusKnot(6 * n - 2, 3)
     g, cr, c = 6 * n - 3, 12 * n - 4, n + 1
-    expected_bounds = Bounds(
-        clark=2 * g + 1,
-        murakami_yasuhara=cr // 2,
-        thm1=c,
-        thm2=c,
-    )
+    clark, my, _, _ = bound_ints(g, cr)
+    expected_bounds = Bounds(clark, my, thm1=c, thm2=c)
     expected = InvariantRecord(knot, Parity.EVEN, g, cr, c, expected_bounds, g - c)
     return knot, expected
 
@@ -278,11 +276,5 @@ def invariants(k: TorusKnot | Unknot) -> InvariantRecord:
     """Fully populated invariant record for a knot; all zeros for the unknot."""
     if isinstance(k, Unknot):
         return InvariantRecord(k, None, 0, 0, 0, Bounds(0, 0, 0, 0), 0)
-    return record_with(k, crosscap(k))
-
-
-def record_with(k: TorusKnot, c: int) -> InvariantRecord:
-    """The invariant record of `k`, given its crosscap number `c`."""
-    g = genus(k)
-    cr = crossing_number(k)
+    g, cr, c = genus(k), crossing_number(k), crosscap(k)
     return InvariantRecord(k, k.parity, g, cr, c, bounds_for(g, cr), g - c)

@@ -45,19 +45,18 @@ def two_pass_csv(max_p):
 
 
 def count_check_knot(monkeypatch, fail_at=None, exc=None):
-    """Count check_knot calls made through verify's name and, if cli has one, cli's;
-    raise `exc` on call number `fail_at`."""
+    """Count the knots verify's per-knot kernel `_check(p, q, on)` evaluates, as
+    TorusKnots; raise `exc` on call number `fail_at`."""
     calls = []
-    real = verify_module.check_knot
+    real = verify_module._check
 
-    def counted(knot, *args, **kwargs):
-        calls.append(knot)
+    def counted(p, q, on):
+        calls.append(TorusKnot(p, q))
         if len(calls) == fail_at:
             raise exc
-        return real(knot, *args, **kwargs)
+        return real(p, q, on)
 
-    monkeypatch.setattr(verify_module, "check_knot", counted)
-    monkeypatch.setattr(cli_module, "check_knot", counted, raising=False)
+    monkeypatch.setattr(verify_module, "_check", counted)
     return calls
 
 

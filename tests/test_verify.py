@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import functools
+import io
 import json
 import multiprocessing
 import os
@@ -84,10 +87,13 @@ def stated_lemma9(p: int, q: int) -> tuple[list[int], list[int]]:
     return a[:n] + minus_mid + tail, a[:n] + plus_mid + tail
 
 
-def reference_check_knot(k: TorusKnot, checks=CHECK_NAMES) -> BoundCheckRecord:
+def reference_check_knot(
+    k: TorusKnot, checks=CHECK_NAMES, closed_form=q3_closed_form
+) -> BoundCheckRecord:
     """check_knot by Teragaito's rule applied directly: N on (p*q -/+ 1)/p^2 for
     an odd knot and N(even, odd) for an even one.  The lemmas are evaluated
-    with fractions.Fraction; the program's lemma-9 construction is not used."""
+    with fractions.Fraction; the program's lemma-9 construction is not used.
+    The q3 check compares against `closed_form`."""
     p, q = k.p, k.q
     if p * q % 2:
         candidates = [bredon_wood_N(p * q - 1, p * p), bredon_wood_N(p * q + 1, p * p)]
@@ -117,7 +123,7 @@ def reference_check_knot(k: TorusKnot, checks=CHECK_NAMES) -> BoundCheckRecord:
             violated.add("lemma9")
     if "q3" in checks and q == 3 and p % 2:
         branch = bredon_wood_N(3 * p + q3_congruence_selector(p), p * p)
-        if q3_closed_form(p)[1] != c or branch != HalfInteger(2 * c):
+        if closed_form(p)[1] != c or branch != HalfInteger(2 * c):
             violated.add("q3")
     return BoundCheckRecord(rec, frozenset(violated), frozenset(hits))
 
@@ -199,15 +205,78 @@ class TestCheckKnot:
             check_knot(TorusKnot(7, 5), {"lemma_9"})
 
 
+@functools.cache
+def reference_records(max_p: int, checks: tuple[str, ...]) -> tuple:
+    """reference_check_knot of every knot to max_p, in enumerate_coprime order;
+    computed once per argument pair, because both the check_knot and the
+    sweep comparisons read it."""
+    return tuple(reference_check_knot(k, checks) for k in enumerate_coprime(max_p))
+
+
+def reference_report(max_p: int, checks: tuple[str, ...] = CHECK_NAMES) -> str:
+    """The serialized report of the reference records folded as one run."""
+    config = SweepConfig(max_p, checks=frozenset(checks))
+    return serialize_report(_Partial.fold(reference_records(max_p, checks)).report(config))
+
+
 class TestAgainstReference:
     def test_all_checks_to_300(self):
-        for knot in enumerate_coprime(300):
-            assert check_knot(knot) == reference_check_knot(knot), knot
+        expected = reference_records(300, CHECK_NAMES)
+        for knot, reference in zip(enumerate_coprime(300), expected, strict=True):
+            assert check_knot(knot) == reference, knot
 
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_each_check_alone_to_120(self, name):
-        for knot in enumerate_coprime(120):
-            assert check_knot(knot, {name}) == reference_check_knot(knot, {name}), knot
+        expected = reference_records(120, (name,))
+        for knot, reference in zip(enumerate_coprime(120), expected, strict=True):
+            assert check_knot(knot, {name}) == reference, knot
+
+
+class TestSweepAgainstReference:
+    """The sweep runs the plain-int row kernel, not check_knot, so its outputs
+    are compared with the reference directly."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_all_checks_to_300(self, workers):
+        report = run_verification(SweepConfig(300, workers=workers))
+        assert serialize_report(report) == reference_report(300)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_each_check_alone_to_120(self, name, workers):
+        report = run_verification(SweepConfig(120, workers=workers, checks=frozenset({name})))
+        assert serialize_report(report) == reference_report(120, (name,))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_csv_to_60(self, tmp_path, capsys, workers):
+        fields = list(invariants(TorusKnot(3, 2)).as_dict())
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fields + [f"violated_{name}" for name in CHECK_NAMES])
+        for checked in reference_records(60, CHECK_NAMES):
+            flags = [int(name in checked.violated) for name in CHECK_NAMES]
+            writer.writerow([*checked.record.as_dict().values(), *flags])
+        path = tmp_path / "knots.csv"
+        assert main(["verify", "--max-p", "60", "--workers", workers, "--csv", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_text() == buf.getvalue()
+
+    def test_doctored_closed_form_is_flagged_on_the_same_knots(self, monkeypatch):
+        # the shipped checks find nothing, so hand the sweep and the reference
+        # the same wrong closed form: both must flag q3 on the same knots
+        def doctored(p):
+            form, c = q3_closed_form(p)
+            return form, c + (p % 6 == 1)
+
+        config = SweepConfig(120)
+        records = (reference_check_knot(k, CHECK_NAMES, doctored) for k in enumerate_coprime(120))
+        expected = _Partial.fold(records).report(config)
+        monkeypatch.setattr(verify_module, "q3_closed_form", doctored)
+        report = run_verification(config)
+        assert [(c.record.knot, c.violated) for c in report.violations] == [
+            (TorusKnot(p, 3), {"q3"}) for p in range(7, 121, 6)
+        ]
+        assert serialize_report(report) == serialize_report(expected)
 
 
 class TestKernelGuards:
