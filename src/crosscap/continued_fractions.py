@@ -7,6 +7,11 @@ safe for any p the sweep cap admits.
 The algorithms run on plain int lists (``euclid``, ``skip_total``,
 ``lemma9_lists``, ``continuant``); the typed functions below them validate
 their arguments and wrap the results, so each algorithm exists once.
+
+The skip rule is a three-state automaton, defined once by the ``NEXT``
+table.  ``skip_total`` runs it over a list; a :data:`Segment` summarizes a
+run of coefficients for every entry state, with its continuant matrix, so
+that summaries of adjacent runs compose in O(1) (``segment``, ``compose``).
 """
 
 from __future__ import annotations
@@ -106,16 +111,55 @@ def euclid(n: int, d: int) -> list[int]:
     return coeffs
 
 
+#: The skip rule's states: the total is even and the next coefficient is added
+#: (the start); the total is even and the next coefficient is skipped; the
+#: total is odd and the next coefficient is added.
+TAKE, SKIP, ODD = 0, 1, 2
+#: NEXT[a % 2][state]: the state after coefficient a, which every state but
+#: SKIP adds to the total.
+NEXT = ((SKIP, TAKE, ODD), (ODD, TAKE, SKIP))
+
+#: A segment summary (adds, exits, matrix): entered in state s, the skip rule
+#: adds adds[s] over the segment's coefficients and leaves in exits[s]; matrix
+#: (m00, m01, m10, m11) is the product of [[a, 1], [1, 0]] over them, whose
+#: first column is the continuant.
+Segment = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int, int]]
+
+#: The summary of no coefficients.
+EMPTY: Segment = ((0, 0, 0), (TAKE, SKIP, ODD), (1, 0, 0, 1))
+
+
 def skip_total(coeffs: Sequence[int]) -> int:
     """Sum with the Bredon-Wood skip rule: after an addition that leaves the
     total even, skip the next coefficient.  The total is 2N, un-halved."""
-    total = 0
-    i = 0
-    end = len(coeffs)
-    while i < end:
-        total += coeffs[i]
-        i += 2 if total % 2 == 0 else 1
+    total = state = TAKE
+    next_ = NEXT  # a local name is quicker to look up
+    for a in coeffs:
+        if state == SKIP:
+            state = TAKE  # NEXT's SKIP column, for either parity
+        else:
+            total += a
+            state = next_[a & 1][state]
     return total
+
+
+def segment(coeffs: Sequence[int]) -> Segment:
+    """The summary of a run of coefficients."""
+    summary = EMPTY
+    for a in coeffs:
+        summary = compose(summary, ((a, 0, a), NEXT[a & 1], (a, 1, 1, 0)))
+    return summary
+
+
+def compose(first: Segment, then: Segment) -> Segment:
+    """The summary of the coefficients of `first` followed by those of `then`."""
+    adds, exits, (a, b, c, d) = first
+    then_adds, then_exits, (e, f, g, h) = then
+    return (
+        tuple(add + then_adds[x] for add, x in zip(adds, exits)),
+        tuple(then_exits[x] for x in exits),
+        (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
+    )
 
 
 def lemma9_lists(coeffs: list[int]) -> tuple[list[int], list[int]]:

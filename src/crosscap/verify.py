@@ -6,18 +6,27 @@ data, never an exception: the whole point is to surface one if it exists.
 A non-integral crosscap candidate, by contrast, aborts the sweep, because it
 means the computation itself is wrong.
 
-Each knot is checked by one plain-int kernel, `_check(p, q, on)`: it takes
-the enabled checks as a bit mask and returns the knot's invariants, bounds
-and violated and equality-hit bits as a tuple of ints.  `check_knot` is the
-typed shell over it: it validates the check names and wraps the tuple in a
-`BoundCheckRecord`.  A sweep builds records only for the knots its report
-lists (violations and sharpness hits) and for each row's max-gap witness.
+Two drivers run the same checks on plain ints, with the enabled checks as a
+bit mask, and build records only for the knots a report lists (violations
+and sharpness hits) and for max-gap witnesses:
 
-Each p is one task: a row of knots sorted by q, folded into a partial
-report and, for `verify --csv`, rendered from plain tuples as CSV text.
-`run_verification` maps the task over p, in-process or on a process pool
-that hands rows out as workers free up, and merges the rows in p order, so
-the report and the CSV are the same for every worker count.
+- The row kernel `_check(p, q, on)` checks one knot from its Euclid
+  expansion and returns its invariants, bounds and violated and equality-hit
+  bits as a tuple of ints.  `check_knot` is the typed shell over it.  Each p
+  is one row task (`_sweep_row`): the knots (p, q) in q order, folded into
+  a partial report and, for `verify --csv`, rendered as CSV text.
+  `run_verification` maps the task over p, in-process or on a process pool
+  that hands rows out as workers free up, and merges the rows in p order.
+  It serves `verify --csv` and every sweep on a pool of two or more.
+- The walk (`_walk`) serves a report-only sweep on one process.  It visits
+  the expansions q/p = [0; a1, ..., a(n-1), a] depth first and checks each
+  knot in O(1) from its prefix [0; a1, ..., a(n-1)]: no Euclid pass and no
+  list.  It visits knots in walk order, so it sorts the knots it lists at
+  the end; the max-gap witness, the smallest (p, q) among the largest gaps,
+  does not depend on the order.  An abort names the first odd total in walk
+  order, which need not be the first in (p, q) order.
+
+The report and the CSV are the same for every worker count.
 """
 
 from __future__ import annotations
@@ -32,9 +41,22 @@ from itertools import repeat
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
-from .continued_fractions import continuant, euclid, lemma9_lists, skip_total
+from .continued_fractions import (
+    EMPTY,
+    NEXT,
+    ODD,
+    SKIP,
+    TAKE,
+    HalfInteger,
+    continuant,
+    euclid,
+    lemma9_lists,
+    segment,
+    skip_total,
+)
 from .torus_knots import (
     Bounds,
+    IntegralityError,
     InvariantRecord,
     Parity,
     TorusKnot,
@@ -160,12 +182,7 @@ def _check(p: int, q: int, on: int) -> tuple[int, ...]:
     bounds = bound_ints(g, n)
     violated = hits = 0
     if c >= min(bounds):  # else no bound is met or beaten: nothing to flag
-        for bit, bound in zip(_BOUND_BITS, bounds):
-            if on & bit:
-                if c > bound:
-                    violated |= bit
-                elif c == bound:
-                    hits |= bit
+        violated, hits = _bound_flags(c, bounds, on)
 
     if on & _GAP and gap < 0:
         violated |= _GAP
@@ -180,12 +197,31 @@ def _check(p: int, q: int, on: int) -> tuple[int, ...]:
     ):
         violated |= _LEMMA9
 
-    if on & _Q3 and q == 3 and odd:
-        selected = branches[q3_congruence_selector(p) > 0]
-        if q3_closed_form(p)[1] != c or skip_total(selected) != 2 * c:
-            violated |= _Q3
+    if on & _Q3 and q == 3 and odd and _q3_fails(p, c, *map(skip_total, branches)):
+        violated |= _Q3
 
     return (g, n, c, *bounds, gap, violated, hits)
+
+
+def _bound_flags(c: int, bounds: tuple[int, ...], on: int) -> tuple[int, int]:
+    """The violated and equality-hit bits of the enabled bound checks, for the
+    crosscap number c and `bound_ints`'s four bounds."""
+    violated = hits = 0
+    for bit, bound in zip(_BOUND_BITS, bounds):
+        if on & bit:
+            if c > bound:
+                violated |= bit
+            elif c == bound:
+                hits |= bit
+    return violated, hits
+
+
+def _q3_fails(p: int, c: int, minus: int, plus: int) -> bool:
+    """Whether the (p, 3) knot, p odd, with crosscap number c and lemma-9 skip
+    totals minus and plus, fails the q3 check: the closed form is not c, or
+    the congruence-selected total is not 2c."""
+    selected = plus if q3_congruence_selector(p) > 0 else minus
+    return q3_closed_form(p)[1] != c or selected != 2 * c
 
 
 def _record(k: TorusKnot, checked: tuple[int, ...]) -> BoundCheckRecord:
@@ -198,7 +234,7 @@ def _record(k: TorusKnot, checked: tuple[int, ...]) -> BoundCheckRecord:
 def check_knot(k: TorusKnot, checks: Iterable[str] = _ALL_CHECKS) -> BoundCheckRecord:
     """Evaluate every enabled check against one knot.
 
-    A typed shell over the sweep's plain-int kernel: it validates `checks`
+    A typed shell over the plain-int row kernel: it validates `checks`
     (an unknown name raises ValueError), runs the kernel on (k.p, k.q) and
     wraps its tuple in a record.  One Euclid pass on q/p feeds the crosscap
     number and both lemma checks.  Bound checks compare the crosscap number
@@ -215,27 +251,32 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = _ALL_CHECKS) -> BoundCheckR
     return _record(k, _check(k.p, k.q, _mask(checks)))
 
 
+def _is_listed(violated: int, hits: int) -> int:
+    """Nonzero when a report lists a knot with these violated and equality-hit
+    bits: it violated a check, or met thm1 or thm2."""
+    return violated or hits & (_THM1 | _THM2)
+
+
+def _rank(rec: InvariantRecord) -> tuple[int, int, int]:
+    """The max-gap witness is the knot of highest rank: the largest gap, then
+    the smallest (p, q)."""
+    return rec.gap, -rec.knot.p, -rec.knot.q
+
+
 @dataclass
 class _Partial:
-    """Knot count, listed records and first max-gap knot of a run in (p, q) order."""
+    """Knot count, listed records and max-gap witness of the knots folded so far."""
 
     count: int = 0
     listed: list[BoundCheckRecord] = field(default_factory=list)  # violations, sharp hits
-    best: InvariantRecord | None = None  # strict > in add: the earliest knot wins ties
-
-    @classmethod
-    def fold(cls, records: Iterable[BoundCheckRecord]) -> _Partial:
-        """The aggregate of `records`, given in (p, q) order: one run per record."""
-        part = cls()
-        for c in records:
-            part.add(1, (c,) if c.violated or _SHARPENED & c.equality_hits else (), c.record)
-        return part
+    best: InvariantRecord | None = None
 
     def add(self, count: int, listed: Iterable[BoundCheckRecord], best: InvariantRecord) -> None:
-        """Append the run that follows: its knot count, listed records and first max-gap knot."""
+        """Fold in a run of knots: its count, listed records (appended in the
+        order given) and max-gap witness."""
         self.count += count
         self.listed += listed
-        if self.best is None or best.gap > self.best.gap:
+        if self.best is None or _rank(best) > _rank(self.best):
             self.best = best
 
     def report(self, config: SweepConfig) -> VerificationReport:
@@ -280,7 +321,7 @@ def _sweep_row(p: int, checks: frozenset[str], row: Callable | None = None) -> t
     for _, q in _pairs(p, p):
         checked = _check(p, q, on)
         count += 1
-        if checked[8] or checked[9] & (_THM1 | _THM2):
+        if _is_listed(checked[8], checked[9]):
             listed.append(_record(TorusKnot(p, q), checked))
         if top is None or checked[7] > top[7]:
             top, top_q = checked, q
@@ -290,6 +331,128 @@ def _sweep_row(p: int, checks: frozenset[str], row: Callable | None = None) -> t
     return _Partial(count, listed, best), None if row is None else row(rows)
 
 
+def _walk(max_p: int, on: int) -> _Partial:
+    """The fold of every knot to max_p, with the checks in the bit mask `on`,
+    from a depth-first walk over the expansions q/p = [0; a1, ..., a(n-1), a].
+
+    The walk visits the prefixes [0; a1, ..., a(n-1)] whose smallest knot
+    (a = 2) has p <= max_p.  A prefix carries its convergents; the skip
+    state and total of [0, a1, ...] (the same as of [a2, ...]: the leading 0
+    makes the rule skip a1) and of [a1, ...]; its coefficient sum; and, of
+    its reversed coefficients a(n-1), ..., a1 with a trailing a1 = 1 merged,
+    the skip adds from each entry state and the continuant.  Those are the
+    tail of both lemma-9 lists; when n = 2, that 1 merges into the middle
+    pair instead.  Each knot, its prefix extended by a last coefficient
+    a >= 2, then costs O(1).  The walk checks each knot as `_check` does,
+    and an odd total aborts at the first knot that has one, in walk order.
+    """
+    part = _Partial()
+    listed = part.listed
+    next_ = NEXT
+    # a prefix is (h1, h2, k1, k2): the continuant matrix of [0, a1, ..., a(n-1)],
+    # whose columns are its last two convergents; (s0, t0) and (s1, t1): the
+    # skip states and totals; its coefficient sum; the tail's skip adds from
+    # each entry state and its continuant (c0, c1); merge: 1 when the middle
+    # pair takes the a1 = 1; minus_up: n is odd, so the minus list has the
+    # middle pair (a + 1, a - 1).  A stack, not recursion, so that no
+    # reference cycle holds the walk's records after it returns.
+    stack = []
+    for a1 in range((max_p - 1) // 2, 0, -1):  # [0; a1, 2] has p = 2 a1 + 1
+        head_adds, head_exits, (h1, h2, k1, k2) = segment((0, a1))
+        body = segment((a1,))
+        # with a1 = 1 the tail is empty: the 1 merges into the middle pair
+        tail_adds, _, (c0, _, c1, _) = body if a1 > 1 else EMPTY
+        stack.append((
+            h1, h2, k1, k2, head_exits[TAKE], head_adds[TAKE], body[1][TAKE], body[0][TAKE],
+            a1, tail_adds, c0, c1, int(a1 == 1), False,
+        ))
+    while stack:  # depth first, children in increasing order of their coefficient
+        h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, c0, c1, merge, minus_up = stack.pop()
+        top = top_gap = None  # the prefix's first max-gap knot; p and q grow with a
+        take0, take1 = s0 != SKIP, s1 != SKIP
+        last = (max_p - k2) // k1
+        for a in range(2, last + 1):
+            p = a * k1 + k2
+            q = a * h1 + h2
+            if p & q & 1:
+                # the lemma-9 lists: head, middle pair (a +/- 1, a -/+ 1 + merge),
+                # tail; a + 1 and a - 1 share a parity, so both pass the same states
+                mid = next_[~a & 1][s0]
+                take_y = mid != SKIP
+                head = t0 + tail[next_[(a + 1 + merge) & 1][mid]]
+                up = head + take0 * (a + 1) + take_y * (a - 1 + merge)
+                down = head + take0 * (a - 1) + take_y * (a + 1 + merge)
+                minus, plus = (up, down) if minus_up else (down, up)
+                for total in (minus, plus):
+                    if total & 1:
+                        raise IntegralityError(TorusKnot(p, q), HalfInteger(total))
+                total = min(minus, plus)
+            else:
+                # N(p, q) reads p/q = [a1, ..., a], N(q, p) reads q/p = [0, a1, ..., a]
+                total = t1 + take1 * a if p & 1 == 0 else t0 + take0 * a
+                if total & 1:
+                    raise IntegralityError(TorusKnot(p, q), HalfInteger(total))
+            c = total >> 1
+            g = (p - 1) * (q - 1) >> 1
+            n = p * (q - 1)
+            gap = g - c
+            bounds = bound_ints(g, n)
+            violated = hits = 0
+            if c >= min(bounds):
+                violated, hits = _bound_flags(c, bounds, on)
+
+            if on & _GAP and gap < 0:
+                violated |= _GAP
+
+            if on & _LEMMA2 and coeff_sum + a > p:
+                violated |= _LEMMA2
+
+            if on & _LEMMA9:
+                # each list's continuant: the head matrix times [[x, 1], [1, 0]]
+                # times [[y, 1], [1, 0]] times the tail's continuant
+                u = (a - 1 + merge) * c0 + c1
+                v = (a + 1) * u + c0
+                up_cf = (h1 * v + h2 * u, k1 * v + k2 * u)
+                u = (a + 1 + merge) * c0 + c1
+                v = (a - 1) * u + c0
+                down_cf = (h1 * v + h2 * u, k1 * v + k2 * u)
+                minus_cf, plus_cf = (up_cf, down_cf) if minus_up else (down_cf, up_cf)
+                if minus_cf != (p * q - 1, p * p) or plus_cf != (p * q + 1, p * p):
+                    violated |= _LEMMA9
+
+            if on & _Q3 and q == 3 and p & 1 and _q3_fails(p, c, minus, plus):
+                violated |= _Q3
+
+            if top is None or gap > top_gap or _is_listed(violated, hits):
+                checked = (g, n, c, *bounds, gap, violated, hits)
+                if top is None or gap > top_gap:
+                    top, top_gap = (p, q, checked), gap
+                if _is_listed(violated, hits):
+                    listed.append(_record(TorusKnot(p, q), checked))
+        # a record for the prefix's witness only where it can win
+        if part.best is None or top_gap >= part.best.gap:
+            p, q, checked = top
+            part.add(last - 1, (), _record(TorusKnot(p, q), checked).record)
+        else:
+            part.count += last - 1
+
+        for b in range((max_p - k1 - 2 * k2) // (2 * k1), 0, -1):
+            # [0; a1, ..., a(n-1), b, 2] has p = 2 (b k1 + k2) + k1 <= max_p;
+            # the child's tail is d, then this tail: d = b, or b + 1 with a1 = 1 merged
+            step = next_[b & 1]
+            d = b + merge
+            tail_step = next_[d & 1]
+            stack.append((
+                b * h1 + h2, h1, b * k1 + k2, k1,
+                step[s0], t0 + take0 * b, step[s1], t1 + take1 * b,
+                coeff_sum + b,
+                (d + tail[tail_step[TAKE]], tail[tail_step[SKIP]], d + tail[tail_step[ODD]]),
+                d * c0 + c1, c0, 0, not minus_up,
+            ))
+    listed.sort(key=lambda c: (c.record.knot.p, c.record.knot.q))
+    return part
+
+
 def run_verification(
     config: SweepConfig,
     row: Callable[[list[tuple]], str] | None = None,
@@ -297,16 +460,19 @@ def run_verification(
 ) -> VerificationReport:
     """Run the configured sweep and aggregate a deterministic report.
 
-    Each p is one task; with `row`, a task also renders its knots' CSV rows
+    The pool has at most one process per p and per CPU.  A pool of one
+    without `row` runs the walk (see :func:`_walk`) in-process.  Otherwise
+    each p is one task; with `row`, a task also renders its knots' CSV rows
     (see :func:`_sweep_row`), and the texts are passed to `write` in p order
-    as they arrive.  The pool has at most one process per p and per CPU, and
-    a pool of one runs in-process.  The merge is order-preserving over the p
-    rows, so the result does not depend on worker count or scheduling.  The max-gap
-    tie-break is the first (smallest-(p, q)) knot attaining the maximum.
+    as they arrive.  The merge is order-preserving over the p rows, so the
+    result does not depend on worker count or scheduling.  The max-gap
+    witness is the smallest (p, q) among the knots of the largest gap.
     """
     p_range = range(3, config.max_p + 1)
     tasks = (_sweep_row, p_range, repeat(config.checks), repeat(row))
     size = min(config.workers, len(p_range), os.cpu_count() or 1)
+    if size == 1 and row is None:
+        return _walk(config.max_p, _mask(config.checks)).report(config)
     merged = _Partial()
     with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
         for part, text in pool.map(*tasks, chunksize=_ROWS_PER_TASK) if pool else map(*tasks):

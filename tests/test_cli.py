@@ -45,18 +45,22 @@ def two_pass_csv(max_p):
 
 
 def count_check_knot(monkeypatch, fail_at=None, exc=None):
-    """Count the knots verify's per-knot kernel `_check(p, q, on)` evaluates, as
-    TorusKnots; raise `exc` on call number `fail_at`."""
+    """Count the knots verify's sweeps evaluate, as TorusKnots; raise `exc` on
+    knot number `fail_at`.  Both the row kernel `_check` and the one-worker
+    walk call `verify.bound_ints(g, n)` once per knot, and (p, q) is read back
+    from the genus g = (p - 1)(q - 1)/2 and crossing number n = p(q - 1), since
+    n - 2g = q - 1."""
     calls = []
-    real = verify_module._check
+    real = verify_module.bound_ints
 
-    def counted(p, q, on):
-        calls.append(TorusKnot(p, q))
+    def counted(g, n):
+        q = n - 2 * g + 1
+        calls.append(TorusKnot(n // (q - 1), q))
         if len(calls) == fail_at:
             raise exc
-        return real(p, q, on)
+        return real(g, n)
 
-    monkeypatch.setattr(verify_module, "_check", counted)
+    monkeypatch.setattr(verify_module, "bound_ints", counted)
     return calls
 
 

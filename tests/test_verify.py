@@ -20,6 +20,7 @@ from crosscap import (
     CHECK_NAMES,
     MAX_SWEEP_P,
     BoundCheckRecord,
+    Bounds,
     HalfInteger,
     IntegralityError,
     InvariantRecord,
@@ -42,6 +43,7 @@ from crosscap import (
     serialize_report,
 )
 from crosscap.cli import main
+from crosscap.continued_fractions import SKIP
 from crosscap.verify import _ROWS_PER_TASK, _Partial
 
 
@@ -88,12 +90,13 @@ def stated_lemma9(p: int, q: int) -> tuple[list[int], list[int]]:
 
 
 def reference_check_knot(
-    k: TorusKnot, checks=CHECK_NAMES, closed_form=q3_closed_form
+    k: TorusKnot, checks=CHECK_NAMES, closed_form=q3_closed_form, bounds=bounds_for
 ) -> BoundCheckRecord:
     """check_knot by Teragaito's rule applied directly: N on (p*q -/+ 1)/p^2 for
     an odd knot and N(even, odd) for an even one.  The lemmas are evaluated
     with fractions.Fraction; the program's lemma-9 construction is not used.
-    The q3 check compares against `closed_form`."""
+    The q3 check compares against `closed_form`, the bound checks against
+    `bounds(genus, crossing)`."""
     p, q = k.p, k.q
     if p * q % 2:
         candidates = [bredon_wood_N(p * q - 1, p * p), bredon_wood_N(p * q + 1, p * p)]
@@ -102,7 +105,7 @@ def reference_check_knot(
     assert all(n.is_integral for n in candidates)
     c = min(candidates).as_integer()
     g, cr = genus(k), crossing_number(k)
-    rec = InvariantRecord(k, k.parity, g, cr, c, bounds_for(g, cr), g - c)
+    rec = InvariantRecord(k, k.parity, g, cr, c, bounds(g, cr), g - c)
     b = rec.bounds
     violated, hits = set(), set()
     for name, bound in (("thm1", b.thm1), ("thm2", b.thm2), ("clark", b.clark),
@@ -126,6 +129,15 @@ def reference_check_knot(
         if closed_form(p)[1] != c or branch != HalfInteger(2 * c):
             violated.add("q3")
     return BoundCheckRecord(rec, frozenset(violated), frozenset(hits))
+
+
+def fold(records) -> _Partial:
+    """The aggregate of `records`, given in (p, q) order, folded one record at a
+    time: a record is listed when it violated a check or met thm1 or thm2."""
+    part = _Partial()
+    for c in records:
+        part.add(1, (c,) if c.violated or {"thm1", "thm2"} & c.equality_hits else (), c.record)
+    return part
 
 
 def patch_kernel(monkeypatch, name, replacement):
@@ -216,7 +228,7 @@ def reference_records(max_p: int, checks: tuple[str, ...]) -> tuple:
 def reference_report(max_p: int, checks: tuple[str, ...] = CHECK_NAMES) -> str:
     """The serialized report of the reference records folded as one run."""
     config = SweepConfig(max_p, checks=frozenset(checks))
-    return serialize_report(_Partial.fold(reference_records(max_p, checks)).report(config))
+    return serialize_report(fold(reference_records(max_p, checks)).report(config))
 
 
 class TestAgainstReference:
@@ -270,13 +282,41 @@ class TestSweepAgainstReference:
 
         config = SweepConfig(120)
         records = (reference_check_knot(k, CHECK_NAMES, doctored) for k in enumerate_coprime(120))
-        expected = _Partial.fold(records).report(config)
+        expected = fold(records).report(config)
         monkeypatch.setattr(verify_module, "q3_closed_form", doctored)
         report = run_verification(config)
         assert [(c.record.knot, c.violated) for c in report.violations] == [
             (TorusKnot(p, 3), {"q3"}) for p in range(7, 121, 6)
         ]
         assert serialize_report(report) == serialize_report(expected)
+
+
+class TestWalkPerKnot:
+    """The one-worker sweep walks the expansions depth first; every other sweep
+    runs the row kernel.  With every bound 0, each knot violates each bound
+    check it runs, so a report lists every knot with its invariants, and the
+    walk, the row tasks and the reference are compared knot by knot."""
+
+    @pytest.mark.parametrize(
+        "max_p, checks",
+        [
+            pytest.param(300, CHECK_NAMES, id="all-300"),
+            *(pytest.param(120, (name,), id=f"{name}-120") for name in CHECK_NAMES),
+        ],
+    )
+    def test_walk_equals_rows_and_reference(self, monkeypatch, pool_sizes, max_p, checks):
+        monkeypatch.setattr(verify_module, "bound_ints", lambda g, n: (0, 0, 0, 0))
+        config = SweepConfig(max_p, checks=frozenset(checks))
+        walk = run_verification(config)
+        assert pool_sizes == []
+        rows = run_verification(replace(config, workers=2))
+        assert pool_sizes == [2]
+        zero = lambda g, n: Bounds(0, 0, 0, 0)  # noqa: E731
+        records = (reference_check_knot(k, checks, bounds=zero) for k in enumerate_coprime(max_p))
+        expected = fold(records).report(config)
+        assert walk == rows == expected
+        if {"thm1", "thm2", "clark", "my"} & set(checks):
+            assert len(walk.violations) == walk.knots_checked
 
 
 class TestKernelGuards:
@@ -305,6 +345,13 @@ class TestKernelGuards:
             crosscap(TorusKnot(7, 5))
         assert info.value.knot == TorusKnot(7, 5)
         assert info.value.value == HalfInteger(7)
+        # the one-worker sweep never calls skip_total: it walks from the segment
+        # summaries of each [0; a1], so doctor those to add 7 and end in SKIP;
+        # the first knot, (3, 2), then totals 7
+        real = cf_module.segment
+        patch_kernel(
+            monkeypatch, "segment", lambda coeffs: ((7, 7, 7), (SKIP,) * 3, real(coeffs)[2])
+        )
         assert main(["verify", "--max-p", "10"]) == 2
         assert "7/2" in capsys.readouterr().err
 
@@ -359,7 +406,7 @@ class TestRunVerification:
             reports = [
                 run_verification(SweepConfig(max_p=max_p, workers=w)) for w in (1, 2, 5)
             ]
-            folded = _Partial.fold(check_knot(k) for k in enumerate_coprime(max_p))
+            folded = fold(check_knot(k) for k in enumerate_coprime(max_p))
             assert reports[0] == reports[1] == reports[2] == folded.report(
                 SweepConfig(max_p=max_p)
             ), max_p
@@ -408,7 +455,7 @@ class TestSummarize:
         tie = replace(best, knot=TorusKnot(13, 12))
         records.append(BoundCheckRecord(tie, frozenset(), frozenset()))
 
-        report = _Partial.fold(records).report(config)
+        report = fold(records).report(config)
         assert report.knots_checked == len(records)
         assert report.violations == (lemma_only, mixed)
         assert report.lemma_failures == (
