@@ -9,9 +9,7 @@ The algorithms run on plain int lists (``euclid``, ``skip_total``,
 their arguments and wrap the results, so each algorithm exists once.
 
 The skip rule is a three-state automaton, defined once by the ``NEXT``
-table.  ``skip_total`` runs it over a list; a :data:`Segment` summarizes a
-run of coefficients for every entry state, with its continuant matrix, so
-that summaries of adjacent runs compose in O(1) (``segment``, ``compose``).
+table, which ``skip_total`` runs over a list.
 """
 
 from __future__ import annotations
@@ -119,15 +117,6 @@ TAKE, SKIP, ODD = 0, 1, 2
 #: SKIP adds to the total.
 NEXT = ((SKIP, TAKE, ODD), (ODD, TAKE, SKIP))
 
-#: A segment summary (adds, exits, matrix): entered in state s, the skip rule
-#: adds adds[s] over the segment's coefficients and leaves in exits[s]; matrix
-#: (m00, m01, m10, m11) is the product of [[a, 1], [1, 0]] over them, whose
-#: first column is the continuant.
-Segment = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int, int]]
-
-#: The summary of no coefficients.
-EMPTY: Segment = ((0, 0, 0), (TAKE, SKIP, ODD), (1, 0, 0, 1))
-
 
 def skip_total(coeffs: Sequence[int]) -> int:
     """Sum with the Bredon-Wood skip rule: after an addition that leaves the
@@ -141,25 +130,6 @@ def skip_total(coeffs: Sequence[int]) -> int:
             total += a
             state = next_[a & 1][state]
     return total
-
-
-def segment(coeffs: Sequence[int]) -> Segment:
-    """The summary of a run of coefficients."""
-    summary = EMPTY
-    for a in coeffs:
-        summary = compose(summary, ((a, 0, a), NEXT[a & 1], (a, 1, 1, 0)))
-    return summary
-
-
-def compose(first: Segment, then: Segment) -> Segment:
-    """The summary of the coefficients of `first` followed by those of `then`."""
-    adds, exits, (a, b, c, d) = first
-    then_adds, then_exits, (e, f, g, h) = then
-    return (
-        tuple(add + then_adds[x] for add, x in zip(adds, exits)),
-        tuple(then_exits[x] for x in exits),
-        (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
-    )
 
 
 def lemma9_lists(coeffs: list[int]) -> tuple[list[int], list[int]]:

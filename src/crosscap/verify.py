@@ -10,21 +10,21 @@ Two drivers run the same checks on plain ints, with the enabled checks as a
 bit mask, and build records only for the knots a report lists (violations
 and sharpness hits) and for max-gap witnesses:
 
+- The walk (`_walk`) serves every report.  It visits the expansions
+  q/p = [0; a1, ..., a(n-1), a] depth first, from the empty prefix [0],
+  and checks each knot in O(1) from its prefix [0; a1, ..., a(n-1)]: no
+  Euclid pass and no list.  It visits knots in walk order, so it sorts the
+  knots it lists at the end; the max-gap witness, the smallest (p, q) among
+  the largest gaps, does not depend on the order.  An abort names the first
+  odd total in walk order, which need not be the first in (p, q) order.
 - The row kernel `_check(p, q, on)` checks one knot from its Euclid
   expansion and returns its invariants, bounds and violated and equality-hit
   bits as a tuple of ints.  `check_knot` is the typed shell over it.  Each p
   is one row task (`_sweep_row`): the knots (p, q) in q order, folded into
-  a partial report and, for `verify --csv`, rendered as CSV text.
-  `run_verification` maps the task over p, in-process or on a process pool
-  that hands rows out as workers free up, and merges the rows in p order.
-  It serves `verify --csv` and every sweep on a pool of two or more.
-- The walk (`_walk`) serves a report-only sweep on one process.  It visits
-  the expansions q/p = [0; a1, ..., a(n-1), a] depth first and checks each
-  knot in O(1) from its prefix [0; a1, ..., a(n-1)]: no Euclid pass and no
-  list.  It visits knots in walk order, so it sorts the knots it lists at
-  the end; the max-gap witness, the smallest (p, q) among the largest gaps,
-  does not depend on the order.  An abort names the first odd total in walk
-  order, which need not be the first in (p, q) order.
+  a partial report and rendered as CSV text.  The row tasks serve
+  `verify --csv`: `run_verification` maps them over p, in-process or on a
+  process pool that hands rows out as workers free up, and merges the rows
+  in p order.
 
 The report and the CSV are the same for every worker count.
 """
@@ -42,7 +42,6 @@ from math import gcd
 from typing import Callable, Iterable, Iterator
 
 from .continued_fractions import (
-    EMPTY,
     NEXT,
     ODD,
     SKIP,
@@ -51,7 +50,6 @@ from .continued_fractions import (
     continuant,
     euclid,
     lemma9_lists,
-    segment,
     skip_total,
 )
 from .torus_knots import (
@@ -94,7 +92,10 @@ class SweepCapError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Range, parallelism, and check selection for one verification run."""
+    """Range, parallelism, and check selection for one verification run.
+
+    `workers` sizes the pool of the CSV row tasks; a report alone always
+    runs the walk in-process."""
 
     max_p: int
     workers: int = 1
@@ -308,9 +309,9 @@ def _flags(bits: int) -> tuple[int, ...]:
     return tuple(bits >> i & 1 for i in range(len(_BITS)))
 
 
-def _sweep_row(p: int, checks: frozenset[str], row: Callable | None = None) -> tuple:
+def _sweep_row(p: int, checks: frozenset[str], row: Callable[[list[tuple]], str]) -> tuple:
     """The fold of the knots (p, q), and the text `row` renders from their CSV
-    rows in q order when it is given (module-level, so that it pickles).
+    rows in q order (module-level, so that it pickles).
 
     A knot's CSV row is a plain tuple: its record fields in `as_dict` order,
     then one 0/1 violated flag per check in CHECK_NAMES order.
@@ -325,26 +326,28 @@ def _sweep_row(p: int, checks: frozenset[str], row: Callable | None = None) -> t
             listed.append(_record(TorusKnot(p, q), checked))
         if top is None or checked[7] > top[7]:
             top, top_q = checked, q
-        if row is not None:
-            rows.append((p, q, _PARITY[p * q % 2], *checked[:8], *_flags(checked[8])))
+        rows.append((p, q, _PARITY[p * q % 2], *checked[:8], *_flags(checked[8])))
     best = _record(TorusKnot(p, top_q), top).record
-    return _Partial(count, listed, best), None if row is None else row(rows)
+    return _Partial(count, listed, best), row(rows)
 
 
 def _walk(max_p: int, on: int) -> _Partial:
     """The fold of every knot to max_p, with the checks in the bit mask `on`,
     from a depth-first walk over the expansions q/p = [0; a1, ..., a(n-1), a].
 
-    The walk visits the prefixes [0; a1, ..., a(n-1)] whose smallest knot
-    (a = 2) has p <= max_p.  A prefix carries its convergents; the skip
+    The walk starts from the empty prefix [0], which has no knot (its q
+    would be 1), and visits the prefixes [0; a1, ..., a(n-1)] whose smallest
+    knot (a = 2) has p <= max_p.  A prefix carries its convergents; the skip
     state and total of [0, a1, ...] (the same as of [a2, ...]: the leading 0
     makes the rule skip a1) and of [a1, ...]; its coefficient sum; and, of
-    its reversed coefficients a(n-1), ..., a1 with a trailing a1 = 1 merged,
-    the skip adds from each entry state and the continuant.  Those are the
-    tail of both lemma-9 lists; when n = 2, that 1 merges into the middle
-    pair instead.  Each knot, its prefix extended by a last coefficient
-    a >= 2, then costs O(1).  The walk checks each knot as `_check` does,
-    and an odd total aborts at the first knot that has one, in walk order.
+    its reversed coefficients a(n-1), ..., a1, the skip adds from each entry
+    state and the continuant.  Those are the tail of both lemma-9 lists.
+    The walk keeps a trailing a1 = 1 unmerged: [..., x, 1] has the value of
+    [..., x + 1], and a skip total that differs by 0 or 1, so an even total
+    is the canonical list's and an odd one aborts.  Each knot, its prefix
+    extended by a last coefficient a >= 2, then costs O(1).  The walk checks
+    each knot as `_check` does, and an odd total aborts at the first knot
+    that has one, in walk order.
     """
     part = _Partial()
     listed = part.listed
@@ -352,36 +355,41 @@ def _walk(max_p: int, on: int) -> _Partial:
     # a prefix is (h1, h2, k1, k2): the continuant matrix of [0, a1, ..., a(n-1)],
     # whose columns are its last two convergents; (s0, t0) and (s1, t1): the
     # skip states and totals; its coefficient sum; the tail's skip adds from
-    # each entry state and its continuant (c0, c1); merge: 1 when the middle
-    # pair takes the a1 = 1; minus_up: n is odd, so the minus list has the
-    # middle pair (a + 1, a - 1).  A stack, not recursion, so that no
-    # reference cycle holds the walk's records after it returns.
-    stack = []
-    for a1 in range((max_p - 1) // 2, 0, -1):  # [0; a1, 2] has p = 2 a1 + 1
-        head_adds, head_exits, (h1, h2, k1, k2) = segment((0, a1))
-        body = segment((a1,))
-        # with a1 = 1 the tail is empty: the 1 merges into the middle pair
-        tail_adds, _, (c0, _, c1, _) = body if a1 > 1 else EMPTY
-        stack.append((
-            h1, h2, k1, k2, head_exits[TAKE], head_adds[TAKE], body[1][TAKE], body[0][TAKE],
-            a1, tail_adds, c0, c1, int(a1 == 1), False,
-        ))
+    # each entry state and its continuant (c0, c1); minus_up: n is odd, so the
+    # minus list has the middle pair (a + 1, a - 1).  A stack, not recursion,
+    # so that no reference cycle holds the walk's records after it returns.
+    stack = [(0, 1, 1, 0, SKIP, 0, TAKE, 0, 0, (0, 0, 0), 1, 0, True)]
     while stack:  # depth first, children in increasing order of their coefficient
-        h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, c0, c1, merge, minus_up = stack.pop()
-        top = top_gap = None  # the prefix's first max-gap knot; p and q grow with a
+        h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, c0, c1, minus_up = stack.pop()
         take0, take1 = s0 != SKIP, s1 != SKIP
+        for b in range((max_p - k1 - 2 * k2) // (2 * k1), 0, -1):
+            # [0; a1, ..., a(n-1), b, 2] has p = 2 (b k1 + k2) + k1 <= max_p;
+            # the child's tail is b, then this tail
+            step = next_[b & 1]
+            stack.append((
+                b * h1 + h2, h1, b * k1 + k2, k1,
+                step[s0], t0 + take0 * b, step[s1], t1 + take1 * b,
+                coeff_sum + b,
+                (b + tail[step[TAKE]], tail[step[SKIP]], b + tail[step[ODD]]),
+                b * c0 + c1, c0, not minus_up,
+            ))
+        if not h1:  # [0]: q/p = [0; a] = 1/a is no knot
+            continue
+
+        top = top_gap = None  # the prefix's first max-gap knot; p and q grow with a
         last = (max_p - k2) // k1
         for a in range(2, last + 1):
             p = a * k1 + k2
             q = a * h1 + h2
             if p & q & 1:
-                # the lemma-9 lists: head, middle pair (a +/- 1, a -/+ 1 + merge),
-                # tail; a + 1 and a - 1 share a parity, so both pass the same states
-                mid = next_[~a & 1][s0]
+                # the lemma-9 lists: head, middle pair (a +/- 1, a -/+ 1), tail;
+                # a + 1 and a - 1 share a parity, so both pass the same states
+                step = next_[~a & 1]
+                mid = step[s0]
                 take_y = mid != SKIP
-                head = t0 + tail[next_[(a + 1 + merge) & 1][mid]]
-                up = head + take0 * (a + 1) + take_y * (a - 1 + merge)
-                down = head + take0 * (a - 1) + take_y * (a + 1 + merge)
+                head = t0 + tail[step[mid]]
+                up = head + take0 * (a + 1) + take_y * (a - 1)
+                down = head + take0 * (a - 1) + take_y * (a + 1)
                 minus, plus = (up, down) if minus_up else (down, up)
                 for total in (minus, plus):
                     if total & 1:
@@ -410,10 +418,10 @@ def _walk(max_p: int, on: int) -> _Partial:
             if on & _LEMMA9:
                 # each list's continuant: the head matrix times [[x, 1], [1, 0]]
                 # times [[y, 1], [1, 0]] times the tail's continuant
-                u = (a - 1 + merge) * c0 + c1
+                u = (a - 1) * c0 + c1
                 v = (a + 1) * u + c0
                 up_cf = (h1 * v + h2 * u, k1 * v + k2 * u)
-                u = (a + 1 + merge) * c0 + c1
+                u = (a + 1) * c0 + c1
                 v = (a - 1) * u + c0
                 down_cf = (h1 * v + h2 * u, k1 * v + k2 * u)
                 minus_cf, plus_cf = (up_cf, down_cf) if minus_up else (down_cf, up_cf)
@@ -435,20 +443,6 @@ def _walk(max_p: int, on: int) -> _Partial:
             part.add(last - 1, (), _record(TorusKnot(p, q), checked).record)
         else:
             part.count += last - 1
-
-        for b in range((max_p - k1 - 2 * k2) // (2 * k1), 0, -1):
-            # [0; a1, ..., a(n-1), b, 2] has p = 2 (b k1 + k2) + k1 <= max_p;
-            # the child's tail is d, then this tail: d = b, or b + 1 with a1 = 1 merged
-            step = next_[b & 1]
-            d = b + merge
-            tail_step = next_[d & 1]
-            stack.append((
-                b * h1 + h2, h1, b * k1 + k2, k1,
-                step[s0], t0 + take0 * b, step[s1], t1 + take1 * b,
-                coeff_sum + b,
-                (d + tail[tail_step[TAKE]], tail[tail_step[SKIP]], d + tail[tail_step[ODD]]),
-                d * c0 + c1, c0, 0, not minus_up,
-            ))
     listed.sort(key=lambda c: (c.record.knot.p, c.record.knot.q))
     return part
 
@@ -460,24 +454,24 @@ def run_verification(
 ) -> VerificationReport:
     """Run the configured sweep and aggregate a deterministic report.
 
-    The pool has at most one process per p and per CPU.  A pool of one
-    without `row` runs the walk (see :func:`_walk`) in-process.  Otherwise
-    each p is one task; with `row`, a task also renders its knots' CSV rows
-    (see :func:`_sweep_row`), and the texts are passed to `write` in p order
-    as they arrive.  The merge is order-preserving over the p rows, so the
-    result does not depend on worker count or scheduling.  The max-gap
-    witness is the smallest (p, q) among the knots of the largest gap.
+    Without `row`, the walk (see :func:`_walk`) runs in-process, whatever
+    `config.workers` says.  With `row`, each p is one task that also renders
+    its knots' CSV rows (see :func:`_sweep_row`), and the texts are passed
+    to `write` in p order as they arrive.  The tasks run on a pool of at most
+    one process per p and per CPU, or in-process when that is one.  The
+    merge is order-preserving over the p rows, so the result does not depend
+    on worker count or scheduling.  The max-gap witness is the smallest
+    (p, q) among the knots of the largest gap.
     """
+    if row is None:
+        return _walk(config.max_p, _mask(config.checks)).report(config)
     p_range = range(3, config.max_p + 1)
     tasks = (_sweep_row, p_range, repeat(config.checks), repeat(row))
     size = min(config.workers, len(p_range), os.cpu_count() or 1)
-    if size == 1 and row is None:
-        return _walk(config.max_p, _mask(config.checks)).report(config)
     merged = _Partial()
     with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
         for part, text in pool.map(*tasks, chunksize=_ROWS_PER_TASK) if pool else map(*tasks):
-            if row is not None:
-                write(text)
+            write(text)
             merged.add(part.count, part.listed, part.best)
     return merged.report(config)
 

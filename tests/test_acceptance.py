@@ -236,14 +236,18 @@ def test_09_q3_closed_form_coherence_to_1000():
 
 
 def test_10_parallel_determinism_byte_identical(tmp_path):
-    contents = []
+    # a report runs the walk at any worker count; --workers spreads the CSV's row tasks
+    contents, csvs = [], []
     for workers in (1, 2, 8):
-        path = tmp_path / f"report_w{workers}.json"
-        proc = _cli("verify", "--max-p", "100", "--workers", str(workers), "--json", str(path))
-        assert proc.returncode == 0
-        contents.append(path.read_bytes())
-    ok = contents[0] == contents[1] == contents[2]
+        for fmt, outputs in (("json", contents), ("csv", csvs)):
+            path = tmp_path / f"out_w{workers}.{fmt}"
+            proc = _cli("verify", "--max-p", "100", "--workers", str(workers), f"--{fmt}", str(path))
+            assert proc.returncode == 0
+            outputs.append(path.read_bytes())
+    ok = contents[0] == contents[1] == contents[2] and csvs[0] == csvs[1] == csvs[2]
     report = json.loads(contents[0])
     _report(10, ok, f"verify --max-p 100 with workers 1/2/8: "
-                    f"{len(contents[0])}-byte reports identical, {report['knots_checked']} knots")
+                    f"{len(contents[0])}-byte reports and {len(csvs[0])}-byte CSVs identical, "
+                    f"{report['knots_checked']} knots")
     assert contents[0] == contents[1] == contents[2]
+    assert csvs[0] == csvs[1] == csvs[2]

@@ -27,7 +27,6 @@ from crosscap import (
     make_rational,
     skipped_sum,
 )
-from crosscap.continued_fractions import ODD, SKIP, TAKE, compose, continuant, segment, skip_total
 
 
 def fraction_value(coeffs) -> Fraction:
@@ -210,41 +209,6 @@ class TestSums:
         p, q = p // g, q // g
         assume(p > q)
         assert coefficient_sum(cf_expand(make_rational(p, q))) <= p
-
-
-def skip_run(coeffs, total, skip):
-    """The skip rule as stated, from a running total and a pending skip:
-    after an addition that leaves the total even, skip the next coefficient.
-    Returns the amount added and the state it ends in."""
-    start = total
-    for a in coeffs:
-        if skip:
-            skip = False
-        else:
-            total += a
-            skip = total % 2 == 0
-    return total - start, SKIP if skip else ODD if total % 2 else TAKE
-
-
-class TestSegments:
-    @given(st.lists(st.integers(0, 20), min_size=1, max_size=12), st.data())
-    def test_composed_split_equals_the_whole_list(self, coeffs, data):
-        split = data.draw(st.integers(0, len(coeffs)))
-        adds, exits, (m00, _, m10, _) = compose(segment(coeffs[:split]), segment(coeffs[split:]))
-        # entered in SKIP or ODD, the rule adds what it adds to the list behind a 0 or a 1
-        assert adds == (
-            skip_total(coeffs), skip_total([0, *coeffs]), skip_total([1, *coeffs]) - 1
-        )
-        entries = ((0, False), (0, True), (1, False))  # TAKE, SKIP, ODD
-        assert tuple(zip(adds, exits)) == tuple(skip_run(coeffs, *e) for e in entries)
-        assert (m00, m10) == continuant(coeffs)
-
-    def test_states_and_empty_segment(self):
-        assert (TAKE, SKIP, ODD) == (0, 1, 2)
-        assert segment([]) == ((0, 0, 0), (TAKE, SKIP, ODD), (1, 0, 0, 1))
-        # from TAKE: 2 (even, skip) + 2 -> 4, even; from SKIP: 1 + 2 -> 3, odd;
-        # from ODD: 2 + 1 -> even, so the last 2 is skipped and the rule can take again
-        assert segment([2, 1, 2])[:2] == ((4, 3, 3), (SKIP, ODD, TAKE))
 
 
 class TestHalfInteger:

@@ -42,8 +42,8 @@ from crosscap import (
     run_verification,
     serialize_report,
 )
-from crosscap.cli import main
-from crosscap.continued_fractions import SKIP
+from crosscap.cli import _csv_text, main
+from crosscap.continued_fractions import ODD, SKIP, TAKE
 from crosscap.verify import _ROWS_PER_TASK, _Partial
 
 
@@ -138,6 +138,17 @@ def fold(records) -> _Partial:
     for c in records:
         part.add(1, (c,) if c.violated or {"thm1", "thm2"} & c.equality_hits else (), c.record)
     return part
+
+
+def row_report(config: SweepConfig, sink: list | None = None) -> VerificationReport:
+    """The report of the row tasks, which run only with a CSV renderer; the
+    rendered texts are appended to `sink` when it is given."""
+    return run_verification(config, _csv_text, [].append if sink is None else sink.append)
+
+
+def sweep(config: SweepConfig) -> VerificationReport:
+    """The report of the walk at one worker, and of the row tasks at more."""
+    return run_verification(config) if config.workers == 1 else row_report(config)
 
 
 def patch_kernel(monkeypatch, name, replacement):
@@ -245,18 +256,19 @@ class TestAgainstReference:
 
 
 class TestSweepAgainstReference:
-    """The sweep runs the plain-int row kernel, not check_knot, so its outputs
-    are compared with the reference directly."""
+    """The sweep runs the walk or the plain-int row kernel, not check_knot, so
+    its outputs are compared with the reference directly: at one worker the
+    walk's, at two the row tasks' on a pool."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_all_checks_to_300(self, workers):
-        report = run_verification(SweepConfig(300, workers=workers))
+        report = sweep(SweepConfig(300, workers=workers))
         assert serialize_report(report) == reference_report(300)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_each_check_alone_to_120(self, name, workers):
-        report = run_verification(SweepConfig(120, workers=workers, checks=frozenset({name})))
+        report = sweep(SweepConfig(120, workers=workers, checks=frozenset({name})))
         assert serialize_report(report) == reference_report(120, (name,))
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -292,10 +304,10 @@ class TestSweepAgainstReference:
 
 
 class TestWalkPerKnot:
-    """The one-worker sweep walks the expansions depth first; every other sweep
-    runs the row kernel.  With every bound 0, each knot violates each bound
-    check it runs, so a report lists every knot with its invariants, and the
-    walk, the row tasks and the reference are compared knot by knot."""
+    """A report alone walks the expansions depth first; a sweep with a CSV
+    renderer runs the row kernel.  With every bound 0, each knot violates each
+    bound check it runs, so a report lists every knot with its invariants, and
+    the walk, the row tasks and the reference are compared knot by knot."""
 
     @pytest.mark.parametrize(
         "max_p, checks",
@@ -309,7 +321,7 @@ class TestWalkPerKnot:
         config = SweepConfig(max_p, checks=frozenset(checks))
         walk = run_verification(config)
         assert pool_sizes == []
-        rows = run_verification(replace(config, workers=2))
+        rows = row_report(replace(config, workers=2))
         assert pool_sizes == [2]
         zero = lambda g, n: Bounds(0, 0, 0, 0)  # noqa: E731
         records = (reference_check_knot(k, checks, bounds=zero) for k in enumerate_coprime(max_p))
@@ -345,26 +357,27 @@ class TestKernelGuards:
             crosscap(TorusKnot(7, 5))
         assert info.value.knot == TorusKnot(7, 5)
         assert info.value.value == HalfInteger(7)
-        # the one-worker sweep never calls skip_total: it walks from the segment
-        # summaries of each [0; a1], so doctor those to add 7 and end in SKIP;
-        # the first knot, (3, 2), then totals 7
-        real = cf_module.segment
-        patch_kernel(
-            monkeypatch, "segment", lambda coeffs: ((7, 7, 7), (SKIP,) * 3, real(coeffs)[2])
-        )
+        # the walk never calls skip_total: it steps the rule's table, so doctor
+        # that to skip after an odd coefficient added to an even total.  The
+        # walk's second knot, (4, 3), reads 4/3 = [1, 3] and totals 1, not 4
+        monkeypatch.setattr(verify_module, "NEXT", ((SKIP, TAKE, ODD), (SKIP, TAKE, SKIP)))
         assert main(["verify", "--max-p", "10"]) == 2
-        assert "7/2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-integral crosscap candidate N = 1/2 for torus knot (4,3)" in err
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="the patched kernel reaches only forked pool workers",
     )
-    def test_odd_skip_total_in_a_pool_worker_aborts(self, monkeypatch, capsys):
+    def test_odd_skip_total_in_a_pool_worker_aborts(self, monkeypatch, capsys, tmp_path):
+        # only the CSV's row tasks run in pool workers
         patch_kernel(monkeypatch, "skip_total", lambda coeffs: 7)
-        assert main(["verify", "--max-p", "10", "--workers", "2"]) == 2
+        path = tmp_path / "knots.csv"
+        assert main(["verify", "--max-p", "10", "--workers", "2", "--csv", str(path)]) == 2
         err = capsys.readouterr().err
         assert "non-integral crosscap candidate N = 7/2 for torus knot (3,2)" in err
         assert "BrokenProcessPool" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunVerification:
@@ -403,15 +416,18 @@ class TestRunVerification:
         # 3 and 4 have fewer p rows than 5 workers; 3 + 2 * _ROWS_PER_TASK has
         # two full chunks of rows and one row left over
         for max_p in (3, 4, 60, 3 + 2 * _ROWS_PER_TASK):
+            sinks = [[], [], []]
             reports = [
-                run_verification(SweepConfig(max_p=max_p, workers=w)) for w in (1, 2, 5)
+                row_report(SweepConfig(max_p=max_p, workers=w), sink)
+                for w, sink in zip((1, 2, 5), sinks)
             ]
+            reports.append(run_verification(SweepConfig(max_p=max_p)))
             folded = fold(check_knot(k) for k in enumerate_coprime(max_p))
-            assert reports[0] == reports[1] == reports[2] == folded.report(
-                SweepConfig(max_p=max_p)
-            ), max_p
+            assert reports == [folded.report(SweepConfig(max_p=max_p))] * 4, max_p
             texts = {serialize_report(r) for r in reports}
             assert len(texts) == 1
+            assert sinks[0] == sinks[1] == sinks[2]
+            assert len(sinks[0]) == max_p - 2
 
     @pytest.mark.parametrize(
         "max_p, workers, cpus, size",
@@ -423,9 +439,15 @@ class TestRunVerification:
     ):
         if cpus is not None:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        report = run_verification(SweepConfig(max_p=max_p, workers=workers))
+        report = row_report(SweepConfig(max_p=max_p, workers=workers))
         assert pool_sizes == ([] if size is None else [size])
         assert report == run_verification(SweepConfig(max_p=max_p))
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_report_alone_builds_no_pool(self, pool_sizes, workers):
+        report = run_verification(SweepConfig(max_p=100, workers=workers))
+        assert pool_sizes == []
+        assert report == run_verification(SweepConfig(max_p=100))
 
     def test_checks_echoed_sorted(self):
         report = run_verification(SweepConfig(max_p=5, checks=frozenset({"thm2", "thm1"})))
