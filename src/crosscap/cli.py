@@ -10,8 +10,6 @@ Exit codes: 0 = success / all checks hold, 1 = usage or input error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -28,7 +26,7 @@ from .continued_fractions import (
     skipped_sum,
 )
 from .torus_knots import (
-    UNKNOT,
+    RECORD_FIELDS,
     IntegralityError,
     invariants,
     mobius_family,
@@ -36,15 +34,12 @@ from .torus_knots import (
     sharp_family,
 )
 from .verify import (
-    CHECK_NAMES,
     SweepCapError,
     SweepConfig,
+    _csv_text,
     run_verification,
     serialize_report,
 )
-
-#: CSV header of a record: the keys of `InvariantRecord.as_dict`, in wire order.
-RECORD_FIELDS = tuple(invariants(UNKNOT).as_dict())
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,13 +113,6 @@ def _output(target: str) -> Iterator[TextIO]:
     except BaseException:
         os.remove(partial)
         raise
-
-
-def _csv_text(rows: Iterable[Iterable]) -> str:
-    """`rows` as CSV lines."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
 
 
 def _emit(args: argparse.Namespace, payload, rows: Iterable[Iterable], lines: list[str]) -> None:
@@ -203,10 +191,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(str(exc))
     if args.csv is not None:
         # one pass: the CSV rows and the report come from the same per-p tasks
-        header = [*RECORD_FIELDS, *(f"violated_{name}" for name in CHECK_NAMES)]
         with _output(args.csv) as out:
-            out.write(_csv_text([header]))
-            report = run_verification(config, _csv_text, out.write)
+            report = run_verification(config, out.write)
     elif args.json is not None:
         with _output(args.json) as out:
             report = run_verification(config)

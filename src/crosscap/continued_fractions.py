@@ -134,18 +134,16 @@ def skip_total(coeffs: Sequence[int]) -> int:
 
 def lemma9_lists(coeffs: list[int]) -> tuple[list[int], list[int]]:
     """Teragaito's expansions of (p*q - 1)/p^2 and (p*q + 1)/p^2 from the
-    expansion [0, a1, ..., an] of q/p, n >= 2 (see :func:`lemma9_expansions`)."""
+    expansion [0, a1, ..., an] of q/p, n >= 2, as Lemma 9 states them.  Only
+    :func:`lemma9_expansions` makes them canonical: a trailing a1 = 1 stays,
+    which changes a skip total by 0 or 1, so a wrong total is odd and aborts."""
     n = len(coeffs) - 1
     last = coeffs[n]
     head = coeffs[:n]
     tail = coeffs[n - 1 : 0 : -1]
     up = head + [last + 1, last - 1] + tail
     down = head + [last - 1, last + 1] + tail
-    pair = (up, down) if n % 2 else (down, up)
-    if coeffs[1] == 1:
-        for merged in pair:
-            _merge_trailing_one(merged)
-    return pair
+    return (up, down) if n % 2 else (down, up)
 
 
 def continuant(coeffs: Sequence[int]) -> tuple[int, int]:
@@ -154,12 +152,6 @@ def continuant(coeffs: Sequence[int]) -> tuple[int, int]:
     for a in coeffs[-2::-1]:
         num, den = a * num + den, num
     return num, den
-
-
-def _merge_trailing_one(coeffs: list[int]) -> None:
-    """[..., a, 1] -> [..., a + 1] in place; a + 1/1 = a + 1 keeps the value."""
-    coeffs.pop()
-    coeffs[-1] += 1
 
 
 # --- typed API -----------------------------------------------------------------
@@ -209,12 +201,14 @@ def cf_canonicalize(coefficients: Sequence[int]) -> ContinuedFraction:
     This is the only way a simple continued fraction with positive
     coefficients can fail to be canonical, and the merge preserves the
     value because a + 1/1 = a + 1.  General re-normalization of arbitrary
-    sequences is out of scope.
+    sequences is out of scope.  Validation comes first: the merge would
+    turn [0, 0, 1] into the valid [1].
     """
     coeffs = list(coefficients)
     _validate_raw(coeffs)
     if len(coeffs) > 1 and coeffs[-1] == 1:
-        _merge_trailing_one(coeffs)
+        coeffs.pop()
+        coeffs[-1] += 1
     return ContinuedFraction(tuple(coeffs))
 
 
@@ -258,8 +252,8 @@ def lemma9_expansions(
     then appending the reversed prefix a(n-1), ..., a1.  Which pair order
     belongs to which sign depends on the parity of n: for the minus sign
     the order is (an + 1, an - 1) when n is odd and (an - 1, an + 1) when
-    n is even; the plus sign takes the opposite order.  A trailing a1 = 1
-    is merged canonically.
+    n is even; the plus sign takes the opposite order.  The lists are
+    canonical only here, where a trailing a1 = 1 is merged.
 
     Returns (cf_minus, cf_plus) for (p*q - 1)/p^2 and (p*q + 1)/p^2.
     """
@@ -271,4 +265,4 @@ def lemma9_expansions(
     if len(coeffs) < 3:
         raise ValueError(f"q must exceed 1, but {list(coeffs)} is the expansion of 1/a1")
     cf_minus, cf_plus = lemma9_lists(list(coeffs))
-    return ContinuedFraction(tuple(cf_minus)), ContinuedFraction(tuple(cf_plus))
+    return cf_canonicalize(cf_minus), cf_canonicalize(cf_plus)

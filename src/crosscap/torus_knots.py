@@ -109,6 +109,10 @@ class InvariantRecord:
         }
 
 
+#: The keys of `InvariantRecord.as_dict`, in wire order: the CSV header of a record.
+RECORD_FIELDS = tuple(InvariantRecord(UNKNOT, None, 0, 0, 0, Bounds(0, 0, 0, 0), 0).as_dict())
+
+
 @dataclass(frozen=True)
 class Q3Form:
     """Decomposition p = 6m + sign for odd p coprime to 3."""
@@ -187,9 +191,10 @@ def crosscap_from(
 
     An even knot needs no more: N(q, p) is the skip total of that list, and
     N(p, q) that of [a1, ..., an], the expansion of p/q.  An odd knot takes the
-    lesser N of `branches`, the expansions of (p*q -/+ 1)/p^2, which
-    :func:`lemma9_lists` builds from the list when the caller has not.  The
-    pair is trusted to be a knot: a `TorusKnot` is built only for the error.
+    lesser N of `branches`, the expansions of (p*q -/+ 1)/p^2 as Lemma 9
+    states them, which :func:`lemma9_lists` builds from the list when the
+    caller has not.  The pair is trusted to be a knot: a `TorusKnot` is built
+    only for the error.
     """
     if p * q % 2 == 0:
         totals = (skip_total(coeffs[1:] if p % 2 == 0 else coeffs),)

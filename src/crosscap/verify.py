@@ -18,19 +18,22 @@ and sharpness hits) and for max-gap witnesses:
   the largest gaps, does not depend on the order.  An abort names the first
   odd total in walk order, which need not be the first in (p, q) order.
 - The row kernel `_check(p, q, on)` checks one knot from its Euclid
-  expansion and returns its invariants, bounds and violated and equality-hit
-  bits as a tuple of ints.  `check_knot` is the typed shell over it.  Each p
-  is one row task (`_sweep_row`): the knots (p, q) in q order, folded into
-  a partial report and rendered as CSV text.  The row tasks serve
-  `verify --csv`: `run_verification` maps them over p, in-process or on a
-  process pool that hands rows out as workers free up, and merges the rows
-  in p order.
+  expansion and the unmerged lemma-9 lists, and returns its invariants,
+  bounds and violated and equality-hit bits as a tuple of ints.
+  `check_knot` is the typed shell over it.  Each p is one row task
+  (`_sweep_row`): the knots (p, q) in q order, folded into a partial report
+  and rendered as CSV text.  The row tasks serve the CSV, whose format this
+  module owns: `run_verification` given a sink writes the header, maps the
+  tasks over p, in-process or on a process pool that hands rows out as
+  workers free up, and writes their texts and merges their folds in p order.
 
 The report and the CSV are the same for every worker count.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -53,6 +56,7 @@ from .continued_fractions import (
     skip_total,
 )
 from .torus_knots import (
+    RECORD_FIELDS,
     Bounds,
     IntegralityError,
     InvariantRecord,
@@ -76,6 +80,9 @@ _BITS = {name: 1 << i for i, name in enumerate(CHECK_NAMES)}
 _THM1, _THM2, _CLARK, _MY, _LEMMA2, _LEMMA9, _Q3, _GAP = _BITS.values()
 #: The bound checks' bits in `bound_ints` order: (clark, my, thm1, thm2).
 _BOUND_BITS = (_CLARK, _MY, _THM1, _THM2)
+
+#: The sweep CSV's header: a knot's record fields, then one violated flag per check.
+_CSV_HEADER = (*RECORD_FIELDS, *(f"violated_{name}" for name in CHECK_NAMES))
 
 #: Upper cap on the sweep range.  Exactness never degrades (Python ints are
 #: arbitrary precision), so this bounds runtime, not correctness: the pair
@@ -309,14 +316,20 @@ def _flags(bits: int) -> tuple[int, ...]:
     return tuple(bits >> i & 1 for i in range(len(_BITS)))
 
 
-def _sweep_row(p: int, checks: frozenset[str], row: Callable[[list[tuple]], str]) -> tuple:
-    """The fold of the knots (p, q), and the text `row` renders from their CSV
-    rows in q order (module-level, so that it pickles).
+def _csv_text(rows: Iterable[Iterable]) -> str:
+    """`rows` as CSV lines."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
-    A knot's CSV row is a plain tuple: its record fields in `as_dict` order,
-    then one 0/1 violated flag per check in CHECK_NAMES order.
+
+def _sweep_row(p: int, on: int) -> tuple[_Partial, str]:
+    """The fold of the knots (p, q) with the checks in the bit mask `on`, and
+    their CSV rows in q order as text (module-level, so that it pickles).
+
+    A knot's CSV row follows `_CSV_HEADER`: its record fields, then one 0/1
+    violated flag per check in CHECK_NAMES order.
     """
-    on = _mask(checks)
     count, listed, rows = 0, [], []
     top = top_q = None  # kernel tuple and q of the row's first max-gap knot
     for _, q in _pairs(p, p):
@@ -328,7 +341,7 @@ def _sweep_row(p: int, checks: frozenset[str], row: Callable[[list[tuple]], str]
             top, top_q = checked, q
         rows.append((p, q, _PARITY[p * q % 2], *checked[:8], *_flags(checked[8])))
     best = _record(TorusKnot(p, top_q), top).record
-    return _Partial(count, listed, best), row(rows)
+    return _Partial(count, listed, best), _csv_text(rows)
 
 
 def _walk(max_p: int, on: int) -> _Partial:
@@ -448,25 +461,25 @@ def _walk(max_p: int, on: int) -> _Partial:
 
 
 def run_verification(
-    config: SweepConfig,
-    row: Callable[[list[tuple]], str] | None = None,
-    write: Callable[[str], object] | None = None,
+    config: SweepConfig, write: Callable[[str], object] | None = None
 ) -> VerificationReport:
     """Run the configured sweep and aggregate a deterministic report.
 
-    Without `row`, the walk (see :func:`_walk`) runs in-process, whatever
-    `config.workers` says.  With `row`, each p is one task that also renders
-    its knots' CSV rows (see :func:`_sweep_row`), and the texts are passed
-    to `write` in p order as they arrive.  The tasks run on a pool of at most
-    one process per p and per CPU, or in-process when that is one.  The
-    merge is order-preserving over the p rows, so the result does not depend
-    on worker count or scheduling.  The max-gap witness is the smallest
-    (p, q) among the knots of the largest gap.
+    Without `write`, the walk (see :func:`_walk`) runs in-process, whatever
+    `config.workers` says.  With `write`, the sweep also produces the CSV:
+    `write` gets the header, then one text per p with its knots' rows (see
+    :func:`_sweep_row`), in p order as they arrive.  The row tasks run on a
+    pool of at most one process per p and per CPU, or in-process when that
+    is one.  The merge is order-preserving over the p rows, so the result
+    does not depend on worker count or scheduling.  The max-gap witness is
+    the smallest (p, q) among the knots of the largest gap.
     """
-    if row is None:
-        return _walk(config.max_p, _mask(config.checks)).report(config)
+    on = _mask(config.checks)
+    if write is None:
+        return _walk(config.max_p, on).report(config)
+    write(_csv_text([_CSV_HEADER]))
     p_range = range(3, config.max_p + 1)
-    tasks = (_sweep_row, p_range, repeat(config.checks), repeat(row))
+    tasks = (_sweep_row, p_range, repeat(on))
     size = min(config.workers, len(p_range), os.cpu_count() or 1)
     merged = _Partial()
     with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:

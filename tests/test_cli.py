@@ -20,10 +20,13 @@ from crosscap import (
     CHECK_NAMES,
     HalfInteger,
     IntegralityError,
+    SweepConfig,
     TorusKnot,
     check_knot,
     enumerate_coprime,
     invariants,
+    run_verification,
+    serialize_report,
 )
 from crosscap.cli import main
 
@@ -46,8 +49,8 @@ def two_pass_csv(max_p):
 
 def count_check_knot(monkeypatch, fail_at=None, exc=None):
     """Count the knots verify's sweeps evaluate, as TorusKnots; raise `exc` on
-    knot number `fail_at`.  Both the row kernel `_check` and the one-worker
-    walk call `verify.bound_ints(g, n)` once per knot, and (p, q) is read back
+    knot number `fail_at`.  Both the row kernel `_check` and the walk, which
+    serves a report at any worker count, call `verify.bound_ints(g, n)` once per knot, and (p, q) is read back
     from the genus g = (p - 1)(q - 1)/2 and crossing number n = p(q - 1), since
     n - 2g = q - 1."""
     calls = []
@@ -204,16 +207,13 @@ class TestVerifyCommand:
         assert "cap" in err
 
     def test_json_files_identical_across_workers(self, tmp_path, capsys):
-        paths = []
-        for workers in (1, 4):
-            path = tmp_path / f"report_w{workers}.json"
-            code, _, _ = run_cli(
-                ["verify", "--max-p", "50", "--workers", str(workers), "--json", str(path)],
-                capsys,
-            )
-            assert code == 0
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # a report alone runs the walk at any worker count, so the second
+        # report comes from the CSV's row tasks on a pool of four
+        path = tmp_path / "report.json"
+        code, _, _ = run_cli(["verify", "--max-p", "50", "--json", str(path)], capsys)
+        assert code == 0
+        rows = run_verification(SweepConfig(max_p=50, workers=4), [].append)
+        assert path.read_bytes() == serialize_report(rows).encode()
 
     def test_violation_finding_exits_2(self, tmp_path, capsys, monkeypatch):
         # the shipped checks never find a violation, so substitute a report
@@ -370,15 +370,19 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "exc", [BrokenProcessPool("a worker was terminated abruptly"), KeyboardInterrupt()]
     )
-    def test_incomplete_sweep_exits_2(self, capsys, monkeypatch, exc):
-        def fail(config):
+    def test_incomplete_sweep_exits_2(self, tmp_path, capsys, monkeypatch, exc):
+        # only the CSV's row tasks run on a pool, whose worker can crash
+        def fail(config, write=None):
             raise exc
 
         monkeypatch.setattr(cli_module, "run_verification", fail)
-        code, _, err = run_cli(["verify", "--max-p", "20", "--workers", "2"], capsys)
+        path = tmp_path / "knots.csv"
+        argv = ["verify", "--max-p", "20", "--workers", "2", "--csv", str(path)]
+        code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("crosscap: verify did not complete: ")
         assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFamilyCommand:

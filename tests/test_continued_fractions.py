@@ -169,6 +169,11 @@ class TestCanonicalize:
             cf_canonicalize([0, 0, 2])
         with pytest.raises(ValueError):
             cf_canonicalize([])
+        # validated before the merge, which would give the valid [1] and the
+        # merely non-canonical [3, 1]: the error names the zero coefficient
+        for raw in ([0, 0, 1], [3, 0, 1]):
+            with pytest.raises(ValueError, match="a1 must be positive, got 0"):
+                cf_canonicalize(raw)
 
     @given(raw_coeff_lists())
     def test_preserves_value(self, raw):

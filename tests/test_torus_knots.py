@@ -141,6 +141,23 @@ class TestCrosscap:
         n_plus = bredon_wood_N(p * q + 1, p * p)
         assert crosscap(k) == min(n_minus, n_plus).as_integer()
 
+    @given(st.integers(2, 5 * 10**11 - 1), st.integers(0, 5 * 10**11))
+    @example(2, 0)  # (5, 3): 3/5 = [0, 1, 1, 2]
+    @example(3, 0)  # (7, 5): [0, 1, 2, 2]
+    @example(5, 0)  # (11, 7): [0, 1, 1, 1, 3]
+    @example(6, 1)  # (13, 9): [0, 1, 2, 4]
+    def test_odd_knot_with_a1_one_matches_canonical_branches(self, half_p, j):
+        # q > p/2 makes a1 = 1, so both lemma-9 lists crosscap() reads end in
+        # an unmerged 1; bredon_wood_N reads Euclid's canonical expansions
+        p = 2 * half_p + 1
+        lo = (p + 2) // 4  # 2 * lo + 1 is the least odd q above p/2
+        q = 2 * (lo + j % (half_p - lo)) + 1
+        assume(gcd(p, q) == 1)
+        assert p < 2 * q < 2 * p
+        n_minus = bredon_wood_N(p * q - 1, p * p)
+        n_plus = bredon_wood_N(p * q + 1, p * p)
+        assert crosscap(TorusKnot(p, q)) == min(n_minus, n_plus).as_integer()
+
     def test_every_consumed_total_is_even_in_range(self):
         # empirical integrality invariant: no knot in range raises
         for p, q in coprime_pairs(60):

@@ -42,8 +42,8 @@ from crosscap import (
     run_verification,
     serialize_report,
 )
-from crosscap.cli import _csv_text, main
-from crosscap.continued_fractions import ODD, SKIP, TAKE
+from crosscap.cli import main
+from crosscap.continued_fractions import ODD, SKIP, TAKE, euclid, lemma9_lists
 from crosscap.verify import _ROWS_PER_TASK, _Partial
 
 
@@ -141,9 +141,11 @@ def fold(records) -> _Partial:
 
 
 def row_report(config: SweepConfig, sink: list | None = None) -> VerificationReport:
-    """The report of the row tasks, which run only with a CSV renderer; the
-    rendered texts are appended to `sink` when it is given."""
-    return run_verification(config, _csv_text, [].append if sink is None else sink.append)
+    """The report of the row tasks, which run only with a CSV sink; the CSV
+    texts are appended to `sink` when it is given."""
+    if sink is None:
+        sink = []
+    return run_verification(config, sink.append)
 
 
 def sweep(config: SweepConfig) -> VerificationReport:
@@ -305,7 +307,7 @@ class TestSweepAgainstReference:
 
 class TestWalkPerKnot:
     """A report alone walks the expansions depth first; a sweep with a CSV
-    renderer runs the row kernel.  With every bound 0, each knot violates each
+    sink runs the row kernel.  With every bound 0, each knot violates each
     bound check it runs, so a report lists every knot with its invariants, and
     the walk, the row tasks and the reference are compared knot by knot."""
 
@@ -329,6 +331,13 @@ class TestWalkPerKnot:
         assert walk == rows == expected
         if {"thm1", "thm2", "clark", "my"} & set(checks):
             assert len(walk.violations) == walk.knots_checked
+
+
+class TestLemma9Lists:
+    def test_kernel_lists_are_the_stated_lists_to_300(self):
+        # unmerged: a trailing a1 = 1 stays, as Lemma 9 states the lists
+        for k in enumerate_coprime(300):
+            assert lemma9_lists(euclid(k.q, k.p)) == stated_lemma9(k.p, k.q), k
 
 
 class TestKernelGuards:
@@ -415,6 +424,7 @@ class TestRunVerification:
     def test_workers_do_not_change_the_report(self):
         # 3 and 4 have fewer p rows than 5 workers; 3 + 2 * _ROWS_PER_TASK has
         # two full chunks of rows and one row left over
+        header = [*invariants(TorusKnot(3, 2)).as_dict(), *(f"violated_{n}" for n in CHECK_NAMES)]
         for max_p in (3, 4, 60, 3 + 2 * _ROWS_PER_TASK):
             sinks = [[], [], []]
             reports = [
@@ -427,7 +437,8 @@ class TestRunVerification:
             texts = {serialize_report(r) for r in reports}
             assert len(texts) == 1
             assert sinks[0] == sinks[1] == sinks[2]
-            assert len(sinks[0]) == max_p - 2
+            assert len(sinks[0]) == max_p - 1  # the header, then one text per p
+            assert sinks[0][0] == ",".join(header) + "\n"
 
     @pytest.mark.parametrize(
         "max_p, workers, cpus, size",
@@ -454,7 +465,8 @@ class TestRunVerification:
         assert report.checks == ("thm1", "thm2")
 
     def test_sweep_300_clean_with_family_hits(self):
-        report = run_verification(SweepConfig(max_p=300, workers=4))
+        # the row tasks on a pool: a report alone would run the walk
+        report = row_report(SweepConfig(max_p=300, workers=4))
         assert report.knots_checked == 27098
         assert report.violations == ()
         assert report.lemma_failures == ()
