@@ -279,7 +279,13 @@ def _build_parser() -> _Parser:
         "verify", help="sweep all coprime pairs up to --max-p and check every bound"
     )
     p_verify.add_argument("--max-p", type=int, required=True, dest="max_p")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes for the sweep (the report's walk tasks and the CSV's row tasks), "
+        "capped by the CPU count",
+    )
     _add_format_flags(p_verify)
     p_verify.set_defaults(handler=cmd_verify)
 

@@ -13,10 +13,12 @@ and sharpness hits) and for max-gap witnesses:
 - The walk (`_walk`) serves every report.  It visits the expansions
   q/p = [0; a1, ..., a(n-1), a] depth first, from the empty prefix [0],
   and checks each knot in O(1) from its prefix [0; a1, ..., a(n-1)]: no
-  Euclid pass and no list.  It visits knots in walk order, so it sorts the
-  knots it lists at the end; the max-gap witness, the smallest (p, q) among
-  the largest gaps, does not depend on the order.  An abort names the first
-  odd total in walk order, which need not be the first in (p, q) order.
+  Euclid pass and no list.  With more than one worker, the walk's subtrees
+  below [0] and [0; 1] are pool tasks, merged in walk order.  It visits
+  knots in walk order, so the knots it lists are sorted at the end; the
+  max-gap witness, the smallest (p, q) among the largest gaps, does not
+  depend on the order.  An abort names the first odd total in walk order,
+  which need not be the first in (p, q) order.
 - The row kernel `_check(p, q, on)` checks one knot from its Euclid
   expansion and the unmerged lemma-9 lists, and returns its invariants,
   bounds and violated and equality-hit bits as a tuple of ints.
@@ -40,7 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
@@ -92,6 +94,10 @@ MAX_SWEEP_P = 10_000
 #: p rows per pool task: with one row per task, dispatch costs more than balance saves.
 _ROWS_PER_TASK = 8
 
+#: Walk tasks per pool process: one each leaves the cores idle behind the
+#: largest subtree, and one per prefix costs more in dispatch than it balances.
+_TASKS_PER_WORKER = 4
+
 
 class SweepCapError(ValueError):
     """Requested range exceeds the documented sweep cap."""
@@ -101,8 +107,8 @@ class SweepCapError(ValueError):
 class SweepConfig:
     """Range, parallelism, and check selection for one verification run.
 
-    `workers` sizes the pool of the CSV row tasks; a report alone always
-    runs the walk in-process."""
+    `workers` sizes the sweep's process pool: of the walk's tasks for a
+    report alone, of the row tasks with a CSV; one runs in-process."""
 
     max_p: int
     workers: int = 1
@@ -344,23 +350,33 @@ def _sweep_row(p: int, on: int) -> tuple[_Partial, str]:
     return _Partial(count, listed, best), _csv_text(rows)
 
 
-def _walk(max_p: int, on: int) -> _Partial:
+#: The walk's start: the empty prefix [0] (see `_walk` for the fields).
+_ROOT = (0, 1, 1, 0, SKIP, 0, TAKE, 0, 0, (0, 0, 0), 1, 0, True)
+
+
+def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Partial:
     """The fold of every knot to max_p, with the checks in the bit mask `on`,
     from a depth-first walk over the expansions q/p = [0; a1, ..., a(n-1), a].
 
-    The walk starts from the empty prefix [0], which has no knot (its q
-    would be 1), and visits the prefixes [0; a1, ..., a(n-1)] whose smallest
-    knot (a = 2) has p <= max_p.  A prefix carries its convergents; the skip
-    state and total of [0, a1, ...] (the same as of [a2, ...]: the leading 0
-    makes the rule skip a1) and of [a1, ...]; its coefficient sum; and, of
-    its reversed coefficients a(n-1), ..., a1, the skip adds from each entry
-    state and the continuant.  Those are the tail of both lemma-9 lists.
+    The walk starts from the prefixes on `stack`, which it empties: from
+    [_ROOT], the empty prefix [0], which has no knot (its q would be 1), it
+    visits the prefixes [0; a1, ..., a(n-1)] whose smallest knot (a = 2) has
+    p <= max_p.  A prefix carries its convergents; the skip state and total
+    of [0, a1, ...] (the same as of [a2, ...]: the leading 0 makes the rule
+    skip a1) and of [a1, ...]; its coefficient sum; and, of its reversed
+    coefficients a(n-1), ..., a1, the skip adds from each entry state and
+    the continuant.  Those are the tail of both lemma-9 lists.
     The walk keeps a trailing a1 = 1 unmerged: [..., x, 1] has the value of
     [..., x + 1], and a skip total that differs by 0 or 1, so an even total
     is the canonical list's and an odd one aborts.  Each knot, its prefix
     extended by a last coefficient a >= 2, then costs O(1).  The walk checks
     each knot as `_check` does, and an odd total aborts at the first knot
-    that has one, in walk order.
+    that has one, in walk order.  The listed records come in walk order.
+
+    Given a `tasks` list, the walk visits only the top prefixes [0] and
+    [0; 1], whose last convergent has denominator 1, and appends each
+    prefix below them to `tasks` in walk order instead: the walk from
+    those, one stack each, visits the rest.
     """
     part = _Partial()
     listed = part.listed
@@ -371,9 +387,12 @@ def _walk(max_p: int, on: int) -> _Partial:
     # each entry state and its continuant (c0, c1); minus_up: n is odd, so the
     # minus list has the middle pair (a + 1, a - 1).  A stack, not recursion,
     # so that no reference cycle holds the walk's records after it returns.
-    stack = [(0, 1, 1, 0, SKIP, 0, TAKE, 0, 0, (0, 0, 0), 1, 0, True)]
     while stack:  # depth first, children in increasing order of their coefficient
-        h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, c0, c1, minus_up = stack.pop()
+        prefix = stack.pop()
+        h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, c0, c1, minus_up = prefix
+        if tasks is not None and k1 > 1:  # below [0] and [0; 1]: a pool task's
+            tasks.append(prefix)
+            continue
         take0, take1 = s0 != SKIP, s1 != SKIP
         for b in range((max_p - k1 - 2 * k2) // (2 * k1), 0, -1):
             # [0; a1, ..., a(n-1), b, 2] has p = 2 (b k1 + k2) + k1 <= max_p;
@@ -456,8 +475,29 @@ def _walk(max_p: int, on: int) -> _Partial:
             part.add(last - 1, (), _record(TorusKnot(p, q), checked).record)
         else:
             part.count += last - 1
-    listed.sort(key=lambda c: (c.record.knot.p, c.record.knot.q))
     return part
+
+
+def _runs(prefixes: list, count: int) -> list[list]:
+    """`prefixes`, in walk order, cut into at most `count` runs of contiguous
+    prefixes with about equal knot counts below them.
+
+    A prefix whose last two convergents have denominators k1 and k2 covers
+    q/p on an interval of length 1/(k1 (k1 + k2)), and the knots below it
+    grow with that length."""
+    weights = [1 / (k1 * (k1 + k2)) for _, _, k1, k2, *_ in prefixes]
+    share = sum(weights) / count
+    runs = [[] for _ in range(count)]
+    for prefix, before in zip(prefixes, accumulate(weights, initial=0.0)):
+        runs[min(int(before / share), count - 1)].append(prefix)
+    return [run for run in runs if run]
+
+
+def _mapped(size: int, fn: Callable, *iterables: Iterable, chunksize: int = 1) -> Iterator:
+    """`fn` over `iterables`, in order: on a pool of `size` processes, or
+    in-process when that is 1."""
+    with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
+        yield from pool.map(fn, *iterables, chunksize=chunksize) if pool else map(fn, *iterables)
 
 
 def run_verification(
@@ -465,27 +505,42 @@ def run_verification(
 ) -> VerificationReport:
     """Run the configured sweep and aggregate a deterministic report.
 
-    Without `write`, the walk (see :func:`_walk`) runs in-process, whatever
-    `config.workers` says.  With `write`, the sweep also produces the CSV:
-    `write` gets the header, then one text per p with its knots' rows (see
-    :func:`_sweep_row`), in p order as they arrive.  The row tasks run on a
-    pool of at most one process per p and per CPU, or in-process when that
-    is one.  The merge is order-preserving over the p rows, so the result
-    does not depend on worker count or scheduling.  The max-gap witness is
-    the smallest (p, q) among the knots of the largest gap.
+    Without `write`, the sweep is the walk (see :func:`_walk`).  With one
+    worker, or one CPU, it runs in-process.  Otherwise this process walks
+    the top prefixes [0] and [0; 1], and cuts the prefixes below them into
+    `_TASKS_PER_WORKER` runs per process, of about equal knot counts; the
+    walks from the runs go to a pool of at most one process per worker, run
+    and CPU.  The runs are merged in walk order, so an abort names the first
+    odd total in walk order, as in one process.
+
+    With `write`, the sweep also produces the CSV: `write` gets the header,
+    then one text per p with its knots' rows (see :func:`_sweep_row`), in p
+    order as they arrive.  The row tasks run on a pool of at most one
+    process per p and per CPU, or in-process when that is one.
+
+    The merges preserve the task order, so the result does not depend on
+    worker count or scheduling.  The max-gap witness is the smallest (p, q)
+    among the knots of the largest gap.
     """
     on = _mask(config.checks)
+    size = min(config.workers, os.cpu_count() or 1)
     if write is None:
-        return _walk(config.max_p, on).report(config)
+        merged, runs = _Partial(), [[_ROOT]]
+        if size > 1:
+            prefixes = []
+            merged = _walk(config.max_p, on, [_ROOT], prefixes)
+            runs = _runs(prefixes, _TASKS_PER_WORKER * size)
+        for part in _mapped(min(size, len(runs)), _walk, repeat(config.max_p), repeat(on), runs):
+            merged.add(part.count, part.listed, part.best)
+        merged.listed.sort(key=lambda c: (c.record.knot.p, c.record.knot.q))
+        return merged.report(config)
     write(_csv_text([_CSV_HEADER]))
     p_range = range(3, config.max_p + 1)
-    tasks = (_sweep_row, p_range, repeat(on))
-    size = min(config.workers, len(p_range), os.cpu_count() or 1)
     merged = _Partial()
-    with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
-        for part, text in pool.map(*tasks, chunksize=_ROWS_PER_TASK) if pool else map(*tasks):
-            write(text)
-            merged.add(part.count, part.listed, part.best)
+    tasks = (_sweep_row, p_range, repeat(on))
+    for part, text in _mapped(min(size, len(p_range)), *tasks, chunksize=_ROWS_PER_TASK):
+        write(text)
+        merged.add(part.count, part.listed, part.best)
     return merged.report(config)
 
 

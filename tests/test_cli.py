@@ -207,13 +207,15 @@ class TestVerifyCommand:
         assert "cap" in err
 
     def test_json_files_identical_across_workers(self, tmp_path, capsys):
-        # a report alone runs the walk at any worker count, so the second
-        # report comes from the CSV's row tasks on a pool of four
-        path = tmp_path / "report.json"
-        code, _, _ = run_cli(["verify", "--max-p", "50", "--json", str(path)], capsys)
-        assert code == 0
+        # the walk in-process, the walk's tasks on a pool of two, and the
+        # CSV's row tasks on a pool of four
+        paths = [tmp_path / "report-1.json", tmp_path / "report-2.json"]
+        for workers, path in zip(("1", "2"), paths):
+            argv = ["verify", "--max-p", "50", "--workers", workers, "--json", str(path)]
+            code, _, _ = run_cli(argv, capsys)
+            assert code == 0
         rows = run_verification(SweepConfig(max_p=50, workers=4), [].append)
-        assert path.read_bytes() == serialize_report(rows).encode()
+        assert paths[0].read_bytes() == paths[1].read_bytes() == serialize_report(rows).encode()
 
     def test_violation_finding_exits_2(self, tmp_path, capsys, monkeypatch):
         # the shipped checks never find a violation, so substitute a report
@@ -371,18 +373,20 @@ class TestVerifyCommand:
         "exc", [BrokenProcessPool("a worker was terminated abruptly"), KeyboardInterrupt()]
     )
     def test_incomplete_sweep_exits_2(self, tmp_path, capsys, monkeypatch, exc):
-        # only the CSV's row tasks run on a pool, whose worker can crash
+        # at two workers both the report's walk tasks and the CSV's row tasks
+        # run on a pool, whose worker can crash
         def fail(config, write=None):
             raise exc
 
         monkeypatch.setattr(cli_module, "run_verification", fail)
-        path = tmp_path / "knots.csv"
-        argv = ["verify", "--max-p", "20", "--workers", "2", "--csv", str(path)]
-        code, _, err = run_cli(argv, capsys)
-        assert code == 2
-        assert err.startswith("crosscap: verify did not complete: ")
-        assert len(err.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == []
+        for flag in ("--csv", "--json"):
+            path = tmp_path / "out"
+            argv = ["verify", "--max-p", "20", "--workers", "2", flag, str(path)]
+            code, _, err = run_cli(argv, capsys)
+            assert code == 2
+            assert err.startswith("crosscap: verify did not complete: ")
+            assert len(err.splitlines()) == 1
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestFamilyCommand:

@@ -128,13 +128,17 @@ class TestCrosscap:
         assert crosscap(TorusKnot(3, 2)) == bredon_wood_N(2, 3).as_integer()
         assert not bredon_wood_N(3, 2).is_integral
 
-    @given(st.integers(2, 5 * 10**11), st.integers(1, 5 * 10**11))
-    @example(3, 1)  # (7, 5)
-    @example(6, 3)  # (13, 9)
-    @example(5, 4)  # (11, 3)
-    @example(12, 2)  # (25, 7)
-    def test_odd_knot_is_min_of_both_branches(self, half_p, half_q):
-        p, q = 2 * half_p + 1, 2 * (half_q % (half_p - 1)) + 3  # odd, 3 <= q < p
+    @given(st.integers(2, 5 * 10**11), st.integers(0, 10**9))
+    @example(3, 10**9)  # (7, 5)
+    @example(6, 750_000_000)  # (13, 9)
+    @example(5, 0)  # (11, 3)
+    @example(12, 200_000_000)  # (25, 7)
+    @example(10**6, 700_000_000)  # (2000001, 1399999): 1399999/2000001 = [0, 1, 2, 3, ...]
+    @example(10**6 + 1, 900_000_000)  # (2000003, 1800001): [0, 1, 8, 1, ...]
+    @example(5 * 10**8 + 7, 800_000_000)  # (1000000015, 800000011): [0, 1, 3, 1, ...]
+    def test_odd_knot_is_min_of_both_branches(self, half_p, u):
+        # q/p is u / 10**9 to within 2/p, so q/p spreads over (0, 1) at any p
+        p, q = 2 * half_p + 1, 2 * (1 + (half_p - 2) * u // 10**9) + 1  # odd, 3 <= q < p
         assume(gcd(p, q) == 1)
         k = TorusKnot(p, q)
         n_minus = bredon_wood_N(p * q - 1, p * p)

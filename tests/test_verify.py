@@ -148,9 +148,12 @@ def row_report(config: SweepConfig, sink: list | None = None) -> VerificationRep
     return run_verification(config, sink.append)
 
 
-def sweep(config: SweepConfig) -> VerificationReport:
-    """The report of the walk at one worker, and of the row tasks at more."""
-    return run_verification(config) if config.workers == 1 else row_report(config)
+def sweeps(config: SweepConfig) -> list[VerificationReport]:
+    """The reports of the walk at one worker, and at more of the row tasks and
+    of the walk's tasks, each on a pool."""
+    if config.workers == 1:
+        return [run_verification(config)]
+    return [row_report(config), run_verification(config)]
 
 
 def patch_kernel(monkeypatch, name, replacement):
@@ -260,18 +263,18 @@ class TestAgainstReference:
 class TestSweepAgainstReference:
     """The sweep runs the walk or the plain-int row kernel, not check_knot, so
     its outputs are compared with the reference directly: at one worker the
-    walk's, at two the row tasks' on a pool."""
+    walk's, at two the row tasks' and the walk tasks' on a pool."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_all_checks_to_300(self, workers):
-        report = sweep(SweepConfig(300, workers=workers))
-        assert serialize_report(report) == reference_report(300)
+        for report in sweeps(SweepConfig(300, workers=workers)):
+            assert serialize_report(report) == reference_report(300)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_each_check_alone_to_120(self, name, workers):
-        report = sweep(SweepConfig(120, workers=workers, checks=frozenset({name})))
-        assert serialize_report(report) == reference_report(120, (name,))
+        for report in sweeps(SweepConfig(120, workers=workers, checks=frozenset({name}))):
+            assert serialize_report(report) == reference_report(120, (name,))
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_csv_to_60(self, tmp_path, capsys, workers):
@@ -306,10 +309,11 @@ class TestSweepAgainstReference:
 
 
 class TestWalkPerKnot:
-    """A report alone walks the expansions depth first; a sweep with a CSV
-    sink runs the row kernel.  With every bound 0, each knot violates each
-    bound check it runs, so a report lists every knot with its invariants, and
-    the walk, the row tasks and the reference are compared knot by knot."""
+    """A report alone walks the expansions depth first, at more than one
+    worker as pool tasks; a sweep with a CSV sink runs the row kernel.  With
+    every bound 0, each knot violates each bound check it runs, so a report
+    lists every knot with its invariants, and the walk, the walk's tasks, the
+    row tasks and the reference are compared knot by knot."""
 
     @pytest.mark.parametrize(
         "max_p, checks",
@@ -323,12 +327,13 @@ class TestWalkPerKnot:
         config = SweepConfig(max_p, checks=frozenset(checks))
         walk = run_verification(config)
         assert pool_sizes == []
+        tasks = run_verification(replace(config, workers=2))
         rows = row_report(replace(config, workers=2))
-        assert pool_sizes == [2]
+        assert pool_sizes == [2, 2]
         zero = lambda g, n: Bounds(0, 0, 0, 0)  # noqa: E731
         records = (reference_check_knot(k, checks, bounds=zero) for k in enumerate_coprime(max_p))
         expected = fold(records).report(config)
-        assert walk == rows == expected
+        assert walk == tasks == rows == expected
         if {"thm1", "thm2", "clark", "my"} & set(checks):
             assert len(walk.violations) == walk.knots_checked
 
@@ -379,12 +384,33 @@ class TestKernelGuards:
         reason="the patched kernel reaches only forked pool workers",
     )
     def test_odd_skip_total_in_a_pool_worker_aborts(self, monkeypatch, capsys, tmp_path):
-        # only the CSV's row tasks run in pool workers
+        # the CSV's row tasks: the report's walk never calls skip_total
         patch_kernel(monkeypatch, "skip_total", lambda coeffs: 7)
         path = tmp_path / "knots.csv"
         assert main(["verify", "--max-p", "10", "--workers", "2", "--csv", str(path)]) == 2
         err = capsys.readouterr().err
         assert "non-integral crosscap candidate N = 7/2 for torus knot (3,2)" in err
+        assert "BrokenProcessPool" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched table reaches only forked pool workers",
+    )
+    def test_odd_skip_total_in_a_walk_task_aborts(self, monkeypatch, capsys, tmp_path):
+        # doctor the table to skip after an even coefficient added to an odd
+        # total.  The top prefixes [0] and [0; 1], which this process walks,
+        # never step from an odd total, so the first odd total in walk order
+        # is (7, 5), 5/7 = [0; 1, 2, 2], below [0; 1, 2]: in a walk task.  A
+        # later task has one too, at (11, 9) = [0; 1, 4, 2]
+        monkeypatch.setattr(verify_module, "NEXT", ((SKIP, TAKE, SKIP), (ODD, TAKE, SKIP)))
+        assert main(["verify", "--max-p", "12"]) == 2
+        expected = capsys.readouterr().err
+        assert "non-integral crosscap candidate N = 5/2 for torus knot (7,5)" in expected
+        path = tmp_path / "report.json"
+        assert main(["verify", "--max-p", "12", "--workers", "2", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == expected
         assert "BrokenProcessPool" not in err
         assert list(tmp_path.iterdir()) == []
 
@@ -422,8 +448,8 @@ class TestRunVerification:
         assert gaps == sorted(gaps)
 
     def test_workers_do_not_change_the_report(self):
-        # 3 and 4 have fewer p rows than 5 workers; 3 + 2 * _ROWS_PER_TASK has
-        # two full chunks of rows and one row left over
+        # 3 and 4 have fewer p rows than 5 workers, and no walk task; 3 + 2 *
+        # _ROWS_PER_TASK has two full chunks of rows and one row left over
         header = [*invariants(TorusKnot(3, 2)).as_dict(), *(f"violated_{n}" for n in CHECK_NAMES)]
         for max_p in (3, 4, 60, 3 + 2 * _ROWS_PER_TASK):
             sinks = [[], [], []]
@@ -431,9 +457,9 @@ class TestRunVerification:
                 row_report(SweepConfig(max_p=max_p, workers=w), sink)
                 for w, sink in zip((1, 2, 5), sinks)
             ]
-            reports.append(run_verification(SweepConfig(max_p=max_p)))
+            reports += [run_verification(SweepConfig(max_p=max_p, workers=w)) for w in (1, 2, 5)]
             folded = fold(check_knot(k) for k in enumerate_coprime(max_p))
-            assert reports == [folded.report(SweepConfig(max_p=max_p))] * 4, max_p
+            assert reports == [folded.report(SweepConfig(max_p=max_p))] * 6, max_p
             texts = {serialize_report(r) for r in reports}
             assert len(texts) == 1
             assert sinks[0] == sinks[1] == sinks[2]
@@ -455,10 +481,15 @@ class TestRunVerification:
         assert report == run_verification(SweepConfig(max_p=max_p))
 
     @pytest.mark.parametrize("workers", [2, 5])
-    def test_report_alone_builds_no_pool(self, pool_sizes, workers):
-        report = run_verification(SweepConfig(max_p=100, workers=workers))
-        assert pool_sizes == []
-        assert report == run_verification(SweepConfig(max_p=100))
+    def test_report_builds_one_pool_of_walk_tasks(self, pool_sizes, workers):
+        # the walk's tasks are the prefixes below [0] and [0; 1]: none to
+        # max_p 4, two to 5 ([0; 2] and [0; 1, 1]), and more than 5 to 100;
+        # the pool has one process per task, worker and CPU at most
+        for max_p, size in ((3, None), (4, None), (5, min(workers, 2)), (100, workers)):
+            pool_sizes.clear()
+            report = run_verification(SweepConfig(max_p=max_p, workers=workers))
+            assert pool_sizes == ([] if size is None else [size]), max_p
+            assert report == run_verification(SweepConfig(max_p=max_p)), max_p
 
     def test_checks_echoed_sorted(self):
         report = run_verification(SweepConfig(max_p=5, checks=frozenset({"thm2", "thm1"})))
