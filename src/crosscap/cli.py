@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from stat import S_IMODE, S_ISREG
 from typing import Iterable, Iterator, TextIO
@@ -309,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error(f"cannot write output: {exc}")
     except IntegralityError as exc:
         return _finding_error(str(exc))
-    except (BrokenProcessPool, KeyboardInterrupt) as exc:
+    except (BrokenExecutor, KeyboardInterrupt) as exc:
         return _finding_error(f"{args.command} did not complete: {exc!r}")
 
 

@@ -13,12 +13,15 @@ and sharpness hits) and for max-gap witnesses:
 - The walk (`_walk`) serves every report.  It visits the expansions
   q/p = [0; a1, ..., a(n-1), a] depth first, from the empty prefix [0],
   and checks each knot in O(1) from its prefix [0; a1, ..., a(n-1)]: no
-  Euclid pass and no list.  With more than one worker, the walk's subtrees
-  below [0] and [0; 1] are pool tasks, merged in walk order.  It visits
-  knots in walk order, so the knots it lists are sorted at the end; the
-  max-gap witness, the smallest (p, q) among the largest gaps, does not
-  depend on the order.  An abort names the first odd total in walk order,
-  which need not be the first in (p, q) order.
+  Euclid pass and no list.  What does not depend on the last coefficient a
+  is done once per prefix: for lemma 9, the difference of the two lists'
+  continuants; each knot evaluates only the up list's continuant.  With
+  more than one worker, the walk's subtrees below [0] and [0; 1] are pool
+  tasks, merged in walk order.  It visits knots in walk order, so the
+  knots it lists are sorted at the end; the max-gap witness, the smallest
+  (p, q) among the largest gaps, does not depend on the order.  An abort
+  names the first odd total in walk order, which need not be the first in
+  (p, q) order.
 - The row kernel `_check(p, q, on)` checks one knot from its Euclid
   expansion and the unmerged lemma-9 lists, and returns its invariants,
   bounds and violated and equality-hit bits as a tuple of ints.
@@ -38,7 +41,7 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache
@@ -265,12 +268,6 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = _ALL_CHECKS) -> BoundCheckR
     return _record(k, _check(k.p, k.q, _mask(checks)))
 
 
-def _is_listed(violated: int, hits: int) -> int:
-    """Nonzero when a report lists a knot with these violated and equality-hit
-    bits: it violated a check, or met thm1 or thm2."""
-    return violated or hits & (_THM1 | _THM2)
-
-
 def _rank(rec: InvariantRecord) -> tuple[int, int, int]:
     """The max-gap witness is the knot of highest rank: the largest gap, then
     the smallest (p, q)."""
@@ -341,7 +338,7 @@ def _sweep_row(p: int, on: int) -> tuple[_Partial, str]:
     for _, q in _pairs(p, p):
         checked = _check(p, q, on)
         count += 1
-        if _is_listed(checked[8], checked[9]):
+        if checked[8] or checked[9] & (_THM1 | _THM2):  # violated, or met thm1 or thm2
             listed.append(_record(TorusKnot(p, q), checked))
         if top is None or checked[7] > top[7]:
             top, top_q = checked, q
@@ -373,6 +370,16 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
     each knot as `_check` does, and an odd total aborts at the first knot
     that has one, in walk order.  The listed records come in walk order.
 
+    The lemma-9 lists share all but their middle pair, so the continuant of
+    the down list, (a - 1, a + 1), is that of the up list, (a + 1, a - 1),
+    plus a vector that does not depend on a.  The walk checks that vector
+    once per prefix, and per knot only the up list's continuant.  Both are
+    built from the tail continuant (c0, c1), which the walk extends
+    coefficient by coefficient.  Reversal does not change a continuant, so
+    (c0, c1) is the prefix's (k1, k2); but in place of (c0, c1), (k1, k2)
+    would turn the check into the determinant identity of the convergents,
+    which no prefix fails, so the walk keeps both.
+
     Given a `tasks` list, the walk visits only the top prefixes [0] and
     [0; 1], whose last convergent has denominator 1, and appends each
     prefix below them to `tasks` in walk order instead: the walk from
@@ -381,6 +388,8 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
     part = _Partial()
     listed = part.listed
     next_ = NEXT
+    gap_on, lemma2_on, lemma9_on, q3_on = on & _GAP, on & _LEMMA2, on & _LEMMA9, on & _Q3
+    sharp = _THM1 | _THM2
     # a prefix is (h1, h2, k1, k2): the continuant matrix of [0, a1, ..., a(n-1)],
     # whose columns are its last two convergents; (s0, t0) and (s1, t1): the
     # skip states and totals; its coefficient sum; the tail's skip adds from
@@ -407,6 +416,13 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
             ))
         if not h1:  # [0]: q/p = [0; a] = 1/a is no knot
             continue
+        # lemma 9: the down list's continuant is the up list's plus twice
+        # (h2 c0 - h1 c1, k2 c0 - k1 c1), whatever a is.  The minus list's is
+        # (pq - 1, p^2) and the plus list's (pq + 1, p^2), so with sign = +1
+        # when the up list is the minus list, a knot passes when the up
+        # continuant is (pq - sign, p^2) and that half difference is (sign, 0)
+        sign = 1 if minus_up else -1
+        diff_ok = h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
 
         top = top_gap = None  # the prefix's first max-gap knot; p and q grow with a
         last = (max_p - k2) // k1
@@ -415,7 +431,8 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
             q = a * h1 + h2
             if p & q & 1:
                 # the lemma-9 lists: head, middle pair (a +/- 1, a -/+ 1), tail;
-                # a + 1 and a - 1 share a parity, so both pass the same states
+                # a + 1 and a - 1 share a parity, so both pass the same states,
+                # and the totals differ by 2 (take0 - take_y): minus names an odd one
                 step = next_[~a & 1]
                 mid = step[s0]
                 take_y = mid != SKIP
@@ -423,9 +440,8 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
                 up = head + take0 * (a + 1) + take_y * (a - 1)
                 down = head + take0 * (a - 1) + take_y * (a + 1)
                 minus, plus = (up, down) if minus_up else (down, up)
-                for total in (minus, plus):
-                    if total & 1:
-                        raise IntegralityError(TorusKnot(p, q), HalfInteger(total))
+                if (minus | plus) & 1:
+                    raise IntegralityError(TorusKnot(p, q), HalfInteger(minus))
                 total = min(minus, plus)
             else:
                 # N(p, q) reads p/q = [a1, ..., a], N(q, p) reads q/p = [0, a1, ..., a]
@@ -441,33 +457,28 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
             if c >= min(bounds):
                 violated, hits = _bound_flags(c, bounds, on)
 
-            if on & _GAP and gap < 0:
+            if gap_on and gap < 0:
                 violated |= _GAP
 
-            if on & _LEMMA2 and coeff_sum + a > p:
+            if lemma2_on and coeff_sum + a > p:
                 violated |= _LEMMA2
 
-            if on & _LEMMA9:
-                # each list's continuant: the head matrix times [[x, 1], [1, 0]]
-                # times [[y, 1], [1, 0]] times the tail's continuant
+            if lemma9_on:
+                # the up list's continuant: the head matrix times [[a + 1, 1],
+                # [1, 0]] times [[a - 1, 1], [1, 0]] times the tail's (c0, c1)
                 u = (a - 1) * c0 + c1
                 v = (a + 1) * u + c0
-                up_cf = (h1 * v + h2 * u, k1 * v + k2 * u)
-                u = (a + 1) * c0 + c1
-                v = (a - 1) * u + c0
-                down_cf = (h1 * v + h2 * u, k1 * v + k2 * u)
-                minus_cf, plus_cf = (up_cf, down_cf) if minus_up else (down_cf, up_cf)
-                if minus_cf != (p * q - 1, p * p) or plus_cf != (p * q + 1, p * p):
+                if not diff_ok or h1 * v + h2 * u != p * q - sign or k1 * v + k2 * u != p * p:
                     violated |= _LEMMA9
 
-            if on & _Q3 and q == 3 and p & 1 and _q3_fails(p, c, minus, plus):
+            if q3_on and q == 3 and p & 1 and _q3_fails(p, c, minus, plus):
                 violated |= _Q3
 
-            if top is None or gap > top_gap or _is_listed(violated, hits):
+            if top is None or gap > top_gap or violated or hits & sharp:
                 checked = (g, n, c, *bounds, gap, violated, hits)
                 if top is None or gap > top_gap:
                     top, top_gap = (p, q, checked), gap
-                if _is_listed(violated, hits):
+                if violated or hits & sharp:
                     listed.append(_record(TorusKnot(p, q), checked))
         # a record for the prefix's witness only where it can win
         if part.best is None or top_gap >= part.best.gap:
@@ -496,7 +507,7 @@ def _runs(prefixes: list, count: int) -> list[list]:
 def _mapped(size: int, fn: Callable, *iterables: Iterable, chunksize: int = 1) -> Iterator:
     """`fn` over `iterables`, in order: on a pool of `size` processes, or
     in-process when that is 1."""
-    with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
+    with futures.ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
         yield from pool.map(fn, *iterables, chunksize=chunksize) if pool else map(fn, *iterables)
 
 

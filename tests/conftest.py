@@ -16,8 +16,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Stand verify's ProcessPoolExecutor in with an in-process fake, on a host
-    that reports 64 CPUs; the list returned gets the size of each pool built."""
+    """Stand the ProcessPoolExecutor that verify looks up in `concurrent.futures`
+    in with an in-process fake, on a host that reports 64 CPUs; the list
+    returned gets the size of each pool built."""
     import crosscap.verify as verify_module
 
     sizes = []
@@ -35,6 +36,6 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify_module.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     return sizes

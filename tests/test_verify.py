@@ -365,6 +365,62 @@ class TestKernelGuards:
         assert [c.violated for c in checked] == [{"lemma9"}, {"lemma9", "q3"}]
         assert check_knot(TorusKnot(7, 3)).violated == frozenset()  # 3/7 = [0, 2, 3], n = 2
 
+    def test_walk_with_swapped_lists_fails_lemma9_on_every_knot(self, monkeypatch, pool_sizes):
+        # the walk's prefixes carry which list has the middle pair (a + 1, a - 1):
+        # flipping that at the root swaps the two lists for every knot, as
+        # swapping them in the row kernel's lemma9_lists does
+        real = cf_module.lemma9_lists
+        patch_kernel(monkeypatch, "lemma9_lists", lambda coeffs: real(coeffs)[::-1])
+        root = verify_module._ROOT
+        monkeypatch.setattr(verify_module, "_ROOT", (*root[:-1], not root[-1]))
+        config = SweepConfig(120)
+        walk = run_verification(config)
+        tasks = run_verification(replace(config, workers=2))
+        rows = row_report(replace(config, workers=2))
+        assert pool_sizes == [2, 2]
+        assert walk == tasks == rows
+        knots = list(enumerate_coprime(120))
+        assert walk.lemma_failures == tuple((k, ("lemma9",)) for k in knots)
+        # the q3 check reads the congruence-selected list: the other one now
+        q3 = [c.record.knot for c in walk.violations if "q3" in c.violated]
+        assert q3 == [k for k in knots if k.q == 3 and k.p % 2]
+
+    def test_walk_with_a_wrong_tail_continuant_fails_lemma9_on_every_knot(self, monkeypatch):
+        # the tail continuant (c0, c1) of the empty prefix is (1, 0): with
+        # c1 = 1, every prefix's tail continuant is wrong, and so is one of
+        # its lists' continuants for every a, while the skip totals, and so
+        # the crosscap numbers, are untouched
+        expected = run_verification(SweepConfig(120))
+        root = verify_module._ROOT
+        assert root[10:12] == (1, 0)
+        monkeypatch.setattr(verify_module, "_ROOT", (*root[:11], 1, *root[12:]))
+        report = run_verification(SweepConfig(120))
+        knots = list(enumerate_coprime(120))
+        assert report.lemma_failures == tuple((k, ("lemma9",)) for k in knots)
+        assert [c.record for c in report.violations] == [check_knot(k).record for k in knots]
+        assert {c.violated for c in report.violations} == {frozenset({"lemma9"})}
+        assert report.knots_checked == expected.knots_checked
+        assert report.sharpness_hits == expected.sharpness_hits
+        assert report.max_gap_witness == expected.max_gap_witness
+
+    def test_walk_checks_the_difference_of_the_lists(self):
+        # a prefix state no walk reaches: [0; 1, 1] with its lists swapped and
+        # the tail continuant (c0, c1) = (-12, 19) in place of (2, 1).  For the
+        # knot (5, 3), a = 2, the up list, now the plus list, then has the
+        # continuant (16, 25) = (pq + 1, p^2), as it should; only the down
+        # list's, (-46, -75), is wrong, and the walk sees that from the
+        # difference of the two, 2 (-31, -50) in place of 2 (-1, 0)
+        prefixes = []
+        verify_module._walk(5, 0, [verify_module._ROOT], prefixes)
+        (prefix,) = (pre for pre in prefixes if pre[:4] == (1, 1, 2, 1))
+        assert prefix[10:] == (2, 1, True)
+        doctored = (*prefix[:10], -12, 19, False)
+        part = verify_module._walk(7, verify_module._BITS["lemma9"], [doctored])
+        assert part.count == 2  # a = 2 and 3, and no prefix below it to 7
+        assert [(c.record.knot, c.violated) for c in part.listed] == [
+            (TorusKnot(5, 3), {"lemma9"}), (TorusKnot(7, 4), {"lemma9"})
+        ]
+
     def test_odd_skip_total_aborts(self, monkeypatch, capsys):
         patch_kernel(monkeypatch, "skip_total", lambda coeffs: 7)
         with pytest.raises(IntegralityError) as info:
