@@ -7,21 +7,21 @@ A non-integral crosscap candidate, by contrast, aborts the sweep, because it
 means the computation itself is wrong.
 
 Two drivers run the same checks on plain ints, with the enabled checks as a
-bit mask, and build records only for the knots a report lists (violations
-and sharpness hits) and for max-gap witnesses:
+bit mask, and fold the knots a report lists (violations and sharpness hits)
+and max-gap witnesses as (p, q, kernel tuple); only `_Partial.report` builds
+records and knots from them:
 
 - The walk (`_walk`) serves every report.  It visits the expansions
   q/p = [0; a1, ..., a(n-1), a] depth first, from the empty prefix [0],
   and checks each knot in O(1) from its prefix [0; a1, ..., a(n-1)]: no
   Euclid pass and no list.  What does not depend on the last coefficient a
   is done once per prefix: for lemma 9, the difference of the two lists'
-  continuants; each knot evaluates only the up list's continuant.  With
-  more than one worker, the walk's subtrees below [0] and [0; 1] are pool
-  tasks, merged in walk order.  It visits knots in walk order, so the
-  knots it lists are sorted at the end; the max-gap witness, the smallest
-  (p, q) among the largest gaps, does not depend on the order.  An abort
-  names the first odd total in walk order, which need not be the first in
-  (p, q) order.
+  continuants; each knot evaluates only the up list's continuant.  The
+  subtrees below [0] and [0; 1] are cut into runs, walked in-process at one
+  worker or as pool tasks at more, and merged in walk order.  The report
+  sorts the listed knots; the max-gap witness, the smallest (p, q) among
+  the largest gaps, does not depend on the order.  At any worker count, an
+  abort names the first odd total in walk order, not in (p, q) order.
 - The row kernel `_check(p, q, on)` checks one knot from its Euclid
   expansion and the unmerged lemma-9 lists, and returns its invariants,
   bounds and violated and equality-hit bits as a tuple of ints.
@@ -77,7 +77,6 @@ from .torus_knots import (
 CHECK_NAMES = ("thm1", "thm2", "clark", "my", "lemma2", "lemma9", "q3", "gap")
 
 _ALL_CHECKS = frozenset(CHECK_NAMES)
-_SHARPENED = frozenset({"thm1", "thm2"})
 _LEMMA_CHECKS = ("lemma2", "lemma9")
 
 #: Each check's bit in the kernel's masks: bit i is CHECK_NAMES[i].
@@ -85,6 +84,8 @@ _BITS = {name: 1 << i for i, name in enumerate(CHECK_NAMES)}
 _THM1, _THM2, _CLARK, _MY, _LEMMA2, _LEMMA9, _Q3, _GAP = _BITS.values()
 #: The bound checks' bits in `bound_ints` order: (clark, my, thm1, thm2).
 _BOUND_BITS = (_CLARK, _MY, _THM1, _THM2)
+#: The sharpened bounds' bits: a knot that meets either is a sharpness hit.
+_SHARPENED = _THM1 | _THM2
 
 #: The sweep CSV's header: a knot's record fields, then one violated flag per check.
 _CSV_HEADER = (*RECORD_FIELDS, *(f"violated_{name}" for name in CHECK_NAMES))
@@ -268,22 +269,24 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = _ALL_CHECKS) -> BoundCheckR
     return _record(k, _check(k.p, k.q, _mask(checks)))
 
 
-def _rank(rec: InvariantRecord) -> tuple[int, int, int]:
-    """The max-gap witness is the knot of highest rank: the largest gap, then
-    the smallest (p, q)."""
-    return rec.gap, -rec.knot.p, -rec.knot.q
+def _rank(knot: tuple) -> tuple[int, int, int]:
+    """The max-gap witness is the knot (p, q, kernel tuple) of highest rank:
+    the largest gap, then the smallest (p, q)."""
+    p, q, checked = knot
+    return checked[7], -p, -q
 
 
 @dataclass
 class _Partial:
-    """Knot count, listed records and max-gap witness of the knots folded so far."""
+    """Knot count, listed knots and max-gap witness of the knots folded so far,
+    each knot as (p, q, kernel tuple): plain ints, until `report`."""
 
     count: int = 0
-    listed: list[BoundCheckRecord] = field(default_factory=list)  # violations, sharp hits
-    best: InvariantRecord | None = None
+    listed: list[tuple] = field(default_factory=list)  # violations, sharp hits
+    best: tuple | None = None
 
-    def add(self, count: int, listed: Iterable[BoundCheckRecord], best: InvariantRecord) -> None:
-        """Fold in a run of knots: its count, listed records (appended in the
+    def add(self, count: int, listed: Iterable[tuple], best: tuple) -> None:
+        """Fold in a run of knots: its count, listed knots (appended in the
         order given) and max-gap witness."""
         self.count += count
         self.listed += listed
@@ -291,20 +294,21 @@ class _Partial:
             self.best = best
 
     def report(self, config: SweepConfig) -> VerificationReport:
+        """The report: the listed knots in (p, q) order, as the report's types."""
         assert self.best is not None  # max_p >= 3 guarantees at least the (3,2) knot
+        self.listed.sort()  # by (p, q): no two listed knots share it
+        p, q, checked = self.best
         return VerificationReport(
             max_p=config.max_p,
             checks=tuple(sorted(config.checks)),
             knots_checked=self.count,
-            violations=tuple(c for c in self.listed if c.violated),
-            sharpness_hits=tuple(
-                c.record.knot for c in self.listed if _SHARPENED & c.equality_hits
-            ),
-            max_gap_witness=self.best,
+            violations=tuple(_record(TorusKnot(p, q), c) for p, q, c in self.listed if c[8]),
+            sharpness_hits=tuple(TorusKnot(p, q) for p, q, c in self.listed if c[9] & _SHARPENED),
+            max_gap_witness=_record(TorusKnot(p, q), checked).record,
             lemma_failures=tuple(
-                (c.record.knot, failed)
-                for c in self.listed
-                if (failed := tuple(n for n in _LEMMA_CHECKS if n in c.violated))
+                (TorusKnot(p, q), failed)
+                for p, q, c in self.listed
+                if (failed := tuple(n for n in _LEMMA_CHECKS if c[8] & _BITS[n]))
             ),
         )
 
@@ -334,16 +338,15 @@ def _sweep_row(p: int, on: int) -> tuple[_Partial, str]:
     violated flag per check in CHECK_NAMES order.
     """
     count, listed, rows = 0, [], []
-    top = top_q = None  # kernel tuple and q of the row's first max-gap knot
+    best = None  # the row's first max-gap knot
     for _, q in _pairs(p, p):
         checked = _check(p, q, on)
         count += 1
-        if checked[8] or checked[9] & (_THM1 | _THM2):  # violated, or met thm1 or thm2
-            listed.append(_record(TorusKnot(p, q), checked))
-        if top is None or checked[7] > top[7]:
-            top, top_q = checked, q
+        if checked[8] or checked[9] & _SHARPENED:  # violated, or met thm1 or thm2
+            listed.append((p, q, checked))
+        if best is None or checked[7] > best[2][7]:
+            best = (p, q, checked)
         rows.append((p, q, _PARITY[p * q % 2], *checked[:8], *_flags(checked[8])))
-    best = _record(TorusKnot(p, top_q), top).record
     return _Partial(count, listed, best), _csv_text(rows)
 
 
@@ -368,7 +371,7 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
     is the canonical list's and an odd one aborts.  Each knot, its prefix
     extended by a last coefficient a >= 2, then costs O(1).  The walk checks
     each knot as `_check` does, and an odd total aborts at the first knot
-    that has one, in walk order.  The listed records come in walk order.
+    that has one, in walk order.  The listed knots come in walk order.
 
     The lemma-9 lists share all but their middle pair, so the continuant of
     the down list, (a - 1, a + 1), is that of the up list, (a + 1, a - 1),
@@ -389,13 +392,13 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
     listed = part.listed
     next_ = NEXT
     gap_on, lemma2_on, lemma9_on, q3_on = on & _GAP, on & _LEMMA2, on & _LEMMA9, on & _Q3
-    sharp = _THM1 | _THM2
+    sharp = _SHARPENED
     # a prefix is (h1, h2, k1, k2): the continuant matrix of [0, a1, ..., a(n-1)],
     # whose columns are its last two convergents; (s0, t0) and (s1, t1): the
     # skip states and totals; its coefficient sum; the tail's skip adds from
     # each entry state and its continuant (c0, c1); minus_up: n is odd, so the
     # minus list has the middle pair (a + 1, a - 1).  A stack, not recursion,
-    # so that no reference cycle holds the walk's records after it returns.
+    # so that a walk can start from any run of prefixes.
     while stack:  # depth first, children in increasing order of their coefficient
         prefix = stack.pop()
         h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, c0, c1, minus_up = prefix
@@ -479,19 +482,17 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
                 if top is None or gap > top_gap:
                     top, top_gap = (p, q, checked), gap
                 if violated or hits & sharp:
-                    listed.append(_record(TorusKnot(p, q), checked))
-        # a record for the prefix's witness only where it can win
-        if part.best is None or top_gap >= part.best.gap:
-            p, q, checked = top
-            part.add(last - 1, (), _record(TorusKnot(p, q), checked).record)
-        else:
-            part.count += last - 1
+                    listed.append((p, q, checked))
+        part.count += last - 1
+        if part.best is None or top_gap >= part.best[2][7]:  # a witness that can win
+            part.add(0, (), top)
     return part
 
 
 def _runs(prefixes: list, count: int) -> list[list]:
     """`prefixes`, in walk order, cut into at most `count` runs of contiguous
-    prefixes with about equal knot counts below them.
+    prefixes with about equal knot counts below them.  Each run is reversed:
+    `_walk` pops its stack from the end, so it walks the run in walk order.
 
     A prefix whose last two convergents have denominators k1 and k2 covers
     q/p on an interval of length 1/(k1 (k1 + k2)), and the knots below it
@@ -501,7 +502,7 @@ def _runs(prefixes: list, count: int) -> list[list]:
     runs = [[] for _ in range(count)]
     for prefix, before in zip(prefixes, accumulate(weights, initial=0.0)):
         runs[min(int(before / share), count - 1)].append(prefix)
-    return [run for run in runs if run]
+    return [run[::-1] for run in runs if run]
 
 
 def _mapped(size: int, fn: Callable, *iterables: Iterable, chunksize: int = 1) -> Iterator:
@@ -516,13 +517,13 @@ def run_verification(
 ) -> VerificationReport:
     """Run the configured sweep and aggregate a deterministic report.
 
-    Without `write`, the sweep is the walk (see :func:`_walk`).  With one
-    worker, or one CPU, it runs in-process.  Otherwise this process walks
-    the top prefixes [0] and [0; 1], and cuts the prefixes below them into
-    `_TASKS_PER_WORKER` runs per process, of about equal knot counts; the
-    walks from the runs go to a pool of at most one process per worker, run
-    and CPU.  The runs are merged in walk order, so an abort names the first
-    odd total in walk order, as in one process.
+    Without `write`, the sweep is the walk (see :func:`_walk`), on one path
+    at every worker count: this process walks the top prefixes [0] and
+    [0; 1], and cuts the prefixes below them into `_TASKS_PER_WORKER` runs
+    per process, of about equal knot counts.  The walks from the runs go to
+    a pool of at most one process per worker, run and CPU, or run
+    in-process when that is one.  The runs are merged in walk order, so an
+    abort names the first odd total in walk order at any worker count.
 
     With `write`, the sweep also produces the CSV: `write` gets the header,
     then one text per p with its knots' rows (see :func:`_sweep_row`), in p
@@ -536,14 +537,11 @@ def run_verification(
     on = _mask(config.checks)
     size = min(config.workers, os.cpu_count() or 1)
     if write is None:
-        merged, runs = _Partial(), [[_ROOT]]
-        if size > 1:
-            prefixes = []
-            merged = _walk(config.max_p, on, [_ROOT], prefixes)
-            runs = _runs(prefixes, _TASKS_PER_WORKER * size)
+        prefixes = []
+        merged = _walk(config.max_p, on, [_ROOT], prefixes)
+        runs = _runs(prefixes, _TASKS_PER_WORKER * size)
         for part in _mapped(min(size, len(runs)), _walk, repeat(config.max_p), repeat(on), runs):
             merged.add(part.count, part.listed, part.best)
-        merged.listed.sort(key=lambda c: (c.record.knot.p, c.record.knot.q))
         return merged.report(config)
     write(_csv_text([_CSV_HEADER]))
     p_range = range(3, config.max_p + 1)

@@ -133,10 +133,15 @@ def reference_check_knot(
 
 def fold(records) -> _Partial:
     """The aggregate of `records`, given in (p, q) order, folded one record at a
-    time: a record is listed when it violated a check or met thm1 or thm2."""
+    time as (p, q, kernel tuple): a record is listed when it violated a check
+    or met thm1 or thm2."""
     part = _Partial()
     for c in records:
-        part.add(1, (c,) if c.violated or {"thm1", "thm2"} & c.equality_hits else (), c.record)
+        rec, b, bits = c.record, c.record.bounds, verify_module._mask
+        checked = (rec.genus, rec.crossing, rec.crosscap, b.clark, b.murakami_yasuhara,
+                   b.thm1, b.thm2, rec.gap, bits(c.violated), bits(c.equality_hits))
+        knot = (rec.knot.p, rec.knot.q, checked)
+        part.add(1, (knot,) if c.violated or {"thm1", "thm2"} & c.equality_hits else (), knot)
     return part
 
 
@@ -154,6 +159,22 @@ def sweeps(config: SweepConfig) -> list[VerificationReport]:
     if config.workers == 1:
         return [run_verification(config)]
     return [row_report(config), run_verification(config)]
+
+
+def fail_at_q9_and_p_mod_q_2(monkeypatch):
+    """Patch `verify.bound_ints`, which both drivers call once per knot, to
+    raise IntegralityError on the knots with q >= 9 and p % q == 2; (p, q) is
+    read back from the genus g and crossing number n, since n - 2g = q - 1."""
+    real = verify_module.bound_ints
+
+    def failing(g, n):
+        q = n - 2 * g + 1
+        p = n // (q - 1)
+        if q >= 9 and p % q == 2:
+            raise IntegralityError(TorusKnot(p, q), HalfInteger(1))
+        return real(g, n)
+
+    monkeypatch.setattr(verify_module, "bound_ints", failing)
 
 
 def patch_kernel(monkeypatch, name, replacement):
@@ -417,8 +438,9 @@ class TestKernelGuards:
         doctored = (*prefix[:10], -12, 19, False)
         part = verify_module._walk(7, verify_module._BITS["lemma9"], [doctored])
         assert part.count == 2  # a = 2 and 3, and no prefix below it to 7
-        assert [(c.record.knot, c.violated) for c in part.listed] == [
-            (TorusKnot(5, 3), {"lemma9"}), (TorusKnot(7, 4), {"lemma9"})
+        lemma9 = verify_module._LEMMA9
+        assert [(p, q, checked[8]) for p, q, checked in part.listed] == [
+            (5, 3, lemma9), (7, 4, lemma9)
         ]
 
     def test_odd_skip_total_aborts(self, monkeypatch, capsys):
@@ -469,6 +491,46 @@ class TestKernelGuards:
         assert err == expected
         assert "BrokenProcessPool" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_abort_names_the_first_knot_in_walk_order(self, monkeypatch, pool_sizes, workers):
+        # in walk order the first such knot is (11, 9), 9/11 = [0; 1, 4, 2];
+        # the next is (13, 11), 11/13 = [0; 1, 5, 2], in the same walk task at
+        # workers 2, which must walk its prefixes [0; 1, 4] before [0; 1, 5]
+        fail_at_q9_and_p_mod_q_2(monkeypatch)
+        with pytest.raises(IntegralityError) as info:
+            run_verification(SweepConfig(60, workers=workers))
+        assert info.value.knot == TorusKnot(11, 9)
+        assert pool_sizes == ([] if workers == 1 else [workers])
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched bounds reach only forked pool workers",
+    )
+    def test_abort_in_a_forked_walk_task_names_the_first_knot_in_walk_order(self, monkeypatch):
+        fail_at_q9_and_p_mod_q_2(monkeypatch)
+        with pytest.raises(IntegralityError) as info:
+            run_verification(SweepConfig(60, workers=2))
+        assert info.value.knot == TorusKnot(11, 9)
+
+    def test_drivers_fold_plain_ints(self, monkeypatch, pool_sizes):
+        # what a pool task returns: (p, q, kernel tuple) for each listed knot
+        # and for the max-gap witness, and no record or knot object
+        parts, walk = [], verify_module._walk
+
+        def recorded(*args):
+            parts.append(walk(*args))
+            return parts[-1]
+
+        monkeypatch.setattr(verify_module, "_walk", recorded)
+        run_verification(SweepConfig(300, workers=2))
+        assert pool_sizes == [2]
+        row, _ = verify_module._sweep_row(298, verify_module._mask(CHECK_NAMES))
+        assert parts[1].listed and row.listed  # sharp: (7, 5) = [0; 1, 2, 2]; (298, 3)
+        for part in [*parts[1:], row]:  # the walk's tasks, then a row task
+            for p, q, checked in [*part.listed, part.best]:
+                assert type(checked) is tuple and len(checked) == 10
+                assert {type(x) for x in (p, q, *checked)} == {int}, (p, q, checked)
 
 
 class TestRunVerification:
@@ -586,7 +648,8 @@ class TestSummarize:
         assert report.sharpness_hits == tuple(
             c.record.knot for c in records if {"thm1", "thm2"} & c.equality_hits
         )
-        assert report.max_gap_witness is best
+        assert report.max_gap_witness == best
+        assert report.max_gap_witness != tie
 
 
 class TestSerialization:
