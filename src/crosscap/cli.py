@@ -190,7 +190,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.csv is not None:
-        # one pass: the CSV rows and the report come from the same per-p tasks
+        # one pass: the walk of each p band feeds both the CSV rows and the report
         with _output(args.csv) as out:
             report = run_verification(config, out.write)
     elif args.json is not None:
@@ -283,8 +283,8 @@ def _build_parser() -> _Parser:
         "--workers",
         type=int,
         default=1,
-        help="processes for the sweep (the report's walk tasks and the CSV's row tasks), "
-        "capped by the CPU count",
+        help="processes for the sweep, capped by the CPU count: the report's walk tasks, "
+        "and the CSV's p bands once there are two or more (above --max-p 2897)",
     )
     _add_format_flags(p_verify)
     p_verify.set_defaults(handler=cmd_verify)

@@ -6,33 +6,21 @@ data, never an exception: the whole point is to surface one if it exists.
 A non-integral crosscap candidate, by contrast, aborts the sweep, because it
 means the computation itself is wrong.
 
-Two drivers run the same checks on plain ints, with the enabled checks as a
-bit mask, and fold the knots a report lists (violations and sharpness hits)
-and max-gap witnesses as (p, q, kernel tuple); only `_Partial.report` builds
-records and knots from them:
+One walk (`_walk`) over the expansions q/p = [0; a1, ..., a(n-1), a]
+feeds both outputs.  It checks each knot in O(1) from its prefix, on plain
+ints, with the enabled checks as a bit mask, and folds the knots a report
+lists (violations and sharpness hits) and max-gap witnesses as (p, q,
+kernel tuple); only `_Partial.report` builds records from them.  A report
+alone walks the subtrees below [0] and [0; 1] as tasks, merged in walk
+order.  The CSV, whose format this module owns, walks each band of p rows
+as one task (`_band`), which also keeps each knot's crosscap number, and
+this process renders the rows in (p, q) order; more workers speed a CSV
+only from two bands on.  The report, the CSV and the knot an abort names
+are the same for every worker count.
 
-- The walk (`_walk`) serves every report.  It visits the expansions
-  q/p = [0; a1, ..., a(n-1), a] depth first, from the empty prefix [0],
-  and checks each knot in O(1) from its prefix [0; a1, ..., a(n-1)]: no
-  Euclid pass and no list.  What does not depend on the last coefficient a
-  is done once per prefix: for lemma 9, the difference of the two lists'
-  continuants; each knot evaluates only the up list's continuant.  The
-  subtrees below [0] and [0; 1] are cut into runs, walked in-process at one
-  worker or as pool tasks at more, and merged in walk order.  The report
-  sorts the listed knots; the max-gap witness, the smallest (p, q) among
-  the largest gaps, does not depend on the order.  At any worker count, an
-  abort names the first odd total in walk order, not in (p, q) order.
-- The row kernel `_check(p, q, on)` checks one knot from its Euclid
-  expansion and the unmerged lemma-9 lists, and returns its invariants,
-  bounds and violated and equality-hit bits as a tuple of ints.
-  `check_knot` is the typed shell over it.  Each p is one row task
-  (`_sweep_row`): the knots (p, q) in q order, folded into a partial report
-  and rendered as CSV text.  The row tasks serve the CSV, whose format this
-  module owns: `run_verification` given a sink writes the header, maps the
-  tasks over p, in-process or on a process pool that hands rows out as
-  workers free up, and writes their texts and merges their folds in p order.
-
-The report and the CSV are the same for every worker count.
+The row kernel `_check(p, q, on)` checks one knot from its Euclid
+expansion; `check_knot` is its typed shell, and the tests fold it over
+every pair as the walk's oracle.
 """
 
 from __future__ import annotations
@@ -41,11 +29,12 @@ import csv
 import io
 import json
 import os
+from array import array
 from concurrent import futures
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
@@ -89,14 +78,20 @@ _SHARPENED = _THM1 | _THM2
 
 #: The sweep CSV's header: a knot's record fields, then one violated flag per check.
 _CSV_HEADER = (*RECORD_FIELDS, *(f"violated_{name}" for name in CHECK_NAMES))
+#: A CSV row, as `%` formats it: one field per record field, then the
+#: violated flags as one text (see `_flags`).
+_CSV_ROW = "%s," * len(RECORD_FIELDS) + "%s\n"
 
 #: Upper cap on the sweep range.  Exactness never degrades (Python ints are
 #: arbitrary precision), so this bounds runtime, not correctness: the pair
 #: count grows quadratically and a full sweep at the cap is ~30M knots.
 MAX_SWEEP_P = 10_000
 
-#: p rows per pool task: with one row per task, dispatch costs more than balance saves.
-_ROWS_PER_TASK = 8
+#: The most slots (p, q), 2 <= q < p, that a CSV band holds, give or take
+#: one row: the band count depends on max_p alone, one band to max_p 2,897
+#: and 12 at the cap.  Each band walks from the root, so more bands cost
+#: more prefixes; fewer cost more memory, 4 bytes a slot.
+_BAND_SLOTS = 1 << 22
 
 #: Walk tasks per pool process: one each leaves the cores idle behind the
 #: largest subtree, and one per prefix costs more in dispatch than it balances.
@@ -112,7 +107,8 @@ class SweepConfig:
     """Range, parallelism, and check selection for one verification run.
 
     `workers` sizes the sweep's process pool: of the walk's tasks for a
-    report alone, of the row tasks with a CSV; one runs in-process."""
+    report alone, of the band tasks with a CSV, which has two or more bands
+    only above max_p 2,897; one worker, or one band, runs in-process."""
 
     max_p: int
     workers: int = 1
@@ -313,14 +309,15 @@ class _Partial:
         )
 
 
-#: A knot's parity field, indexed by p*q % 2.
+#: A knot's parity field, indexed by p & q & 1.
 _PARITY = (Parity.EVEN.value, Parity.ODD.value)
 
 
 @cache  # at most 2**8 masks, and a sweep sees few: almost every knot violates nothing
-def _flags(bits: int) -> tuple[int, ...]:
-    """The violated flags of a mask, one 0/1 per check in CHECK_NAMES order."""
-    return tuple(bits >> i & 1 for i in range(len(_BITS)))
+def _flags(bits: int) -> str:
+    """The violated flags of a mask as CSV text, one 0/1 per check in
+    CHECK_NAMES order."""
+    return ",".join(str(bits >> i & 1) for i in range(len(_BITS)))
 
 
 def _csv_text(rows: Iterable[Iterable]) -> str:
@@ -330,33 +327,26 @@ def _csv_text(rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
-def _sweep_row(p: int, on: int) -> tuple[_Partial, str]:
-    """The fold of the knots (p, q) with the checks in the bit mask `on`, and
-    their CSV rows in q order as text (module-level, so that it pickles).
-
-    A knot's CSV row follows `_CSV_HEADER`: its record fields, then one 0/1
-    violated flag per check in CHECK_NAMES order.
-    """
-    count, listed, rows = 0, [], []
-    best = None  # the row's first max-gap knot
-    for _, q in _pairs(p, p):
-        checked = _check(p, q, on)
-        count += 1
-        if checked[8] or checked[9] & _SHARPENED:  # violated, or met thm1 or thm2
-            listed.append((p, q, checked))
-        if best is None or checked[7] > best[2][7]:
-            best = (p, q, checked)
-        rows.append((p, q, _PARITY[p * q % 2], *checked[:8], *_flags(checked[8])))
-    return _Partial(count, listed, best), _csv_text(rows)
+def _row(p: int) -> int:
+    """The slots (p', q), 2 <= q < p', of the rows 3 <= p' < p: where row p starts."""
+    return (p - 2) * (p - 3) // 2
 
 
 #: The walk's start: the empty prefix [0] (see `_walk` for the fields).
 _ROOT = (0, 1, 1, 0, SKIP, 0, TAKE, 0, 0, (0, 0, 0), 1, 0, True)
 
 
-def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Partial:
-    """The fold of every knot to max_p, with the checks in the bit mask `on`,
-    from a depth-first walk over the expansions q/p = [0; a1, ..., a(n-1), a].
+def _walk(
+    max_p: int,
+    on: int,
+    stack: list,
+    tasks: list | None = None,
+    lo: int = 3,
+    cells: array | None = None,
+) -> _Partial:
+    """The fold of every knot with lo <= p <= max_p, with the checks in the
+    bit mask `on`, from a depth-first walk over the expansions
+    q/p = [0; a1, ..., a(n-1), a].
 
     The walk starts from the prefixes on `stack`, which it empties: from
     [_ROOT], the empty prefix [0], which has no knot (its q would be 1), it
@@ -383,6 +373,11 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
     would turn the check into the determinant identity of the convergents,
     which no prefix fails, so the walk keeps both.
 
+    Given `cells`, an array of one slot per (p, q) with 2 <= q < p and
+    lo <= p <= max_p, by p then q (see `_band`), the walk stores each knot's
+    crosscap number in its slot; a slot of a non-coprime (p, q) keeps its
+    value.
+
     Given a `tasks` list, the walk visits only the top prefixes [0] and
     [0; 1], whose last convergent has denominator 1, and appends each
     prefix below them to `tasks` in walk order instead: the walk from
@@ -393,6 +388,7 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
     next_ = NEXT
     gap_on, lemma2_on, lemma9_on, q3_on = on & _GAP, on & _LEMMA2, on & _LEMMA9, on & _Q3
     sharp = _SHARPENED
+    base = _row(lo) + 2  # cells[_row(p) + q - base] is the slot of (p, q)
     # a prefix is (h1, h2, k1, k2): the continuant matrix of [0, a1, ..., a(n-1)],
     # whose columns are its last two convergents; (s0, t0) and (s1, t1): the
     # skip states and totals; its coefficient sum; the tail's skip adds from
@@ -427,9 +423,13 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
         sign = 1 if minus_up else -1
         diff_ok = h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
 
-        top = top_gap = None  # the prefix's first max-gap knot; p and q grow with a
+        # the smallest a >= 2 with lo <= p, and the largest with p <= max_p
+        first = 2 if 2 * k1 + k2 >= lo else -((k2 - lo) // k1)
         last = (max_p - k2) // k1
-        for a in range(2, last + 1):
+        if first > last:
+            continue
+        top = top_gap = None  # the prefix's first max-gap knot; p and q grow with a
+        for a in range(first, last + 1):
             p = a * k1 + k2
             q = a * h1 + h2
             if p & q & 1:
@@ -452,6 +452,8 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
                 if total & 1:
                     raise IntegralityError(TorusKnot(p, q), HalfInteger(total))
             c = total >> 1
+            if cells is not None:
+                cells[((p - 2) * (p - 3) >> 1) + q - base] = c
             g = (p - 1) * (q - 1) >> 1
             n = p * (q - 1)
             gap = g - c
@@ -483,7 +485,7 @@ def _walk(max_p: int, on: int, stack: list, tasks: list | None = None) -> _Parti
                     top, top_gap = (p, q, checked), gap
                 if violated or hits & sharp:
                     listed.append((p, q, checked))
-        part.count += last - 1
+        part.count += last - first + 1
         if part.best is None or top_gap >= part.best[2][7]:  # a witness that can win
             part.add(0, (), top)
     return part
@@ -505,11 +507,56 @@ def _runs(prefixes: list, count: int) -> list[list]:
     return [run[::-1] for run in runs if run]
 
 
-def _mapped(size: int, fn: Callable, *iterables: Iterable, chunksize: int = 1) -> Iterator:
+def _bands(max_p: int) -> list[tuple[int, int]]:
+    """[3, max_p] cut into bands (lo, hi) of rows p, in order, with about
+    equal slot counts, as few as hold at most `_BAND_SLOTS` slots each, give
+    or take one row.  Row p goes to the band its first slot falls in."""
+    slots = _row(max_p + 1)
+    count = -(-slots // _BAND_SLOTS)
+    groups = groupby(range(3, max_p + 1), lambda p: _row(p) * count // slots)
+    return [(rows[0], rows[-1]) for rows in (list(group) for _, group in groups)]
+
+
+def _band(lo: int, hi: int, on: int) -> tuple[int, _Partial, array]:
+    """The band lo <= p <= hi: its first row lo, the fold of its knots with the
+    checks in the bit mask `on`, and the array of their crosscap numbers,
+    one slot per (p, q) with 2 <= q < p, by p then q; the slot of a
+    non-coprime (p, q) holds -1 (module-level, so that it pickles)."""
+    cells = array("i", [-1]) * (_row(hi + 1) - _row(lo))
+    return lo, _walk(hi, on, [_ROOT], None, lo, cells), cells
+
+
+def _write_rows(write: Callable[[str], object], lo: int, listed: list, cells: array) -> None:
+    """Write the CSV rows of a band from row lo, one text per p with its
+    knots in q order, from its listed knots and crosscap numbers (see
+    `_band`).  A row follows `_CSV_HEADER`: the knot's record fields, its
+    bounds from `bound_ints`, then one 0/1 violated flag per check."""
+    violated = {}  # p -> {q: violated bits}; almost always empty
+    for p, q, checked in listed:
+        if checked[8]:
+            violated.setdefault(p, {})[q] = checked[8]
+    row, parity, clean = _CSV_ROW, _PARITY, _flags(0)
+    start, p = 0, lo
+    while start < len(cells):
+        bits = violated.get(p, {})
+        texts = []
+        for q, c in enumerate(cells[start : start + p - 2], 2):
+            if c >= 0:
+                g = (p - 1) * (q - 1) >> 1
+                n = p * (q - 1)
+                flags = _flags(bits[q]) if q in bits else clean
+                fields = (p, q, parity[p & q & 1], g, n, c, *bound_ints(g, n), g - c, flags)
+                texts.append(row % fields)
+        write("".join(texts))
+        start += p - 2
+        p += 1
+
+
+def _mapped(size: int, fn: Callable, *iterables: Iterable) -> Iterator:
     """`fn` over `iterables`, in order: on a pool of `size` processes, or
     in-process when that is 1."""
     with futures.ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
-        yield from pool.map(fn, *iterables, chunksize=chunksize) if pool else map(fn, *iterables)
+        yield from pool.map(fn, *iterables) if pool else map(fn, *iterables)
 
 
 def run_verification(
@@ -525,10 +572,14 @@ def run_verification(
     in-process when that is one.  The runs are merged in walk order, so an
     abort names the first odd total in walk order at any worker count.
 
-    With `write`, the sweep also produces the CSV: `write` gets the header,
-    then one text per p with its knots' rows (see :func:`_sweep_row`), in p
-    order as they arrive.  The row tasks run on a pool of at most one
-    process per p and per CPU, or in-process when that is one.
+    With `write`, the same walk also feeds the CSV: the sweep cuts [3, max_p]
+    into p bands (see :func:`_bands`), whose count depends on max_p alone,
+    and walks each band as one task (see :func:`_band`).  The band tasks run
+    on a pool of at most one process per worker, band and CPU, or
+    in-process when that is one; so more workers speed a CSV only from two
+    bands on.  This process writes each band's rows through `write`, after
+    the header, one text per p, and merges the folds, both in band order,
+    so the CSV bytes and an abort's knot do not depend on the worker count.
 
     The merges preserve the task order, so the result does not depend on
     worker count or scheduling.  The max-gap witness is the smallest (p, q)
@@ -544,12 +595,12 @@ def run_verification(
             merged.add(part.count, part.listed, part.best)
         return merged.report(config)
     write(_csv_text([_CSV_HEADER]))
-    p_range = range(3, config.max_p + 1)
+    bands = _bands(config.max_p)
     merged = _Partial()
-    tasks = (_sweep_row, p_range, repeat(on))
-    for part, text in _mapped(min(size, len(p_range)), *tasks, chunksize=_ROWS_PER_TASK):
-        write(text)
+    for lo, part, cells in _mapped(min(size, len(bands)), _band, *zip(*bands), repeat(on)):
         merged.add(part.count, part.listed, part.best)
+        _write_rows(write, lo, part.listed, cells)
+        del part, cells  # one band's array at a time, unless a pool runs ahead
     return merged.report(config)
 
 

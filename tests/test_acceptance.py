@@ -236,7 +236,8 @@ def test_09_q3_closed_form_coherence_to_1000():
 
 
 def test_10_parallel_determinism_byte_identical(tmp_path):
-    # a report runs the walk at any worker count; --workers spreads the CSV's row tasks
+    # one walk feeds both outputs at any worker count; --workers spreads a report's walk
+    # tasks, and a CSV's band tasks once it has two bands (not at max_p 100)
     contents, csvs = [], []
     for workers in (1, 2, 8):
         for fmt, outputs in (("json", contents), ("csv", csvs)):

@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import threading
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -49,9 +50,10 @@ def two_pass_csv(max_p):
 
 def count_check_knot(monkeypatch, fail_at=None, exc=None):
     """Count the knots verify's sweeps evaluate, as TorusKnots; raise `exc` on
-    knot number `fail_at`.  Both the row kernel `_check` and the walk, which
-    serves a report at any worker count, call `verify.bound_ints(g, n)` once per knot, and (p, q) is read back
-    from the genus g = (p - 1)(q - 1)/2 and crossing number n = p(q - 1), since
+    call number `fail_at`.  The walk, which feeds the report and the CSV,
+    calls `verify.bound_ints(g, n)` once per knot it checks, and the CSV's
+    renderer once per row it writes; (p, q) is read back from the genus
+    g = (p - 1)(q - 1)/2 and crossing number n = p(q - 1), since
     n - 2g = q - 1."""
     calls = []
     real = verify_module.bound_ints
@@ -206,14 +208,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "cap" in err
 
-    def test_json_files_identical_across_workers(self, tmp_path, capsys):
+    def test_json_files_identical_across_workers(self, tmp_path, capsys, monkeypatch):
         # the walk in-process, the walk's tasks on a pool of two, and the
-        # CSV's row tasks on a pool of four
+        # CSV's band tasks, one band per p row, on a pool of four
         paths = [tmp_path / "report-1.json", tmp_path / "report-2.json"]
         for workers, path in zip(("1", "2"), paths):
             argv = ["verify", "--max-p", "50", "--workers", workers, "--json", str(path)]
             code, _, _ = run_cli(argv, capsys)
             assert code == 0
+        monkeypatch.setattr(verify_module, "_BAND_SLOTS", 1)
         rows = run_verification(SweepConfig(max_p=50, workers=4), [].append)
         assert paths[0].read_bytes() == paths[1].read_bytes() == serialize_report(rows).encode()
 
@@ -254,11 +257,24 @@ class TestVerifyCommand:
         assert all(row.endswith(",0,0,0,0,0,0,0,0") for row in lines[1:])
 
     def test_csv_checks_each_knot_once(self, tmp_path, capsys, monkeypatch):
+        # the walk checks each knot once, in walk order; the renderer then
+        # writes each knot's row once, in (p, q) order
         calls = count_check_knot(monkeypatch)
+        checked, walk = [], verify_module._walk
+
+        def counted_walk(*args):
+            start = len(calls)
+            part = walk(*args)
+            checked.extend(calls[start:])
+            return part
+
+        monkeypatch.setattr(verify_module, "_walk", counted_walk)
         path = tmp_path / "knots.csv"
         code, _, _ = run_cli(["verify", "--max-p", "60", "--csv", str(path)], capsys)
         assert code == 0
-        assert calls == list(enumerate_coprime(60))
+        knots = list(enumerate_coprime(60))
+        assert Counter(checked) == Counter(knots)
+        assert calls == checked + knots
 
     @pytest.mark.parametrize("workers", ["1", "3"])
     def test_csv_bytes_and_summary_match_two_pass(self, tmp_path, capsys, workers):
@@ -272,7 +288,11 @@ class TestVerifyCommand:
         assert path.read_bytes() == two_pass_csv(60).encode()
         assert out == summary
 
-    def test_csv_with_workers_uses_the_pool(self, tmp_path, capsys, pool_sizes):
+    def test_csv_with_workers_uses_the_pool(self, tmp_path, capsys, pool_sizes, monkeypatch):
+        # a pool needs two bands or more: at the shipped size, max_p 60 has one
+        assert len(verify_module._bands(60)) == 1
+        monkeypatch.setattr(verify_module, "_BAND_SLOTS", 800)
+        assert len(verify_module._bands(60)) == 3
         path = tmp_path / "knots.csv"
         code, _, _ = run_cli(
             ["verify", "--max-p", "60", "--workers", "2", "--csv", str(path)], capsys
@@ -373,8 +393,8 @@ class TestVerifyCommand:
         "exc", [BrokenProcessPool("a worker was terminated abruptly"), KeyboardInterrupt()]
     )
     def test_incomplete_sweep_exits_2(self, tmp_path, capsys, monkeypatch, exc):
-        # at two workers both the report's walk tasks and the CSV's row tasks
-        # run on a pool, whose worker can crash
+        # at two workers both the report's walk tasks and, from two bands on,
+        # the CSV's band tasks run on a pool, whose worker can crash
         def fail(config, write=None):
             raise exc
 

@@ -44,7 +44,8 @@ from crosscap import (
 )
 from crosscap.cli import main
 from crosscap.continued_fractions import ODD, SKIP, TAKE, euclid, lemma9_lists
-from crosscap.verify import _ROWS_PER_TASK, _Partial
+from crosscap.verify import _Partial
+from test_cli import two_pass_csv
 
 
 def phi_sieve(n: int) -> list[int]:
@@ -145,20 +146,42 @@ def fold(records) -> _Partial:
     return part
 
 
-def row_report(config: SweepConfig, sink: list | None = None) -> VerificationReport:
-    """The report of the row tasks, which run only with a CSV sink; the CSV
-    texts are appended to `sink` when it is given."""
+def kernel_report(config: SweepConfig) -> VerificationReport:
+    """The report of the row kernel `_check` folded over every pair in (p, q)
+    order: the oracle of the walk, which feeds both sweep outputs."""
+    on, part = verify_module._mask(config.checks), _Partial()
+    for p, q in verify_module._pairs(3, config.max_p):
+        checked = verify_module._check(p, q, on)
+        knot = (p, q, checked)
+        part.add(1, (knot,) if checked[8] or checked[9] & verify_module._SHARPENED else (), knot)
+    return part.report(config)
+
+
+def force_bands(monkeypatch, max_p: int, count: int) -> list[tuple[int, int]]:
+    """Patch `_BAND_SLOTS` so that a CSV sweep to max_p cuts `count` bands;
+    returns them."""
+    monkeypatch.setattr(verify_module, "_BAND_SLOTS", -(-verify_module._row(max_p + 1) // count))
+    bands = verify_module._bands(max_p)
+    assert len(bands) == count
+    return bands
+
+
+def band_report(config: SweepConfig, sink: list | None = None) -> VerificationReport:
+    """The report of the CSV's band tasks, which run only with a CSV sink; the
+    CSV texts are appended to `sink` when it is given."""
     if sink is None:
         sink = []
     return run_verification(config, sink.append)
 
 
-def sweeps(config: SweepConfig) -> list[VerificationReport]:
-    """The reports of the walk at one worker, and at more of the row tasks and
-    of the walk's tasks, each on a pool."""
+def sweeps(config: SweepConfig, monkeypatch) -> list[VerificationReport]:
+    """The reports of the walk at one worker, and at more of the walk's tasks
+    and of the CSV's band tasks (three bands), each on a pool, and of the row
+    kernel folded over every pair."""
     if config.workers == 1:
         return [run_verification(config)]
-    return [row_report(config), run_verification(config)]
+    force_bands(monkeypatch, config.max_p, 3)
+    return [run_verification(config), band_report(config), kernel_report(config)]
 
 
 def fail_at_q9_and_p_mod_q_2(monkeypatch):
@@ -281,35 +304,42 @@ class TestAgainstReference:
             assert check_knot(knot, {name}) == reference, knot
 
 
+def reference_csv(max_p: int) -> str:
+    """The sweep CSV of the reference records, all checks, a row per knot."""
+    fields = list(invariants(TorusKnot(3, 2)).as_dict())
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields + [f"violated_{name}" for name in CHECK_NAMES])
+    for checked in reference_records(max_p, CHECK_NAMES):
+        flags = [int(name in checked.violated) for name in CHECK_NAMES]
+        writer.writerow([*checked.record.as_dict().values(), *flags])
+    return buf.getvalue()
+
+
 class TestSweepAgainstReference:
-    """The sweep runs the walk or the plain-int row kernel, not check_knot, so
-    its outputs are compared with the reference directly: at one worker the
-    walk's, at two the row tasks' and the walk tasks' on a pool."""
+    """The sweep runs the walk, and the row kernel is its oracle, not
+    check_knot, so their outputs are compared with the reference directly:
+    at one worker the walk's, at two the walk tasks' and the band tasks' on
+    a pool, and the row kernel's."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_all_checks_to_300(self, workers):
-        for report in sweeps(SweepConfig(300, workers=workers)):
+    def test_all_checks_to_300(self, monkeypatch, workers):
+        for report in sweeps(SweepConfig(300, workers=workers), monkeypatch):
             assert serialize_report(report) == reference_report(300)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", CHECK_NAMES)
-    def test_each_check_alone_to_120(self, name, workers):
-        for report in sweeps(SweepConfig(120, workers=workers, checks=frozenset({name}))):
+    def test_each_check_alone_to_120(self, monkeypatch, name, workers):
+        config = SweepConfig(120, workers=workers, checks=frozenset({name}))
+        for report in sweeps(config, monkeypatch):
             assert serialize_report(report) == reference_report(120, (name,))
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_csv_to_60(self, tmp_path, capsys, workers):
-        fields = list(invariants(TorusKnot(3, 2)).as_dict())
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields + [f"violated_{name}" for name in CHECK_NAMES])
-        for checked in reference_records(60, CHECK_NAMES):
-            flags = [int(name in checked.violated) for name in CHECK_NAMES]
-            writer.writerow([*checked.record.as_dict().values(), *flags])
         path = tmp_path / "knots.csv"
         assert main(["verify", "--max-p", "60", "--workers", workers, "--csv", str(path)]) == 0
         capsys.readouterr()
-        assert path.read_text() == buf.getvalue()
+        assert path.read_text() == reference_csv(60)
 
     def test_doctored_closed_form_is_flagged_on_the_same_knots(self, monkeypatch):
         # the shipped checks find nothing, so hand the sweep and the reference
@@ -331,10 +361,11 @@ class TestSweepAgainstReference:
 
 class TestWalkPerKnot:
     """A report alone walks the expansions depth first, at more than one
-    worker as pool tasks; a sweep with a CSV sink runs the row kernel.  With
-    every bound 0, each knot violates each bound check it runs, so a report
-    lists every knot with its invariants, and the walk, the walk's tasks, the
-    row tasks and the reference are compared knot by knot."""
+    worker as pool tasks; a sweep with a CSV sink walks each p band as one
+    task.  With every bound 0, each knot violates each bound check it runs,
+    so a report lists every knot with its invariants, and the walk, the
+    walk's tasks, the band tasks, the row kernel and the reference are
+    compared knot by knot."""
 
     @pytest.mark.parametrize(
         "max_p, checks",
@@ -349,12 +380,14 @@ class TestWalkPerKnot:
         walk = run_verification(config)
         assert pool_sizes == []
         tasks = run_verification(replace(config, workers=2))
-        rows = row_report(replace(config, workers=2))
+        force_bands(monkeypatch, max_p, 3)
+        bands = band_report(replace(config, workers=2))
         assert pool_sizes == [2, 2]
+        rows = kernel_report(config)
         zero = lambda g, n: Bounds(0, 0, 0, 0)  # noqa: E731
         records = (reference_check_knot(k, checks, bounds=zero) for k in enumerate_coprime(max_p))
         expected = fold(records).report(config)
-        assert walk == tasks == rows == expected
+        assert walk == tasks == bands == rows == expected
         if {"thm1", "thm2", "clark", "my"} & set(checks):
             assert len(walk.violations) == walk.knots_checked
 
@@ -388,8 +421,9 @@ class TestKernelGuards:
 
     def test_walk_with_swapped_lists_fails_lemma9_on_every_knot(self, monkeypatch, pool_sizes):
         # the walk's prefixes carry which list has the middle pair (a + 1, a - 1):
-        # flipping that at the root swaps the two lists for every knot, as
-        # swapping them in the row kernel's lemma9_lists does
+        # flipping that at the root swaps the two lists for every knot, in
+        # the report's walk and in the CSV's bands, as swapping them in the
+        # row kernel's lemma9_lists does
         real = cf_module.lemma9_lists
         patch_kernel(monkeypatch, "lemma9_lists", lambda coeffs: real(coeffs)[::-1])
         root = verify_module._ROOT
@@ -397,9 +431,10 @@ class TestKernelGuards:
         config = SweepConfig(120)
         walk = run_verification(config)
         tasks = run_verification(replace(config, workers=2))
-        rows = row_report(replace(config, workers=2))
+        force_bands(monkeypatch, 120, 3)
+        bands = band_report(replace(config, workers=2))
         assert pool_sizes == [2, 2]
-        assert walk == tasks == rows
+        assert walk == tasks == bands == kernel_report(config)
         knots = list(enumerate_coprime(120))
         assert walk.lemma_failures == tuple((k, ("lemma9",)) for k in knots)
         # the q3 check reads the congruence-selected list: the other one now
@@ -462,12 +497,15 @@ class TestKernelGuards:
         reason="the patched kernel reaches only forked pool workers",
     )
     def test_odd_skip_total_in_a_pool_worker_aborts(self, monkeypatch, capsys, tmp_path):
-        # the CSV's row tasks: the report's walk never calls skip_total
-        patch_kernel(monkeypatch, "skip_total", lambda coeffs: 7)
+        # the CSV's band tasks, two bands on a pool of two: the walk steps
+        # the rule's table, doctored as in test_odd_skip_total_aborts, and
+        # the first band's second knot, (4, 3), totals 1
+        monkeypatch.setattr(verify_module, "NEXT", ((SKIP, TAKE, ODD), (SKIP, TAKE, SKIP)))
+        assert force_bands(monkeypatch, 10, 2)[0][0] == 3
         path = tmp_path / "knots.csv"
         assert main(["verify", "--max-p", "10", "--workers", "2", "--csv", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "non-integral crosscap candidate N = 7/2 for torus knot (3,2)" in err
+        assert "non-integral crosscap candidate N = 1/2 for torus knot (4,3)" in err
         assert "BrokenProcessPool" not in err
         assert list(tmp_path.iterdir()) == []
 
@@ -525,12 +563,88 @@ class TestKernelGuards:
         monkeypatch.setattr(verify_module, "_walk", recorded)
         run_verification(SweepConfig(300, workers=2))
         assert pool_sizes == [2]
-        row, _ = verify_module._sweep_row(298, verify_module._mask(CHECK_NAMES))
-        assert parts[1].listed and row.listed  # sharp: (7, 5) = [0; 1, 2, 2]; (298, 3)
-        for part in [*parts[1:], row]:  # the walk's tasks, then a row task
+        lo, band, cells = verify_module._band(298, 300, verify_module._mask(CHECK_NAMES))
+        assert parts[1].listed and band.listed  # sharp: (7, 5) = [0; 1, 2, 2]; (298, 3)
+        for part in [*parts[1:], band]:  # the walk's tasks, then a band task
             for p, q, checked in [*part.listed, part.best]:
                 assert type(checked) is tuple and len(checked) == 10
                 assert {type(x) for x in (p, q, *checked)} == {int}, (p, q, checked)
+        assert lo == 298 and cells.typecode == "i" and len(cells) == 296 + 297 + 298
+
+
+def several_bands(monkeypatch) -> list[tuple[int, int]]:
+    """Patch `_BAND_SLOTS` so that max_p 60 cuts several bands, some of them a
+    single p row; returns them."""
+    monkeypatch.setattr(verify_module, "_BAND_SLOTS", 100)
+    bands = verify_module._bands(60)
+    assert len(bands) > 5 and (55, 55) in bands and bands[-1] == (60, 60)
+    assert [lo for lo, _ in bands] == [3] + [hi + 1 for _, hi in bands[:-1]]
+    return bands
+
+
+class TestBands:
+    """A CSV sweep walks each band of p rows as one task, and this process
+    writes the rows band by band: the edges between bands must not show."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_banded_csv_equals_two_pass_and_the_reference(self, monkeypatch, pool_sizes, workers):
+        bands = several_bands(monkeypatch)
+        sink = []
+        report = band_report(SweepConfig(60, workers=workers), sink)
+        assert pool_sizes == ([] if workers == 1 else [workers])
+        assert len(bands) > workers
+        assert "".join(sink) == two_pass_csv(60) == reference_csv(60)
+        assert serialize_report(report) == reference_report(60)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched band size reaches only forked pool workers",
+    )
+    def test_banded_csv_on_a_forked_pool(self, monkeypatch):
+        several_bands(monkeypatch)
+        sink = []
+        report = band_report(SweepConfig(60, workers=2), sink)
+        assert "".join(sink) == two_pass_csv(60)
+        assert serialize_report(report) == reference_report(60)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_csv_abort_names_the_same_knot_at_any_worker_count(
+        self, monkeypatch, pool_sizes, workers
+    ):
+        # the first band, (3, 16), has the first failing knot: its walk
+        # reaches (11, 9) = [0; 1, 4, 2] before (13, 11), and later bands
+        # fail too, but their results come after the first band's
+        several_bands(monkeypatch)
+        fail_at_q9_and_p_mod_q_2(monkeypatch)
+        sink = []
+        with pytest.raises(IntegralityError) as info:
+            band_report(SweepConfig(60, workers=workers), sink)
+        assert info.value.knot == TorusKnot(11, 9)
+        assert sink == [",".join(verify_module._CSV_HEADER) + "\n"]
+        assert pool_sizes == ([] if workers == 1 else [workers])
+
+    def test_one_band_aborts_at_the_reports_knot(self, monkeypatch):
+        assert verify_module._bands(60) == [(3, 60)]
+        fail_at_q9_and_p_mod_q_2(monkeypatch)
+        with pytest.raises(IntegralityError) as report:
+            run_verification(SweepConfig(60))
+        with pytest.raises(IntegralityError) as csv_sweep:
+            band_report(SweepConfig(60))
+        assert report.value.knot == csv_sweep.value.knot == TorusKnot(11, 9)
+
+    def test_bands_cover_the_rows_by_slot_count(self):
+        # about equal slot counts, each at most the band size give or take
+        # one row, and a count that depends on max_p alone
+        slots = verify_module._BAND_SLOTS
+        assert verify_module._bands(2897) == [(3, 2897)]
+        for max_p, count in ((2898, 2), (3000, 2), (MAX_SWEEP_P, 12)):
+            bands = verify_module._bands(max_p)
+            assert len(bands) == count
+            assert [lo for lo, _ in bands] == [3] + [hi + 1 for _, hi in bands[:-1]]
+            assert bands[-1][1] == max_p
+            sizes = [verify_module._row(hi + 1) - verify_module._row(lo) for lo, hi in bands]
+            assert max(sizes) - min(sizes) < 2 * max_p
+            assert max(sizes) < slots + max_p
 
 
 class TestRunVerification:
@@ -565,14 +679,16 @@ class TestRunVerification:
         ]
         assert gaps == sorted(gaps)
 
-    def test_workers_do_not_change_the_report(self):
-        # 3 and 4 have fewer p rows than 5 workers, and no walk task; 3 + 2 *
-        # _ROWS_PER_TASK has two full chunks of rows and one row left over
+    def test_workers_do_not_change_the_report(self, monkeypatch):
+        # the band tasks on a real pool: 3 and 4 have fewer p rows than 5
+        # workers, and no walk task; at 19 and 60, one band per row, some
+        # rows to a band, or one band
         header = [*invariants(TorusKnot(3, 2)).as_dict(), *(f"violated_{n}" for n in CHECK_NAMES)]
-        for max_p in (3, 4, 60, 3 + 2 * _ROWS_PER_TASK):
+        for max_p, slots in ((3, 1), (4, 1), (19, 1), (19, 40), (60, 400), (60, 1 << 22)):
+            monkeypatch.setattr(verify_module, "_BAND_SLOTS", slots)
             sinks = [[], [], []]
             reports = [
-                row_report(SweepConfig(max_p=max_p, workers=w), sink)
+                band_report(SweepConfig(max_p=max_p, workers=w), sink)
                 for w, sink in zip((1, 2, 5), sinks)
             ]
             reports += [run_verification(SweepConfig(max_p=max_p, workers=w)) for w in (1, 2, 5)]
@@ -592,9 +708,12 @@ class TestRunVerification:
     def test_pool_size_is_capped_by_rows_and_cpus(
         self, pool_sizes, monkeypatch, max_p, workers, cpus, size
     ):
+        # one band per p row: the band tasks' pool is capped by the rows
+        monkeypatch.setattr(verify_module, "_BAND_SLOTS", 1)
+        assert verify_module._bands(max_p) == [(p, p) for p in range(3, max_p + 1)]
         if cpus is not None:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        report = row_report(SweepConfig(max_p=max_p, workers=workers))
+        report = band_report(SweepConfig(max_p=max_p, workers=workers))
         assert pool_sizes == ([] if size is None else [size])
         assert report == run_verification(SweepConfig(max_p=max_p))
 
@@ -614,8 +733,8 @@ class TestRunVerification:
         assert report.checks == ("thm1", "thm2")
 
     def test_sweep_300_clean_with_family_hits(self):
-        # the row tasks on a pool: a report alone would run the walk
-        report = row_report(SweepConfig(max_p=300, workers=4))
+        # the row kernel over every pair: the sweeps run the walk
+        report = kernel_report(SweepConfig(max_p=300))
         assert report.knots_checked == 27098
         assert report.violations == ()
         assert report.lemma_failures == ()
