@@ -12,11 +12,12 @@ ints, with the enabled checks as a bit mask, and folds the knots a report
 lists (violations and sharpness hits) and max-gap witnesses as (p, q,
 kernel tuple); only `_Partial.report` builds records from them.  A report
 alone walks the subtrees below [0] and [0; 1] as tasks, merged in walk
-order.  The CSV, whose format this module owns, walks each band of p rows
-as one task (`_band`), which also keeps each knot's crosscap number, and
-this process renders the rows in (p, q) order; more workers speed a CSV
-only from two bands on.  The report, the CSV and the knot an abort names
-are the same for every worker count.
+order.  The CSV, whose format and one encoding (`_csv_text`) this module
+owns, walks each band of p rows as one task (`_band`), which also keeps
+each knot's crosscap number, and this process renders the rows in (p, q)
+order; more workers speed a CSV only from two bands on.  One rule (`_cut`)
+cuts the subtrees into runs and the rows into bands.  The report, the CSV
+and the knot an abort names are the same for every worker count.
 
 The row kernel `_check(p, q, on)` checks one knot from its Euclid
 expansion; `check_knot` is its typed shell, and the tests fold it over
@@ -25,8 +26,6 @@ every pair as the walk's oracle.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from array import array
@@ -321,10 +320,11 @@ def _flags(bits: int) -> str:
 
 
 def _csv_text(rows: Iterable[Iterable]) -> str:
-    """`rows` as CSV lines."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    """`rows` as CSV lines by `_CSV_ROW`'s rule: each field as `str` gives it,
+    joined by commas, each line ending in a newline.  Nothing is quoted, so no
+    field may hold `,`, `"`, a carriage return or a newline; none does, being
+    an int or a plain word (a field name, a parity or `unknot`)."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _row(p: int) -> int:
@@ -491,6 +491,18 @@ def _walk(
     return part
 
 
+def _cut(items: Iterable, weights: Iterable, count: int) -> list[list]:
+    """`items`, in order, cut into at most `count` groups of contiguous items
+    with about equal weights: item i goes to group start_i * count // total,
+    where start_i is the sum of the weights of the items before it and total
+    that of all of them.  Integer weights keep the cut exact."""
+    weights = list(weights)
+    total = sum(weights)
+    starts = accumulate(weights, initial=0)
+    groups = groupby(zip(items, starts), lambda item: item[1] * count // total)
+    return [[item for item, _ in group] for _, group in groups]
+
+
 def _runs(prefixes: list, count: int) -> list[list]:
     """`prefixes`, in walk order, cut into at most `count` runs of contiguous
     prefixes with about equal knot counts below them.  Each run is reversed:
@@ -500,21 +512,17 @@ def _runs(prefixes: list, count: int) -> list[list]:
     q/p on an interval of length 1/(k1 (k1 + k2)), and the knots below it
     grow with that length."""
     weights = [1 / (k1 * (k1 + k2)) for _, _, k1, k2, *_ in prefixes]
-    share = sum(weights) / count
-    runs = [[] for _ in range(count)]
-    for prefix, before in zip(prefixes, accumulate(weights, initial=0.0)):
-        runs[min(int(before / share), count - 1)].append(prefix)
-    return [run[::-1] for run in runs if run]
+    return [run[::-1] for run in _cut(prefixes, weights, count)]
 
 
 def _bands(max_p: int) -> list[tuple[int, int]]:
     """[3, max_p] cut into bands (lo, hi) of rows p, in order, with about
     equal slot counts, as few as hold at most `_BAND_SLOTS` slots each, give
-    or take one row.  Row p goes to the band its first slot falls in."""
-    slots = _row(max_p + 1)
-    count = -(-slots // _BAND_SLOTS)
-    groups = groupby(range(3, max_p + 1), lambda p: _row(p) * count // slots)
-    return [(rows[0], rows[-1]) for rows in (list(group) for _, group in groups)]
+    or take one row.  Row p, of p - 2 slots, goes to the band its first slot
+    falls in (see `_cut`)."""
+    rows = range(3, max_p + 1)
+    count = -(-_row(max_p + 1) // _BAND_SLOTS)
+    return [(band[0], band[-1]) for band in _cut(rows, (p - 2 for p in rows), count)]
 
 
 def _band(lo: int, hi: int, on: int) -> tuple[int, _Partial, array]:

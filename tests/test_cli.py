@@ -21,31 +21,42 @@ from crosscap import (
     CHECK_NAMES,
     HalfInteger,
     IntegralityError,
+    Parity,
     SweepConfig,
     TorusKnot,
     check_knot,
     enumerate_coprime,
     invariants,
+    mobius_family,
+    normalize,
     run_verification,
     serialize_report,
+    sharp_family,
 )
 from crosscap.cli import main
+from crosscap.torus_knots import RECORD_FIELDS
 
 EXPECTED_HEADER = "p,q,parity,genus,crossing,crosscap,bound_clark,bound_my,bound_thm1,bound_thm2,gap"
+
+
+def csv_module_text(rows):
+    """`rows` as the csv module writes them, each line ending in a newline:
+    the oracle of the program's own CSV encoding."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def two_pass_csv(max_p):
     """verify --csv as first defined: check_knot over enumerate_coprime, a row per knot."""
     fields = EXPECTED_HEADER.split(",")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields + [f"violated_{name}" for name in CHECK_NAMES])
+    rows = [fields + [f"violated_{name}" for name in CHECK_NAMES]]
     for knot in enumerate_coprime(max_p):
         checked = check_knot(knot)
         record = checked.record.as_dict()
         flags = [1 if name in checked.violated else 0 for name in CHECK_NAMES]
-        writer.writerow([record[name] for name in fields] + flags)
-    return buf.getvalue()
+        rows.append([record[name] for name in fields] + flags)
+    return csv_module_text(rows)
 
 
 def count_check_knot(monkeypatch, fail_at=None, exc=None):
@@ -67,6 +78,25 @@ def count_check_knot(monkeypatch, fail_at=None, exc=None):
 
     monkeypatch.setattr(verify_module, "bound_ints", counted)
     return calls
+
+
+FAMILY_TRAIL = ("genus", "crossing", "crosscap", "gap")
+
+
+def cli_csv_rows(argv):
+    """The rows `invariants P Q --csv` or `family NAME COUNT --csv` should
+    write, from the library: a header, then one row per record."""
+    if argv[0] == "invariants":
+        fields = invariants(normalize(int(argv[1]), int(argv[2]))).as_dict()
+        return [list(fields), list(fields.values())]
+    generator = {"sharp": sharp_family, "mobius": mobius_family}[argv[1]]
+    rows = [["n", *RECORD_FIELDS, *(f"expected_{f}" for f in FAMILY_TRAIL), "match"]]
+    for n in range(1, int(argv[2]) + 1):
+        knot, expected = generator(n)
+        computed = invariants(knot)
+        trail = [getattr(expected, f) for f in FAMILY_TRAIL]
+        rows.append([n, *computed.as_dict().values(), *trail, int(computed == expected)])
+    return rows
 
 
 def run_cli(argv, capsys):
@@ -129,6 +159,34 @@ class TestInvariantsCommand:
         lines = out.splitlines()
         assert lines[0] == EXPECTED_HEADER
         assert lines[1] == "7,5,odd,12,28,3,25,14,3,3,9"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["invariants", "7", "5"], ["invariants", "1", "5"], ["family", "sharp", "3"],
+         ["family", "mobius", "2"]],
+        ids=" ".join,
+    )
+    def test_csv_outside_a_sweep_equals_the_csv_module(self, capsys, argv):
+        code, out, _ = run_cli([*argv, "--csv"], capsys)
+        assert code == 0
+        assert out == csv_module_text(cli_csv_rows(argv))
+        if argv == ["invariants", "1", "5"]:
+            assert out.splitlines()[1] == "0,0,unknot,0,0,0,0,0,0,0,0"
+
+    def test_no_csv_word_needs_quoting(self, capsys):
+        # the program writes each field as `str` gives it, unquoted: every
+        # word it can put in a CSV field must be free of what the csv module
+        # would quote
+        code, out, _ = run_cli(["family", "sharp", "1", "--csv"], capsys)
+        assert code == 0
+        family_header = next(csv.reader(io.StringIO(out)))
+        words = [*RECORD_FIELDS, *verify_module._CSV_HEADER, *family_header,
+                 *(parity.value for parity in Parity), "unknot"]
+        assert "match" in family_header and "violated_q3" in words
+        assert all(not set(word) & set(',"\r\n') for word in words)
+        assert {word: csv_module_text([[word]]) for word in words} == {
+            word: word + "\n" for word in words
+        }
 
     def test_json_and_csv_mutually_exclusive(self, capsys):
         code, _, _ = run_cli(["invariants", "7", "5", "--json", "--csv"], capsys)

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 from dataclasses import replace
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
@@ -645,6 +646,29 @@ class TestBands:
             sizes = [verify_module._row(hi + 1) - verify_module._row(lo) for lo, hi in bands]
             assert max(sizes) - min(sizes) < 2 * max_p
             assert max(sizes) < slots + max_p
+
+    @pytest.mark.parametrize("slots", [100, verify_module._BAND_SLOTS])
+    def test_bands_put_each_row_where_its_first_slot_falls(self, monkeypatch, slots):
+        # the band rule written out on integer slot counts: row p goes to
+        # band _row(p) * count // total, whatever `_cut` does inside
+        monkeypatch.setattr(verify_module, "_BAND_SLOTS", slots)
+        row = verify_module._row
+        for max_p in range(3, 3001):
+            total = row(max_p + 1)
+            count = -(-total // slots)
+            groups = groupby(range(3, max_p + 1), lambda p: row(p) * count // total)
+            expected = [(rows[0], rows[-1]) for rows in (list(group) for _, group in groups)]
+            assert verify_module._bands(max_p) == expected, max_p
+
+    @pytest.mark.parametrize("count", [4, 8])
+    @pytest.mark.parametrize("max_p", [300, 1000])
+    def test_runs_keep_each_prefix_once_in_walk_order(self, max_p, count):
+        prefixes = []
+        verify_module._walk(max_p, 0, [verify_module._ROOT], prefixes)
+        runs = verify_module._runs(prefixes, count)
+        assert 0 < len(runs) <= count and all(runs)
+        # each run is reversed, so that `_walk` pops it in walk order
+        assert [prefix for run in runs for prefix in reversed(run)] == prefixes
 
 
 class TestRunVerification:
