@@ -1,27 +1,28 @@
 """Exhaustive range verification of the crosscap bounds and expansion identities.
 
-The sweep walks every coprime pair 2 <= q < p <= max_p, checks each enabled
-property, and aggregates a deterministic report.  A bound violation is report
-data, never an exception: the whole point is to surface one if it exists.
-A non-integral crosscap candidate, by contrast, aborts the sweep, because it
-means the computation itself is wrong.
+The sweep walks every coprime pair 2 <= q < p <= max_p, runs every check in
+CHECK_NAMES on it, and aggregates a deterministic report.  A bound violation
+is report data, never an exception: the whole point is to surface one if it
+exists.  A non-integral crosscap candidate, by contrast, aborts the sweep,
+because it means the computation itself is wrong.
 
 One walk (`_walk`) over the expansions q/p = [0; a1, ..., a(n-1), a]
 feeds both outputs.  It checks each knot in O(1) from its prefix, on plain
-ints, with the enabled checks as a bit mask, and folds the knots a report
-lists (violations and sharpness hits) and max-gap witnesses as (p, q,
-kernel tuple); only `_Partial.report` builds records from them.  A report
-alone walks the subtrees below [0] and [0; 1] as tasks, merged in walk
-order.  The CSV, whose format and one encoding (`_csv_text`) this module
-owns, walks each band of p rows as one task (`_band`), which also keeps
-each knot's crosscap number, and this process renders the rows in (p, q)
-order; more workers speed a CSV only from two bands on.  One rule (`_cut`)
-cuts the subtrees into runs and the rows into bands.  The report, the CSV
-and the knot an abort names are the same for every worker count.
+ints, and folds the knots a report lists (violations and sharpness hits)
+and max-gap witnesses as (p, q, kernel tuple); only `_Partial.report`
+builds records from them.  A report alone walks the subtrees below [0] and
+[0; 1] as tasks, merged in walk order.  The CSV, whose format and one
+encoding (`_csv_text`) this module owns, walks each band of p rows as one
+task (`_band`), which also keeps each knot's crosscap number and violated
+bits, and this process renders the rows in (p, q) order; more workers
+speed a CSV only from two bands on.  A pool holds at most one task per
+process, and one more, whose result this process has not taken (`_mapped`).  One rule
+(`_cut`) cuts the subtrees into runs and the rows into bands.  The report, the CSV and the knot an
+abort names are the same for every worker count.
 
-The row kernel `_check(p, q, on)` checks one knot from its Euclid
-expansion; `check_knot` is its typed shell, and the tests fold it over
-every pair as the walk's oracle.
+The row kernel `_check(p, q)` checks one knot from its Euclid expansion;
+`check_knot` is its typed shell, the one place that selects checks, and the
+tests fold the kernel over every pair as the walk's oracle.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ import json
 import os
 from array import array
 from concurrent import futures
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, groupby, islice, repeat
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
@@ -67,7 +66,8 @@ CHECK_NAMES = ("thm1", "thm2", "clark", "my", "lemma2", "lemma9", "q3", "gap")
 _ALL_CHECKS = frozenset(CHECK_NAMES)
 _LEMMA_CHECKS = ("lemma2", "lemma9")
 
-#: Each check's bit in the kernel's masks: bit i is CHECK_NAMES[i].
+#: Each check's bit in the kernel's violated and equality-hit bits: bit i is
+#: CHECK_NAMES[i].
 _BITS = {name: 1 << i for i, name in enumerate(CHECK_NAMES)}
 _THM1, _THM2, _CLARK, _MY, _LEMMA2, _LEMMA9, _Q3, _GAP = _BITS.values()
 #: The bound checks' bits in `bound_ints` order: (clark, my, thm1, thm2).
@@ -78,8 +78,13 @@ _SHARPENED = _THM1 | _THM2
 #: The sweep CSV's header: a knot's record fields, then one violated flag per check.
 _CSV_HEADER = (*RECORD_FIELDS, *(f"violated_{name}" for name in CHECK_NAMES))
 #: A CSV row, as `%` formats it: one field per record field, then the
-#: violated flags as one text (see `_flags`).
+#: violated flags as one text (see `_FLAGS`).
 _CSV_ROW = "%s," * len(RECORD_FIELDS) + "%s\n"
+#: The violated flags of each 8-bit value as CSV text, one 0/1 per check in
+#: CHECK_NAMES order.
+_FLAGS = tuple(
+    ",".join(str(bits >> i & 1) for i in range(len(_BITS))) for bits in range(1 << len(_BITS))
+)
 
 #: Upper cap on the sweep range.  Exactness never degrades (Python ints are
 #: arbitrary precision), so this bounds runtime, not correctness: the pair
@@ -103,7 +108,7 @@ class SweepCapError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Range, parallelism, and check selection for one verification run.
+    """Range and parallelism for one verification run, which runs every check.
 
     `workers` sizes the sweep's process pool: of the walk's tasks for a
     report alone, of the band tasks with a CSV, which has two or more bands
@@ -111,7 +116,6 @@ class SweepConfig:
 
     max_p: int
     workers: int = 1
-    checks: frozenset[str] = frozenset(CHECK_NAMES)
 
     def __post_init__(self) -> None:
         if self.max_p > MAX_SWEEP_P:
@@ -120,15 +124,6 @@ class SweepConfig:
             raise ValueError(f"max_p must be at least 3, got {self.max_p}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        object.__setattr__(self, "checks", _enabled(self.checks))
-
-
-def _enabled(checks: Iterable[str]) -> frozenset[str]:
-    """`checks` as a frozenset; raises ValueError on a name not in CHECK_NAMES."""
-    enabled = frozenset(checks)
-    if not enabled <= _ALL_CHECKS:
-        raise ValueError(f"unknown checks: {sorted(enabled - _ALL_CHECKS)}")
-    return enabled
 
 
 @dataclass(frozen=True)
@@ -167,8 +162,11 @@ def enumerate_coprime(max_p: int) -> Iterator[TorusKnot]:
 
 
 def _mask(checks: Iterable[str]) -> int:
-    """The bits of the enabled checks; raises ValueError on an unknown name."""
-    return sum(map(_BITS.__getitem__, _enabled(checks)))
+    """The bits of `checks`; raises ValueError on a name not in CHECK_NAMES."""
+    enabled = frozenset(checks)
+    if not enabled <= _ALL_CHECKS:
+        raise ValueError(f"unknown checks: {sorted(enabled - _ALL_CHECKS)}")
+    return sum(map(_BITS.__getitem__, enabled))
 
 
 def _names(bits: int) -> frozenset[str]:
@@ -178,8 +176,8 @@ def _names(bits: int) -> frozenset[str]:
     return frozenset(name for name, bit in _BITS.items() if bits & bit)
 
 
-def _check(p: int, q: int, on: int) -> tuple[int, ...]:
-    """The checks in the bit mask `on`, on the knot (p, q): plain ints only.
+def _check(p: int, q: int) -> tuple[int, ...]:
+    """Every check on the knot (p, q): plain ints only.
 
     Returns (genus, crossing, crosscap, clark, my, thm1, thm2, gap,
     violated bits, equality-hit bits); see :func:`check_knot` for the checks.
@@ -187,7 +185,7 @@ def _check(p: int, q: int, on: int) -> tuple[int, ...]:
     coeffs = euclid(q, p)  # [0, a1, ..., an]: q/p, and p/q after the leading 0
     odd = p * q % 2
     # an odd knot's crosscap number is read from the lemma-9 lists
-    branches = lemma9_lists(coeffs) if odd or on & _LEMMA9 else None
+    branches = lemma9_lists(coeffs)
     c = crosscap_from(p, q, coeffs, branches)
     g = (p - 1) * (q - 1) // 2
     n = p * (q - 1)
@@ -195,37 +193,36 @@ def _check(p: int, q: int, on: int) -> tuple[int, ...]:
     bounds = bound_ints(g, n)
     violated = hits = 0
     if c >= min(bounds):  # else no bound is met or beaten: nothing to flag
-        violated, hits = _bound_flags(c, bounds, on)
+        violated, hits = _bound_flags(c, bounds)
 
-    if on & _GAP and gap < 0:
+    if gap < 0:
         violated |= _GAP
 
-    if on & _LEMMA2 and sum(coeffs) > p:
+    if sum(coeffs) > p:
         violated |= _LEMMA2
 
     # exact: continuants are coprime, and so are p*q -/+ 1 and p^2
-    if on & _LEMMA9 and (
+    if (
         continuant(branches[0]) != (p * q - 1, p * p)
         or continuant(branches[1]) != (p * q + 1, p * p)
     ):
         violated |= _LEMMA9
 
-    if on & _Q3 and q == 3 and odd and _q3_fails(p, c, *map(skip_total, branches)):
+    if q == 3 and odd and _q3_fails(p, c, *map(skip_total, branches)):
         violated |= _Q3
 
     return (g, n, c, *bounds, gap, violated, hits)
 
 
-def _bound_flags(c: int, bounds: tuple[int, ...], on: int) -> tuple[int, int]:
-    """The violated and equality-hit bits of the enabled bound checks, for the
+def _bound_flags(c: int, bounds: tuple[int, ...]) -> tuple[int, int]:
+    """The violated and equality-hit bits of the bound checks, for the
     crosscap number c and `bound_ints`'s four bounds."""
     violated = hits = 0
     for bit, bound in zip(_BOUND_BITS, bounds):
-        if on & bit:
-            if c > bound:
-                violated |= bit
-            elif c == bound:
-                hits |= bit
+        if c > bound:
+            violated |= bit
+        elif c == bound:
+            hits |= bit
     return violated, hits
 
 
@@ -245,11 +242,13 @@ def _record(k: TorusKnot, checked: tuple[int, ...]) -> BoundCheckRecord:
 
 
 def check_knot(k: TorusKnot, checks: Iterable[str] = _ALL_CHECKS) -> BoundCheckRecord:
-    """Evaluate every enabled check against one knot.
+    """Evaluate the checks named in `checks` against one knot.
 
-    A typed shell over the plain-int row kernel: it validates `checks`
-    (an unknown name raises ValueError), runs the kernel on (k.p, k.q) and
-    wraps its tuple in a record.  One Euclid pass on q/p feeds the crosscap
+    A typed shell over the plain-int row kernel, and the one place that
+    selects checks: it validates `checks` (an unknown name raises
+    ValueError), runs the kernel, which runs every check, on (k.p, k.q),
+    keeps the violated and equality-hit bits of `checks` alone, and wraps
+    the tuple in a record.  One Euclid pass on q/p feeds the crosscap
     number and both lemma checks.  Bound checks compare the crosscap number
     against the four bounds and record equality hits.  The lemma checks are
     range-independent facts about continued fractions: the coefficient sum
@@ -261,7 +260,9 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = _ALL_CHECKS) -> BoundCheckR
     against the general pipeline and confirms the congruence-selected
     lemma-9 branch attains the minimum.
     """
-    return _record(k, _check(k.p, k.q, _mask(checks)))
+    on = _mask(checks)
+    *invariant_ints, violated, hits = _check(k.p, k.q)
+    return _record(k, (*invariant_ints, violated & on, hits & on))
 
 
 def _rank(knot: tuple) -> tuple[int, int, int]:
@@ -295,7 +296,7 @@ class _Partial:
         p, q, checked = self.best
         return VerificationReport(
             max_p=config.max_p,
-            checks=tuple(sorted(config.checks)),
+            checks=tuple(sorted(CHECK_NAMES)),
             knots_checked=self.count,
             violations=tuple(_record(TorusKnot(p, q), c) for p, q, c in self.listed if c[8]),
             sharpness_hits=tuple(TorusKnot(p, q) for p, q, c in self.listed if c[9] & _SHARPENED),
@@ -310,13 +311,6 @@ class _Partial:
 
 #: A knot's parity field, indexed by p & q & 1.
 _PARITY = (Parity.EVEN.value, Parity.ODD.value)
-
-
-@cache  # at most 2**8 masks, and a sweep sees few: almost every knot violates nothing
-def _flags(bits: int) -> str:
-    """The violated flags of a mask as CSV text, one 0/1 per check in
-    CHECK_NAMES order."""
-    return ",".join(str(bits >> i & 1) for i in range(len(_BITS)))
 
 
 def _csv_text(rows: Iterable[Iterable]) -> str:
@@ -337,16 +331,10 @@ _ROOT = (0, 1, 1, 0, SKIP, 0, TAKE, 0, 0, (0, 0, 0), 1, 0, True)
 
 
 def _walk(
-    max_p: int,
-    on: int,
-    stack: list,
-    tasks: list | None = None,
-    lo: int = 3,
-    cells: array | None = None,
+    max_p: int, stack: list, tasks: list | None = None, lo: int = 3, cells: array | None = None
 ) -> _Partial:
-    """The fold of every knot with lo <= p <= max_p, with the checks in the
-    bit mask `on`, from a depth-first walk over the expansions
-    q/p = [0; a1, ..., a(n-1), a].
+    """The fold of every knot with lo <= p <= max_p, each with every check,
+    from a depth-first walk over the expansions q/p = [0; a1, ..., a(n-1), a].
 
     The walk starts from the prefixes on `stack`, which it empties: from
     [_ROOT], the empty prefix [0], which has no knot (its q would be 1), it
@@ -375,8 +363,8 @@ def _walk(
 
     Given `cells`, an array of one slot per (p, q) with 2 <= q < p and
     lo <= p <= max_p, by p then q (see `_band`), the walk stores each knot's
-    crosscap number in its slot; a slot of a non-coprime (p, q) keeps its
-    value.
+    crosscap number c and violated bits, once it has checked the knot, in its
+    slot as c << 8 | violated; a slot of a non-coprime (p, q) keeps its value.
 
     Given a `tasks` list, the walk visits only the top prefixes [0] and
     [0; 1], whose last convergent has denominator 1, and appends each
@@ -386,7 +374,6 @@ def _walk(
     part = _Partial()
     listed = part.listed
     next_ = NEXT
-    gap_on, lemma2_on, lemma9_on, q3_on = on & _GAP, on & _LEMMA2, on & _LEMMA9, on & _Q3
     sharp = _SHARPENED
     base = _row(lo) + 2  # cells[_row(p) + q - base] is the slot of (p, q)
     # a prefix is (h1, h2, k1, k2): the continuant matrix of [0, a1, ..., a(n-1)],
@@ -452,32 +439,32 @@ def _walk(
                 if total & 1:
                     raise IntegralityError(TorusKnot(p, q), HalfInteger(total))
             c = total >> 1
-            if cells is not None:
-                cells[((p - 2) * (p - 3) >> 1) + q - base] = c
             g = (p - 1) * (q - 1) >> 1
             n = p * (q - 1)
             gap = g - c
             bounds = bound_ints(g, n)
             violated = hits = 0
             if c >= min(bounds):
-                violated, hits = _bound_flags(c, bounds, on)
+                violated, hits = _bound_flags(c, bounds)
 
-            if gap_on and gap < 0:
+            if gap < 0:
                 violated |= _GAP
 
-            if lemma2_on and coeff_sum + a > p:
+            if coeff_sum + a > p:
                 violated |= _LEMMA2
 
-            if lemma9_on:
-                # the up list's continuant: the head matrix times [[a + 1, 1],
-                # [1, 0]] times [[a - 1, 1], [1, 0]] times the tail's (c0, c1)
-                u = (a - 1) * c0 + c1
-                v = (a + 1) * u + c0
-                if not diff_ok or h1 * v + h2 * u != p * q - sign or k1 * v + k2 * u != p * p:
-                    violated |= _LEMMA9
+            # the up list's continuant: the head matrix times [[a + 1, 1],
+            # [1, 0]] times [[a - 1, 1], [1, 0]] times the tail's (c0, c1)
+            u = (a - 1) * c0 + c1
+            v = (a + 1) * u + c0
+            if not diff_ok or h1 * v + h2 * u != p * q - sign or k1 * v + k2 * u != p * p:
+                violated |= _LEMMA9
 
-            if q3_on and q == 3 and p & 1 and _q3_fails(p, c, minus, plus):
+            if q == 3 and p & 1 and _q3_fails(p, c, minus, plus):
                 violated |= _Q3
+
+            if cells is not None:
+                cells[((p - 2) * (p - 3) >> 1) + q - base] = c << 8 | violated
 
             if top is None or gap > top_gap or violated or hits & sharp:
                 checked = (g, n, c, *bounds, gap, violated, hits)
@@ -525,34 +512,32 @@ def _bands(max_p: int) -> list[tuple[int, int]]:
     return [(band[0], band[-1]) for band in _cut(rows, (p - 2 for p in rows), count)]
 
 
-def _band(lo: int, hi: int, on: int) -> tuple[int, _Partial, array]:
-    """The band lo <= p <= hi: its first row lo, the fold of its knots with the
-    checks in the bit mask `on`, and the array of their crosscap numbers,
-    one slot per (p, q) with 2 <= q < p, by p then q; the slot of a
-    non-coprime (p, q) holds -1 (module-level, so that it pickles)."""
+def _band(lo: int, hi: int) -> tuple[int, _Partial, array]:
+    """The band lo <= p <= hi: its first row lo, the fold of its knots, and the
+    array of their cells c << 8 | violated, c the crosscap number and
+    violated the 8 check bits, one slot per (p, q) with 2 <= q < p, by p
+    then q; the slot of a non-coprime (p, q) holds -1 (module-level, so that
+    it pickles).  A cell cannot overflow: c is at most the coefficient sum
+    of p/q, which is at most p <= MAX_SWEEP_P, so c << 8 | violated < 2^31."""
     cells = array("i", [-1]) * (_row(hi + 1) - _row(lo))
-    return lo, _walk(hi, on, [_ROOT], None, lo, cells), cells
+    return lo, _walk(hi, [_ROOT], None, lo, cells), cells
 
 
-def _write_rows(write: Callable[[str], object], lo: int, listed: list, cells: array) -> None:
+def _write_rows(write: Callable[[str], object], lo: int, cells: array) -> None:
     """Write the CSV rows of a band from row lo, one text per p with its
-    knots in q order, from its listed knots and crosscap numbers (see
-    `_band`).  A row follows `_CSV_HEADER`: the knot's record fields, its
-    bounds from `bound_ints`, then one 0/1 violated flag per check."""
-    violated = {}  # p -> {q: violated bits}; almost always empty
-    for p, q, checked in listed:
-        if checked[8]:
-            violated.setdefault(p, {})[q] = checked[8]
-    row, parity, clean = _CSV_ROW, _PARITY, _flags(0)
+    knots in q order, from its cells (see `_band`).  A row follows
+    `_CSV_HEADER`: the knot's record fields, its bounds from `bound_ints`,
+    then one 0/1 flag per check, the walk's violated bits."""
+    row, parity, flag_texts = _CSV_ROW, _PARITY, _FLAGS
     start, p = 0, lo
     while start < len(cells):
-        bits = violated.get(p, {})
         texts = []
-        for q, c in enumerate(cells[start : start + p - 2], 2):
-            if c >= 0:
+        for q, cell in enumerate(cells[start : start + p - 2], 2):
+            if cell >= 0:
+                c = cell >> 8
                 g = (p - 1) * (q - 1) >> 1
                 n = p * (q - 1)
-                flags = _flags(bits[q]) if q in bits else clean
+                flags = flag_texts[cell & 255]
                 fields = (p, q, parity[p & q & 1], g, n, c, *bound_ints(g, n), g - c, flags)
                 texts.append(row % fields)
         write("".join(texts))
@@ -562,9 +547,27 @@ def _write_rows(write: Callable[[str], object], lo: int, listed: list, cells: ar
 
 def _mapped(size: int, fn: Callable, *iterables: Iterable) -> Iterator:
     """`fn` over `iterables`, in order: on a pool of `size` processes, or
-    in-process when that is 1."""
-    with futures.ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
-        yield from pool.map(fn, *iterables) if pool else map(fn, *iterables)
+    in-process when that is at most 1.  The pool holds at most `size` + 1
+    tasks whose results the caller has not taken, one per process and one
+    queued: once the oldest result is ready, it submits the next task, then
+    yields that result.  So finished results cannot pile up here, and a
+    process that finishes before the oldest task starts the queued one in
+    place of waiting for the caller.  On exit it cancels the tasks that
+    have not started."""
+    if size <= 1:
+        yield from map(fn, *iterables)
+        return
+    tasks = zip(*iterables)
+    with futures.ProcessPoolExecutor(size) as pool:
+        pending = [pool.submit(fn, *args) for args in islice(tasks, size + 1)]
+        try:
+            while pending:
+                result = pending.pop(0).result()
+                pending += [pool.submit(fn, *args) for args in islice(tasks, 1)]
+                yield result
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def run_verification(
@@ -585,29 +588,30 @@ def run_verification(
     and walks each band as one task (see :func:`_band`).  The band tasks run
     on a pool of at most one process per worker, band and CPU, or
     in-process when that is one; so more workers speed a CSV only from two
-    bands on.  This process writes each band's rows through `write`, after
-    the header, one text per p, and merges the folds, both in band order,
-    so the CSV bytes and an abort's knot do not depend on the worker count.
+    bands on.  The pool holds at most one band per process, and one more,
+    beyond the band being rendered (see :func:`_mapped`).  This process writes each band's
+    rows through `write`, after the header, one text per p, and merges the
+    folds, both in band order, so the CSV bytes and an abort's knot do not
+    depend on the worker count.
 
     The merges preserve the task order, so the result does not depend on
     worker count or scheduling.  The max-gap witness is the smallest (p, q)
     among the knots of the largest gap.
     """
-    on = _mask(config.checks)
     size = min(config.workers, os.cpu_count() or 1)
     if write is None:
         prefixes = []
-        merged = _walk(config.max_p, on, [_ROOT], prefixes)
+        merged = _walk(config.max_p, [_ROOT], prefixes)
         runs = _runs(prefixes, _TASKS_PER_WORKER * size)
-        for part in _mapped(min(size, len(runs)), _walk, repeat(config.max_p), repeat(on), runs):
+        for part in _mapped(min(size, len(runs)), _walk, repeat(config.max_p), runs):
             merged.add(part.count, part.listed, part.best)
         return merged.report(config)
     write(_csv_text([_CSV_HEADER]))
     bands = _bands(config.max_p)
     merged = _Partial()
-    for lo, part, cells in _mapped(min(size, len(bands)), _band, *zip(*bands), repeat(on)):
+    for lo, part, cells in _mapped(min(size, len(bands)), _band, *zip(*bands)):
         merged.add(part.count, part.listed, part.best)
-        _write_rows(write, lo, part.listed, cells)
+        _write_rows(write, lo, cells)
         del part, cells  # one band's array at a time, unless a pool runs ahead
     return merged.report(config)
 

@@ -4,6 +4,7 @@ crosscap copy as the tests themselves: the one pytest's `pythonpath` put first."
 from __future__ import annotations
 
 import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -33,8 +34,14 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc_info):
             return None
 
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            # run the task now, and hand back a future that is already done
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
     monkeypatch.setattr(verify_module.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)

@@ -150,9 +150,9 @@ def fold(records) -> _Partial:
 def kernel_report(config: SweepConfig) -> VerificationReport:
     """The report of the row kernel `_check` folded over every pair in (p, q)
     order: the oracle of the walk, which feeds both sweep outputs."""
-    on, part = verify_module._mask(config.checks), _Partial()
+    part = _Partial()
     for p, q in verify_module._pairs(3, config.max_p):
-        checked = verify_module._check(p, q, on)
+        checked = verify_module._check(p, q)
         knot = (p, q, checked)
         part.add(1, (knot,) if checked[8] or checked[9] & verify_module._SHARPENED else (), knot)
     return part.report(config)
@@ -238,15 +238,12 @@ class TestSweepConfig:
             SweepConfig(max_p=2)
         with pytest.raises(ValueError):
             SweepConfig(max_p=10, workers=0)
-        with pytest.raises(ValueError):
-            SweepConfig(max_p=10, checks=frozenset({"thm1", "nope"}))
         with pytest.raises(SweepCapError):
             SweepConfig(max_p=MAX_SWEEP_P + 1)
 
     def test_defaults(self):
         config = SweepConfig(max_p=10)
         assert config.workers == 1
-        assert config.checks == frozenset(CHECK_NAMES)
 
 
 class TestCheckKnot:
@@ -286,10 +283,10 @@ def reference_records(max_p: int, checks: tuple[str, ...]) -> tuple:
     return tuple(reference_check_knot(k, checks) for k in enumerate_coprime(max_p))
 
 
-def reference_report(max_p: int, checks: tuple[str, ...] = CHECK_NAMES) -> str:
+def reference_report(max_p: int) -> str:
     """The serialized report of the reference records folded as one run."""
-    config = SweepConfig(max_p, checks=frozenset(checks))
-    return serialize_report(fold(reference_records(max_p, checks)).report(config))
+    config = SweepConfig(max_p)
+    return serialize_report(fold(reference_records(max_p, CHECK_NAMES)).report(config))
 
 
 class TestAgainstReference:
@@ -328,13 +325,6 @@ class TestSweepAgainstReference:
         for report in sweeps(SweepConfig(300, workers=workers), monkeypatch):
             assert serialize_report(report) == reference_report(300)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("name", CHECK_NAMES)
-    def test_each_check_alone_to_120(self, monkeypatch, name, workers):
-        config = SweepConfig(120, workers=workers, checks=frozenset({name}))
-        for report in sweeps(config, monkeypatch):
-            assert serialize_report(report) == reference_report(120, (name,))
-
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_csv_to_60(self, tmp_path, capsys, workers):
         path = tmp_path / "knots.csv"
@@ -368,16 +358,10 @@ class TestWalkPerKnot:
     walk's tasks, the band tasks, the row kernel and the reference are
     compared knot by knot."""
 
-    @pytest.mark.parametrize(
-        "max_p, checks",
-        [
-            pytest.param(300, CHECK_NAMES, id="all-300"),
-            *(pytest.param(120, (name,), id=f"{name}-120") for name in CHECK_NAMES),
-        ],
-    )
-    def test_walk_equals_rows_and_reference(self, monkeypatch, pool_sizes, max_p, checks):
+    @pytest.mark.parametrize("max_p", [pytest.param(300, id="all-300")])
+    def test_walk_equals_rows_and_reference(self, monkeypatch, pool_sizes, max_p):
         monkeypatch.setattr(verify_module, "bound_ints", lambda g, n: (0, 0, 0, 0))
-        config = SweepConfig(max_p, checks=frozenset(checks))
+        config = SweepConfig(max_p)
         walk = run_verification(config)
         assert pool_sizes == []
         tasks = run_verification(replace(config, workers=2))
@@ -386,11 +370,10 @@ class TestWalkPerKnot:
         assert pool_sizes == [2, 2]
         rows = kernel_report(config)
         zero = lambda g, n: Bounds(0, 0, 0, 0)  # noqa: E731
-        records = (reference_check_knot(k, checks, bounds=zero) for k in enumerate_coprime(max_p))
+        records = (reference_check_knot(k, bounds=zero) for k in enumerate_coprime(max_p))
         expected = fold(records).report(config)
         assert walk == tasks == bands == rows == expected
-        if {"thm1", "thm2", "clark", "my"} & set(checks):
-            assert len(walk.violations) == walk.knots_checked
+        assert len(walk.violations) == walk.knots_checked
 
 
 class TestLemma9Lists:
@@ -466,17 +449,18 @@ class TestKernelGuards:
         # knot (5, 3), a = 2, the up list, now the plus list, then has the
         # continuant (16, 25) = (pq + 1, p^2), as it should; only the down
         # list's, (-46, -75), is wrong, and the walk sees that from the
-        # difference of the two, 2 (-31, -50) in place of 2 (-1, 0)
+        # difference of the two, 2 (-31, -50) in place of 2 (-1, 0).  The q3
+        # check of (5, 3) reads the congruence-selected list, the other one now
         prefixes = []
-        verify_module._walk(5, 0, [verify_module._ROOT], prefixes)
+        verify_module._walk(5, [verify_module._ROOT], prefixes)
         (prefix,) = (pre for pre in prefixes if pre[:4] == (1, 1, 2, 1))
         assert prefix[10:] == (2, 1, True)
         doctored = (*prefix[:10], -12, 19, False)
-        part = verify_module._walk(7, verify_module._BITS["lemma9"], [doctored])
+        part = verify_module._walk(7, [doctored])
         assert part.count == 2  # a = 2 and 3, and no prefix below it to 7
-        lemma9 = verify_module._LEMMA9
+        lemma9, q3 = verify_module._LEMMA9, verify_module._Q3
         assert [(p, q, checked[8]) for p, q, checked in part.listed] == [
-            (5, 3, lemma9), (7, 4, lemma9)
+            (5, 3, lemma9 | q3), (7, 4, lemma9)
         ]
 
     def test_odd_skip_total_aborts(self, monkeypatch, capsys):
@@ -564,7 +548,7 @@ class TestKernelGuards:
         monkeypatch.setattr(verify_module, "_walk", recorded)
         run_verification(SweepConfig(300, workers=2))
         assert pool_sizes == [2]
-        lo, band, cells = verify_module._band(298, 300, verify_module._mask(CHECK_NAMES))
+        lo, band, cells = verify_module._band(298, 300)
         assert parts[1].listed and band.listed  # sharp: (7, 5) = [0; 1, 2, 2]; (298, 3)
         for part in [*parts[1:], band]:  # the walk's tasks, then a band task
             for p, q, checked in [*part.listed, part.best]:
@@ -583,6 +567,46 @@ def several_bands(monkeypatch) -> list[tuple[int, int]]:
     return bands
 
 
+def doctor_flags(monkeypatch, how: str) -> None:
+    """Make the checks fail on some knots, for the walk and the row kernel
+    alike: every bound 0 (the four bound checks fail on every knot), the
+    closed form off by one at p % 6 == 1 (q3 fails there), or the two
+    lemma-9 lists swapped (lemma9 fails on every knot, and q3 on every odd
+    (p, 3) knot)."""
+    if how == "bounds":
+        monkeypatch.setattr(verify_module, "bound_ints", lambda g, n: (0, 0, 0, 0))
+    elif how == "q3":
+
+        def doctored(p):
+            form, c = q3_closed_form(p)
+            return form, c + (p % 6 == 1)
+
+        monkeypatch.setattr(verify_module, "q3_closed_form", doctored)
+    else:
+        real = cf_module.lemma9_lists
+        patch_kernel(monkeypatch, "lemma9_lists", lambda coeffs: real(coeffs)[::-1])
+        root = verify_module._ROOT
+        monkeypatch.setattr(verify_module, "_ROOT", (*root[:-1], not root[-1]))
+
+
+def assert_flags_set(text: str, how: str) -> None:
+    """The CSV rows of `text` whose violated flags are set are those the
+    doctoring `how` (see `doctor_flags`) makes fail, with those flags."""
+    flagged = {}
+    for line in text.splitlines()[1:]:
+        fields = line.split(",")
+        if "1" in fields[-8:]:
+            flagged[int(fields[0]), int(fields[1])] = ",".join(fields[-8:])
+    knots = [(k.p, k.q) for k in enumerate_coprime(60)]
+    if how == "bounds":
+        assert flagged == dict.fromkeys(knots, "1,1,1,1,0,0,0,0")
+    elif how == "q3":
+        assert flagged == {(p, 3): "0,0,0,0,0,0,1,0" for p in range(7, 61, 6)}
+    else:
+        q3 = [(p, q) for p, q in knots if q == 3 and p % 2]
+        assert flagged == {k: "0,0,0,0,0,1,1,0" if k in q3 else "0,0,0,0,0,1,0,0" for k in knots}
+
+
 class TestBands:
     """A CSV sweep walks each band of p rows as one task, and this process
     writes the rows band by band: the edges between bands must not show."""
@@ -596,6 +620,60 @@ class TestBands:
         assert len(bands) > workers
         assert "".join(sink) == two_pass_csv(60) == reference_csv(60)
         assert serialize_report(report) == reference_report(60)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize("how", ["bounds", "q3", "lemma9"])
+    def test_banded_csv_with_flags_set_equals_two_pass(self, monkeypatch, pool_sizes, how, workers):
+        # each row's flags are the walk's violated bits, stored in its cell
+        several_bands(monkeypatch)
+        doctor_flags(monkeypatch, how)
+        sink = []
+        band_report(SweepConfig(60, workers=workers), sink)
+        assert pool_sizes == ([] if workers == 1 else [workers])
+        assert "".join(sink) == two_pass_csv(60)
+        assert_flags_set("".join(sink), how)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched checks reach only forked pool workers",
+    )
+    @pytest.mark.parametrize("how", ["bounds", "q3", "lemma9"])
+    def test_banded_csv_with_flags_set_on_a_forked_pool(self, monkeypatch, how):
+        several_bands(monkeypatch)
+        doctor_flags(monkeypatch, how)
+        sink = []
+        band_report(SweepConfig(60, workers=2), sink)
+        assert "".join(sink) == two_pass_csv(60)
+        assert_flags_set("".join(sink), how)
+
+    def test_band_pool_holds_one_band_per_process_and_one_more(self, monkeypatch, pool_sizes):
+        # the pool submits the next band once a result is ready, before this
+        # process takes it: while a band renders, the pool holds one more
+        # band per process and one queued, not every band left, and the
+        # bytes and the abort's knot stay the same
+        assert len(several_bands(monkeypatch)) == 18
+        submitted, outstanding = [], []
+        band, write_rows = verify_module._band, verify_module._write_rows
+
+        def counted_band(lo, hi):
+            submitted.append(lo)
+            return band(lo, hi)
+
+        def counted_write_rows(write, lo, cells):
+            outstanding.append(len(submitted) - len(outstanding) - 1)
+            write_rows(write, lo, cells)
+
+        monkeypatch.setattr(verify_module, "_band", counted_band)
+        monkeypatch.setattr(verify_module, "_write_rows", counted_write_rows)
+        sink = []
+        band_report(SweepConfig(60, workers=2), sink)
+        assert pool_sizes == [2]
+        assert outstanding == [3] * 15 + [2, 1, 0]
+        assert "".join(sink) == two_pass_csv(60)
+        fail_at_q9_and_p_mod_q_2(monkeypatch)
+        with pytest.raises(IntegralityError) as info:
+            band_report(SweepConfig(60, workers=2))
+        assert info.value.knot == TorusKnot(11, 9)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -664,7 +742,7 @@ class TestBands:
     @pytest.mark.parametrize("max_p", [300, 1000])
     def test_runs_keep_each_prefix_once_in_walk_order(self, max_p, count):
         prefixes = []
-        verify_module._walk(max_p, 0, [verify_module._ROOT], prefixes)
+        verify_module._walk(max_p, [verify_module._ROOT], prefixes)
         runs = verify_module._runs(prefixes, count)
         assert 0 < len(runs) <= count and all(runs)
         # each run is reversed, so that `_walk` pops it in walk order
@@ -753,8 +831,9 @@ class TestRunVerification:
             assert report == run_verification(SweepConfig(max_p=max_p)), max_p
 
     def test_checks_echoed_sorted(self):
-        report = run_verification(SweepConfig(max_p=5, checks=frozenset({"thm2", "thm1"})))
-        assert report.checks == ("thm1", "thm2")
+        report = run_verification(SweepConfig(max_p=5))
+        assert report.checks == tuple(sorted(CHECK_NAMES))
+        assert report.checks == ("clark", "gap", "lemma2", "lemma9", "my", "q3", "thm1", "thm2")
 
     def test_sweep_300_clean_with_family_hits(self):
         # the row kernel over every pair: the sweeps run the walk
