@@ -1,7 +1,6 @@
 """Command-line surface: invariant queries, expansion inspection, families, sweeps.
 
-Every subcommand renders JSON, CSV or text and writes it through `_output`, which
-replaces a file at PATH only once the output is complete (the README has details).
+Every subcommand renders JSON, CSV or text and writes it through `_output`.
 
 Exit codes: 0 = success / all checks hold, 1 = usage or input error,
 2 = verification finding, internal failure, or a run that did not complete.
@@ -190,7 +189,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.csv is not None:
-        # one pass: the walk of each p band feeds both the CSV rows and the report
         with _output(args.csv) as out:
             report = run_verification(config, out.write)
     elif args.json is not None:
@@ -301,6 +299,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7 on; earlier releases have no limit
+        sys.set_int_max_str_digits(0)  # a knot's invariants print at any length
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

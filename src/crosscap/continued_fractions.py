@@ -7,9 +7,6 @@ safe for any p the sweep cap admits.
 The algorithms run on plain int lists (``euclid``, ``skip_total``,
 ``lemma9_lists``, ``continuant``); the typed functions below them validate
 their arguments and wrap the results, so each algorithm exists once.
-
-The skip rule is a three-state automaton, defined once by the ``NEXT``
-table, which ``skip_total`` runs over a list.
 """
 
 from __future__ import annotations
@@ -134,7 +131,9 @@ def skip_total(coeffs: Sequence[int]) -> int:
 
 def lemma9_lists(coeffs: list[int]) -> tuple[list[int], list[int]]:
     """Teragaito's expansions of (p*q - 1)/p^2 and (p*q + 1)/p^2 from the
-    expansion [0, a1, ..., an] of q/p, n >= 2, as Lemma 9 states them.  Only
+    expansion [0, a1, ..., an] of q/p, n >= 2, as Lemma 9 states them: the
+    final an becomes the pair (an + 1, an - 1) or (an - 1, an + 1), the first
+    for the minus sign when n is odd, then a(n-1), ..., a1 follow.  Only
     :func:`lemma9_expansions` makes them canonical: a trailing a1 = 1 stays,
     which changes a skip total by 0 or 1, so a wrong total is odd and aborts."""
     n = len(coeffs) - 1
@@ -218,13 +217,8 @@ def coefficient_sum(cf: ContinuedFraction) -> int:
 
 
 def skipped_sum(cf: ContinuedFraction) -> int:
-    """Sum the coefficients with the Bredon-Wood skip rule, un-halved.
-
-    Walk the coefficients from a0, adding each visited one to a running
-    total; whenever the total is even after an addition, skip the next
-    coefficient.  The caller halves the total (see :class:`HalfInteger`);
-    keeping the doubled value here keeps this step purely integral.
-    """
+    """The coefficients' sum by the Bredon-Wood skip rule (see :func:`skip_total`),
+    un-halved: the caller halves it (see :class:`HalfInteger`)."""
     return skip_total(cf.coefficients)
 
 
@@ -247,15 +241,9 @@ def lemma9_expansions(
     """Teragaito's expansion identity relating q/p to (p*q - 1)/p^2 and (p*q + 1)/p^2.
 
     Given the canonical expansion [0, a1, ..., an] of q/p with p > q > 1
-    coprime, both target expansions are obtained by replacing the final
-    coefficient an with the pair (an + 1, an - 1) or (an - 1, an + 1) and
-    then appending the reversed prefix a(n-1), ..., a1.  Which pair order
-    belongs to which sign depends on the parity of n: for the minus sign
-    the order is (an + 1, an - 1) when n is odd and (an - 1, an + 1) when
-    n is even; the plus sign takes the opposite order.  The lists are
-    canonical only here, where a trailing a1 = 1 is merged.
-
-    Returns (cf_minus, cf_plus) for (p*q - 1)/p^2 and (p*q + 1)/p^2.
+    coprime, returns (cf_minus, cf_plus), the canonical expansions of
+    (p*q - 1)/p^2 and (p*q + 1)/p^2: :func:`lemma9_lists` with a trailing
+    a1 = 1 merged.
     """
     coeffs = cf_q_over_p.coefficients
     if coeffs[0] != 0:

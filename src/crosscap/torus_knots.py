@@ -172,13 +172,8 @@ def crossing_number(k: TorusKnot) -> int:
 
 
 def crosscap(k: TorusKnot | Unknot) -> int:
-    """Crosscap number via Teragaito's classification.
-
-    The even parameter always goes first in the even-knot call to N.  Every
-    candidate N value consumed here must be integral; an odd skipped total
-    raises :class:`IntegralityError`.  One Euclid pass on q/p feeds every
-    candidate (see :func:`crosscap_from`).
-    """
+    """Crosscap number via Teragaito's classification (see :func:`crosscap_from`),
+    0 for the unknot; an odd skipped total raises :class:`IntegralityError`."""
     if isinstance(k, Unknot):
         return 0
     return crosscap_from(k.p, k.q, euclid(k.q, k.p))

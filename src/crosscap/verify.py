@@ -4,25 +4,11 @@ The sweep walks every coprime pair 2 <= q < p <= max_p, runs every check in
 CHECK_NAMES on it, and aggregates a deterministic report.  A bound violation
 is report data, never an exception: the whole point is to surface one if it
 exists.  A non-integral crosscap candidate, by contrast, aborts the sweep,
-because it means the computation itself is wrong.
+because it means the computation itself is wrong.  The report, the CSV and
+the knot an abort names are the same for every worker count.
 
-One walk (`_walk`) over the expansions q/p = [0; a1, ..., a(n-1), a]
-feeds both outputs.  It checks each knot in O(1) from its prefix, on plain
-ints, and folds the knots a report lists (violations and sharpness hits)
-and max-gap witnesses as (p, q, kernel tuple); only `_Partial.report`
-builds records from them.  A report alone walks the subtrees below [0] and
-[0; 1] as tasks, merged in walk order.  The CSV, whose format and one
-encoding (`_csv_text`) this module owns, walks each band of p rows as one
-task (`_band`), which also keeps each knot's crosscap number and violated
-bits, and this process renders the rows in (p, q) order; more workers
-speed a CSV only from two bands on.  A pool holds at most one task per
-process, and one more, whose result this process has not taken (`_mapped`).  One rule
-(`_cut`) cuts the subtrees into runs and the rows into bands.  The report, the CSV and the knot an
-abort names are the same for every worker count.
-
-The row kernel `_check(p, q)` checks one knot from its Euclid expansion;
-`check_knot` is its typed shell, the one place that selects checks, and the
-tests fold the kernel over every pair as the walk's oracle.
+`_walk` checks the knots of both outputs, `run_verification` drives it, and
+the row kernel `_check`, typed by `check_knot`, is the walk's oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +18,7 @@ import os
 from array import array
 from concurrent import futures
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby, islice, repeat
+from itertools import accumulate, groupby, islice, repeat, starmap
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
@@ -63,11 +49,9 @@ from .torus_knots import (
 #: All check names, in canonical (wire) order.
 CHECK_NAMES = ("thm1", "thm2", "clark", "my", "lemma2", "lemma9", "q3", "gap")
 
-_ALL_CHECKS = frozenset(CHECK_NAMES)
 _LEMMA_CHECKS = ("lemma2", "lemma9")
 
-#: Each check's bit in the kernel's violated and equality-hit bits: bit i is
-#: CHECK_NAMES[i].
+#: Each check's bit in the kernel's violated and equality-hit bits.
 _BITS = {name: 1 << i for i, name in enumerate(CHECK_NAMES)}
 _THM1, _THM2, _CLARK, _MY, _LEMMA2, _LEMMA9, _Q3, _GAP = _BITS.values()
 #: The bound checks' bits in `bound_ints` order: (clark, my, thm1, thm2).
@@ -108,11 +92,8 @@ class SweepCapError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Range and parallelism for one verification run, which runs every check.
-
-    `workers` sizes the sweep's process pool: of the walk's tasks for a
-    report alone, of the band tasks with a CSV, which has two or more bands
-    only above max_p 2,897; one worker, or one band, runs in-process."""
+    """Range and parallelism for one verification run, which runs every check:
+    `workers` caps the sweep's process pool (see :func:`run_verification`)."""
 
     max_p: int
     workers: int = 1
@@ -148,24 +129,18 @@ class VerificationReport:
     lemma_failures: tuple[tuple[TorusKnot, tuple[str, ...]], ...]
 
 
-def _pairs(p_lo: int, p_hi: int) -> Iterator[tuple[int, int]]:
-    """Every coprime (p, q) with 2 <= q < p and p_lo <= p <= p_hi, ascending."""
-    for p in range(p_lo, p_hi + 1):
-        for q in range(2, p):
-            if gcd(p, q) == 1:
-                yield p, q
-
-
 def enumerate_coprime(max_p: int) -> Iterator[TorusKnot]:
-    """Every torus knot with 2 <= q < p <= max_p, ascending by (p, q)."""
-    return (TorusKnot(p, q) for p, q in _pairs(3, SweepConfig(max_p).max_p))
+    """Every torus knot with 2 <= q < p <= max_p, ascending by (p, q); an
+    invalid max_p raises at the call, since the first range is built there."""
+    ps = range(3, SweepConfig(max_p).max_p + 1)
+    return (TorusKnot(p, q) for p in ps for q in range(2, p) if gcd(p, q) == 1)
 
 
 def _mask(checks: Iterable[str]) -> int:
     """The bits of `checks`; raises ValueError on a name not in CHECK_NAMES."""
     enabled = frozenset(checks)
-    if not enabled <= _ALL_CHECKS:
-        raise ValueError(f"unknown checks: {sorted(enabled - _ALL_CHECKS)}")
+    if not enabled <= _BITS.keys():
+        raise ValueError(f"unknown checks: {sorted(enabled - _BITS.keys())}")
     return sum(map(_BITS.__getitem__, enabled))
 
 
@@ -183,7 +158,6 @@ def _check(p: int, q: int) -> tuple[int, ...]:
     violated bits, equality-hit bits); see :func:`check_knot` for the checks.
     """
     coeffs = euclid(q, p)  # [0, a1, ..., an]: q/p, and p/q after the leading 0
-    odd = p * q % 2
     # an odd knot's crosscap number is read from the lemma-9 lists
     branches = lemma9_lists(coeffs)
     c = crosscap_from(p, q, coeffs, branches)
@@ -208,7 +182,7 @@ def _check(p: int, q: int) -> tuple[int, ...]:
     ):
         violated |= _LEMMA9
 
-    if q == 3 and odd and _q3_fails(p, c, *map(skip_total, branches)):
+    if q == 3 and p & 1 and _q3_fails(p, c, *map(skip_total, branches)):
         violated |= _Q3
 
     return (g, n, c, *bounds, gap, violated, hits)
@@ -241,7 +215,7 @@ def _record(k: TorusKnot, checked: tuple[int, ...]) -> BoundCheckRecord:
     return BoundCheckRecord(rec, _names(violated), _names(hits))
 
 
-def check_knot(k: TorusKnot, checks: Iterable[str] = _ALL_CHECKS) -> BoundCheckRecord:
+def check_knot(k: TorusKnot, checks: Iterable[str] = CHECK_NAMES) -> BoundCheckRecord:
     """Evaluate the checks named in `checks` against one knot.
 
     A typed shell over the plain-int row kernel, and the one place that
@@ -336,40 +310,28 @@ def _walk(
     """The fold of every knot with lo <= p <= max_p, each with every check,
     from a depth-first walk over the expansions q/p = [0; a1, ..., a(n-1), a].
 
-    The walk starts from the prefixes on `stack`, which it empties: from
-    [_ROOT], the empty prefix [0], which has no knot (its q would be 1), it
-    visits the prefixes [0; a1, ..., a(n-1)] whose smallest knot (a = 2) has
-    p <= max_p.  A prefix carries its convergents; the skip state and total
-    of [0, a1, ...] (the same as of [a2, ...]: the leading 0 makes the rule
-    skip a1) and of [a1, ...]; its coefficient sum; and, of its reversed
-    coefficients a(n-1), ..., a1, the skip adds from each entry state and
-    the continuant.  Those are the tail of both lemma-9 lists.
-    The walk keeps a trailing a1 = 1 unmerged: [..., x, 1] has the value of
-    [..., x + 1], and a skip total that differs by 0 or 1, so an even total
-    is the canonical list's and an odd one aborts.  Each knot, its prefix
-    extended by a last coefficient a >= 2, then costs O(1).  The walk checks
-    each knot as `_check` does, and an odd total aborts at the first knot
-    that has one, in walk order.  The listed knots come in walk order.
+    The walk empties `stack`: from [_ROOT], the empty prefix [0], it visits
+    the prefixes [0; a1, ..., a(n-1)] whose smallest knot (a = 2) has
+    p <= max_p, and checks each knot, its prefix extended by a last
+    coefficient a >= 2, in O(1) as `_check` does.  An odd total aborts at the
+    first knot that has one in walk order, and the listed knots come in walk
+    order.  The walk keeps a trailing a1 = 1 unmerged: [..., x, 1] has the
+    value of [..., x + 1], and a skip total that differs by 0 or 1, so an even
+    total is the canonical list's and an odd one aborts.
 
     The lemma-9 lists share all but their middle pair, so the continuant of
     the down list, (a - 1, a + 1), is that of the up list, (a + 1, a - 1),
-    plus a vector that does not depend on a.  The walk checks that vector
-    once per prefix, and per knot only the up list's continuant.  Both are
-    built from the tail continuant (c0, c1), which the walk extends
-    coefficient by coefficient.  Reversal does not change a continuant, so
-    (c0, c1) is the prefix's (k1, k2); but in place of (c0, c1), (k1, k2)
-    would turn the check into the determinant identity of the convergents,
-    which no prefix fails, so the walk keeps both.
+    plus twice (h2 c0 - h1 c1, k2 c0 - k1 c1), whatever a is.  The walk
+    checks that half difference once per prefix, and per knot only the up
+    list's continuant, both from the tail continuant (c0, c1).  Reversal
+    does not change a continuant, so (c0, c1) is the prefix's (k1, k2); but
+    in place of (c0, c1), (k1, k2) would turn the check into the determinant
+    identity of the convergents, which no prefix fails, so the walk keeps both.
 
-    Given `cells`, an array of one slot per (p, q) with 2 <= q < p and
-    lo <= p <= max_p, by p then q (see `_band`), the walk stores each knot's
-    crosscap number c and violated bits, once it has checked the knot, in its
-    slot as c << 8 | violated; a slot of a non-coprime (p, q) keeps its value.
-
-    Given a `tasks` list, the walk visits only the top prefixes [0] and
-    [0; 1], whose last convergent has denominator 1, and appends each
-    prefix below them to `tasks` in walk order instead: the walk from
-    those, one stack each, visits the rest.
+    Given `cells` (see `_band`), the walk stores each knot's c << 8 | violated
+    in its slot once it has checked the knot.  Given `tasks`, it visits only
+    the top prefixes [0] and [0; 1], whose last convergent has denominator 1,
+    and appends each prefix below them to `tasks` in walk order instead.
     """
     part = _Partial()
     listed = part.listed
@@ -377,11 +339,13 @@ def _walk(
     sharp = _SHARPENED
     base = _row(lo) + 2  # cells[_row(p) + q - base] is the slot of (p, q)
     # a prefix is (h1, h2, k1, k2): the continuant matrix of [0, a1, ..., a(n-1)],
-    # whose columns are its last two convergents; (s0, t0) and (s1, t1): the
-    # skip states and totals; its coefficient sum; the tail's skip adds from
-    # each entry state and its continuant (c0, c1); minus_up: n is odd, so the
-    # minus list has the middle pair (a + 1, a - 1).  A stack, not recursion,
-    # so that a walk can start from any run of prefixes.
+    # whose columns are its last two convergents; (s0, t0) and (s1, t1): the skip
+    # states and totals of [0, a1, ...] (the leading 0 makes the rule skip a1) and
+    # of [a1, ...]; its coefficient sum; of the reversed tail a(n-1), ..., a1, the
+    # tail of both lemma-9 lists, the skip adds from each entry state and the
+    # continuant (c0, c1); minus_up: n is odd, so the minus list has the middle
+    # pair (a + 1, a - 1).  A stack, not recursion, so that a walk can start from
+    # any run of prefixes.
     while stack:  # depth first, children in increasing order of their coefficient
         prefix = stack.pop()
         h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, c0, c1, minus_up = prefix
@@ -402,11 +366,10 @@ def _walk(
             ))
         if not h1:  # [0]: q/p = [0; a] = 1/a is no knot
             continue
-        # lemma 9: the down list's continuant is the up list's plus twice
-        # (h2 c0 - h1 c1, k2 c0 - k1 c1), whatever a is.  The minus list's is
-        # (pq - 1, p^2) and the plus list's (pq + 1, p^2), so with sign = +1
-        # when the up list is the minus list, a knot passes when the up
-        # continuant is (pq - sign, p^2) and that half difference is (sign, 0)
+        # lemma 9: the minus list's continuant is (pq - 1, p^2), the plus list's
+        # (pq + 1, p^2), so with sign = +1 when the up list is the minus list, a
+        # knot passes when the up continuant is (pq - sign, p^2) and the half
+        # difference is (sign, 0)
         sign = 1 if minus_up else -1
         diff_ok = h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
 
@@ -504,9 +467,8 @@ def _runs(prefixes: list, count: int) -> list[list]:
 
 def _bands(max_p: int) -> list[tuple[int, int]]:
     """[3, max_p] cut into bands (lo, hi) of rows p, in order, with about
-    equal slot counts, as few as hold at most `_BAND_SLOTS` slots each, give
-    or take one row.  Row p, of p - 2 slots, goes to the band its first slot
-    falls in (see `_cut`)."""
+    equal slot counts (see `_cut`), as few as hold at most `_BAND_SLOTS`
+    slots each, give or take one row."""
     rows = range(3, max_p + 1)
     count = -(-_row(max_p + 1) // _BAND_SLOTS)
     return [(band[0], band[-1]) for band in _cut(rows, (p - 2 for p in rows), count)]
@@ -524,10 +486,8 @@ def _band(lo: int, hi: int) -> tuple[int, _Partial, array]:
 
 
 def _write_rows(write: Callable[[str], object], lo: int, cells: array) -> None:
-    """Write the CSV rows of a band from row lo, one text per p with its
-    knots in q order, from its cells (see `_band`).  A row follows
-    `_CSV_HEADER`: the knot's record fields, its bounds from `bound_ints`,
-    then one 0/1 flag per check, the walk's violated bits."""
+    """Write the `_CSV_HEADER` rows of a band from row lo, one text per p with
+    its knots in q order, from its cells (see `_band`)."""
     row, parity, flag_texts = _CSV_ROW, _PARITY, _FLAGS
     start, p = 0, lo
     while start < len(cells):
@@ -545,25 +505,33 @@ def _write_rows(write: Callable[[str], object], lo: int, cells: array) -> None:
         p += 1
 
 
-def _mapped(size: int, fn: Callable, *iterables: Iterable) -> Iterator:
-    """`fn` over `iterables`, in order: on a pool of `size` processes, or
-    in-process when that is at most 1.  The pool holds at most `size` + 1
-    tasks whose results the caller has not taken, one per process and one
-    queued: once the oldest result is ready, it submits the next task, then
-    yields that result.  So finished results cannot pile up here, and a
+def _started(start: Callable, *args):
+    """`start(*args)`, a process pool's constructor or its `submit`, which forks
+    or spawns the processes, with an OSError there (ENOSYS where POSIX semaphores
+    are missing, EAGAIN at the process limit) raised as BrokenExecutor."""
+    try:
+        return start(*args)
+    except OSError as exc:
+        raise futures.BrokenExecutor(f"cannot start the process pool: {exc}") from exc
+
+
+def _mapped(size: int, fn: Callable, tasks: Iterator[tuple]) -> Iterator:
+    """`fn` over the argument tuples `tasks`, in order: on a pool of `size`
+    processes, or in-process when that is at most 1.  The pool holds at most
+    `size` + 1 tasks whose results the caller has not taken, one per process
+    and one queued: once the oldest result is ready, it submits the next task,
+    then yields that result.  So finished results cannot pile up here, and a
     process that finishes before the oldest task starts the queued one in
-    place of waiting for the caller.  On exit it cancels the tasks that
-    have not started."""
+    place of waiting for the caller."""
     if size <= 1:
-        yield from map(fn, *iterables)
+        yield from starmap(fn, tasks)
         return
-    tasks = zip(*iterables)
-    with futures.ProcessPoolExecutor(size) as pool:
-        pending = [pool.submit(fn, *args) for args in islice(tasks, size + 1)]
+    with _started(futures.ProcessPoolExecutor, size) as pool:
+        pending = [_started(pool.submit, fn, *args) for args in islice(tasks, size + 1)]
         try:
             while pending:
                 result = pending.pop(0).result()
-                pending += [pool.submit(fn, *args) for args in islice(tasks, 1)]
+                pending += [_started(pool.submit, fn, *args) for args in islice(tasks, 1)]
                 yield result
         finally:
             for future in pending:
@@ -575,41 +543,30 @@ def run_verification(
 ) -> VerificationReport:
     """Run the configured sweep and aggregate a deterministic report.
 
-    Without `write`, the sweep is the walk (see :func:`_walk`), on one path
-    at every worker count: this process walks the top prefixes [0] and
-    [0; 1], and cuts the prefixes below them into `_TASKS_PER_WORKER` runs
-    per process, of about equal knot counts.  The walks from the runs go to
-    a pool of at most one process per worker, run and CPU, or run
-    in-process when that is one.  The runs are merged in walk order, so an
-    abort names the first odd total in walk order at any worker count.
-
-    With `write`, the same walk also feeds the CSV: the sweep cuts [3, max_p]
-    into p bands (see :func:`_bands`), whose count depends on max_p alone,
-    and walks each band as one task (see :func:`_band`).  The band tasks run
-    on a pool of at most one process per worker, band and CPU, or
-    in-process when that is one; so more workers speed a CSV only from two
-    bands on.  The pool holds at most one band per process, and one more,
-    beyond the band being rendered (see :func:`_mapped`).  This process writes each band's
-    rows through `write`, after the header, one text per p, and merges the
-    folds, both in band order, so the CSV bytes and an abort's knot do not
-    depend on the worker count.
-
-    The merges preserve the task order, so the result does not depend on
-    worker count or scheduling.  The max-gap witness is the smallest (p, q)
-    among the knots of the largest gap.
+    Without `write`, this process walks the top prefixes (see :func:`_walk`),
+    and the walks from the `_runs` of the prefixes below them,
+    `_TASKS_PER_WORKER` per process, are its tasks.  With `write`, each of
+    the `_bands` is one `_band` task, and this process writes the CSV through
+    `write`: the header, then each band's rows.  The tasks run through
+    `_mapped`, on at most one process per worker, task and CPU, so more
+    workers speed a CSV only from two bands on.  The folds are merged in task
+    order, so the result, and the knot an abort names (the first odd total in
+    walk order, of the first band that has one), do not depend on worker count
+    or scheduling.  The max-gap witness is the smallest (p, q) among the knots
+    of the largest gap.
     """
     size = min(config.workers, os.cpu_count() or 1)
     if write is None:
         prefixes = []
         merged = _walk(config.max_p, [_ROOT], prefixes)
         runs = _runs(prefixes, _TASKS_PER_WORKER * size)
-        for part in _mapped(min(size, len(runs)), _walk, repeat(config.max_p), runs):
+        for part in _mapped(min(size, len(runs)), _walk, zip(repeat(config.max_p), runs)):
             merged.add(part.count, part.listed, part.best)
         return merged.report(config)
     write(_csv_text([_CSV_HEADER]))
     bands = _bands(config.max_p)
     merged = _Partial()
-    for lo, part, cells in _mapped(min(size, len(bands)), _band, *zip(*bands)):
+    for lo, part, cells in _mapped(min(size, len(bands)), _band, iter(bands)):
         merged.add(part.count, part.listed, part.best)
         _write_rows(write, lo, cells)
         del part, cells  # one band's array at a time, unless a pool runs ahead
@@ -617,11 +574,7 @@ def run_verification(
 
 
 def report_as_dict(report: VerificationReport) -> dict:
-    """JSON-ready mapping; field order is fixed and worker count is excluded.
-
-    Excluding workers keeps serialized reports byte-identical across worker
-    counts, which is the determinism contract.
-    """
+    """JSON-ready mapping, in a fixed field order."""
     witness = report.max_gap_witness.as_dict()
     return {
         "max_p": report.max_p,

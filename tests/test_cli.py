@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import os
@@ -97,6 +98,34 @@ def cli_csv_rows(argv):
         trail = [getattr(expected, f) for f in FAMILY_TRAIL]
         rows.append([n, *computed.as_dict().values(), *trail, int(computed == expected)])
     return rows
+
+
+def pool_that_cannot_start(monkeypatch, where: str) -> None:
+    """Stand the ProcessPoolExecutor that verify looks up in `concurrent.futures`
+    in with a fake that cannot start: its constructor fails with ENOSYS, as
+    where POSIX semaphores are missing, or its `submit`, where a process forks
+    or spawns, with EAGAIN, as at the process limit.  The host reports 64 CPUs,
+    so that a sweep at two workers builds the pool on any machine."""
+
+    def fail(code):
+        raise OSError(code, os.strerror(code))
+
+    class FailingPool:
+        def __init__(self, max_workers):
+            if where == "constructor":
+                fail(errno.ENOSYS)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def submit(self, fn, *args):
+            fail(errno.EAGAIN)
+
+    monkeypatch.setattr(verify_module.futures, "ProcessPoolExecutor", FailingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
 
 
 def run_cli(argv, capsys):
@@ -466,6 +495,28 @@ class TestVerifyCommand:
             assert len(err.splitlines()) == 1
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "where, code", [("constructor", errno.ENOSYS), ("submit", errno.EAGAIN)]
+    )
+    def test_pool_that_cannot_start_exits_2(self, tmp_path, capsys, monkeypatch, where, code):
+        # no output path is involved: not "cannot write output", exit 1
+        pool_that_cannot_start(monkeypatch, where)
+        monkeypatch.setattr(verify_module, "_BAND_SLOTS", 800)
+        assert len(verify_module._bands(60)) == 3
+        path = tmp_path / "knots.csv"
+        for argv in (["--max-p", "50"], ["--max-p", "60", "--csv", str(path)]):
+            exit_code, _, err = run_cli(["verify", *argv, "--workers", "2"], capsys)
+            assert exit_code == 2
+            assert err.startswith("crosscap: verify did not complete: BrokenExecutor(")
+            assert os.strerror(code) in err
+            assert len(err.splitlines()) == 1
+            assert list(tmp_path.iterdir()) == []
+        # one worker builds no pool
+        argv = ["verify", "--max-p", "60", "--workers", "1", "--csv", str(path)]
+        exit_code, _, _ = run_cli(argv, capsys)
+        assert exit_code == 0
+        assert path.read_bytes() == two_pass_csv(60).encode()
+
 
 class TestFamilyCommand:
     def test_sharp_table(self, capsys):
@@ -543,6 +594,28 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["crosscap"] == 3
+
+    def test_invariants_of_any_length(self):
+        # the genus has 4,399 digits: past the 4,300 to which the interpreter
+        # limits int-to-text conversion by default, from Python 3.10.7 on
+        p, q = 10**2200 + 1, 10**2199 + 3
+        proc = subprocess.run(
+            [sys.executable, "-m", "crosscap", "invariants", str(p), str(q), "--json"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            fields = json.loads(proc.stdout)
+            assert len(str(fields["genus"])) == 4399
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert fields["genus"] == (p - 1) * (q - 1) // 2
+        assert fields["crosscap"] == invariants(TorusKnot(p, q)).crosscap
 
     def test_module_invocation_usage_error(self):
         proc = subprocess.run(

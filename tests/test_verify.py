@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import io
 import json
@@ -151,9 +152,9 @@ def kernel_report(config: SweepConfig) -> VerificationReport:
     """The report of the row kernel `_check` folded over every pair in (p, q)
     order: the oracle of the walk, which feeds both sweep outputs."""
     part = _Partial()
-    for p, q in verify_module._pairs(3, config.max_p):
-        checked = verify_module._check(p, q)
-        knot = (p, q, checked)
+    for k in enumerate_coprime(config.max_p):
+        checked = verify_module._check(k.p, k.q)
+        knot = (k.p, k.q, checked)
         part.add(1, (knot,) if checked[8] or checked[9] & verify_module._SHARPENED else (), knot)
     return part.report(config)
 
@@ -226,10 +227,11 @@ class TestEnumerate:
         assert sum(1 for _ in enumerate_coprime(300)) == expected == 27098
 
     def test_range_errors(self):
+        # at the call, not at the first knot
         with pytest.raises(ValueError):
-            list(enumerate_coprime(2))
+            enumerate_coprime(2)
         with pytest.raises(SweepCapError):
-            list(enumerate_coprime(MAX_SWEEP_P + 1))
+            enumerate_coprime(MAX_SWEEP_P + 1)
 
 
 class TestSweepConfig:
@@ -829,6 +831,18 @@ class TestRunVerification:
             report = run_verification(SweepConfig(max_p=max_p, workers=workers))
             assert pool_sizes == ([] if size is None else [size]), max_p
             assert report == run_verification(SweepConfig(max_p=max_p)), max_p
+
+    def test_an_oserror_from_a_task_stays_an_oserror(self, monkeypatch, pool_sizes):
+        # only building the pool or submitting to it raises BrokenExecutor
+        force_bands(monkeypatch, 60, 3)
+
+        def failing(lo, hi):
+            raise OSError(errno.EIO, "in a band task")
+
+        monkeypatch.setattr(verify_module, "_band", failing)
+        with pytest.raises(OSError, match="in a band task"):
+            band_report(SweepConfig(max_p=60, workers=2))
+        assert pool_sizes == [2]
 
     def test_checks_echoed_sorted(self):
         report = run_verification(SweepConfig(max_p=5))
