@@ -3,7 +3,8 @@
 Every subcommand renders JSON, CSV or text and writes it through `_output`.
 
 Exit codes: 0 = success / all checks hold, 1 = usage or input error,
-2 = verification finding, internal failure, or a run that did not complete.
+2 = verification finding, internal failure, or a run that did not complete;
+`main` maps each failure to its code.
 """
 
 from __future__ import annotations
@@ -51,16 +52,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _usage_error(message: str) -> int:
-    print(f"crosscap: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _finding_error(message: str) -> int:
-    print(f"crosscap: {message}", file=sys.stderr)
-    return EXIT_FINDING
 
 
 def _add_format_flags(sub: argparse.ArgumentParser, with_csv: bool = True) -> None:
@@ -145,22 +136,14 @@ def _record_lines(fields: dict, a: int, b: int) -> list[str]:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    try:
-        knot = normalize(args.p, args.q)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    fields = invariants(knot).as_dict()
+    fields = invariants(normalize(args.p, args.q)).as_dict()
     _emit(args, fields, [RECORD_FIELDS, fields.values()], _record_lines(fields, args.p, args.q))
     return EXIT_OK
 
 
 def cmd_cf(args: argparse.Namespace) -> int:
     a, b = args.numerator, args.denominator
-    try:
-        r = Rational(a, b)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    cf = cf_expand(r)
+    cf = cf_expand(Rational(a, b))
     total = skipped_sum(cf)
     n_value = HalfInteger(total)
     payload = {
@@ -182,12 +165,7 @@ def cmd_cf(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        config = SweepConfig(max_p=args.max_p, workers=args.workers)
-    except SweepCapError as exc:
-        return _finding_error(str(exc))
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    config = SweepConfig(max_p=args.max_p, workers=args.workers)
     if args.csv is not None:
         with _output(args.csv) as out:
             report = run_verification(config, out.write)
@@ -218,7 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_family(args: argparse.Namespace) -> int:
     if args.count < 1:
-        return _usage_error(f"count must be at least 1, got {args.count}")
+        raise ValueError(f"count must be at least 1, got {args.count}")
     generator = mobius_family if args.name == "mobius" else sharp_family
     expected_fields = ("genus", "crossing", "crosscap", "gap")
     payload = []
@@ -305,12 +283,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except OSError as exc:
-        return _usage_error(f"cannot write output: {exc}")
-    except IntegralityError as exc:
-        return _finding_error(str(exc))
+    except OSError as exc:  # the output's: verify._mapped raises the sweep's as BrokenExecutor
+        code, message = EXIT_USAGE, f"error: cannot write output: {exc}"
+    except (IntegralityError, SweepCapError) as exc:  # before ValueError, SweepCapError's base
+        code, message = EXIT_FINDING, str(exc)
+    except ValueError as exc:  # input validation, a path with a NUL byte included
+        code, message = EXIT_USAGE, f"error: {exc}"
     except (BrokenExecutor, KeyboardInterrupt) as exc:
-        return _finding_error(f"{args.command} did not complete: {exc!r}")
+        code, message = EXIT_FINDING, f"{args.command} did not complete: {exc!r}"
+    print(f"crosscap: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -505,16 +505,6 @@ def _write_rows(write: Callable[[str], object], lo: int, cells: array) -> None:
         p += 1
 
 
-def _started(start: Callable, *args):
-    """`start(*args)`, a process pool's constructor or its `submit`, which forks
-    or spawns the processes, with an OSError there (ENOSYS where POSIX semaphores
-    are missing, EAGAIN at the process limit) raised as BrokenExecutor."""
-    try:
-        return start(*args)
-    except OSError as exc:
-        raise futures.BrokenExecutor(f"cannot start the process pool: {exc}") from exc
-
-
 def _mapped(size: int, fn: Callable, tasks: Iterator[tuple]) -> Iterator:
     """`fn` over the argument tuples `tasks`, in order: on a pool of `size`
     processes, or in-process when that is at most 1.  The pool holds at most
@@ -522,20 +512,29 @@ def _mapped(size: int, fn: Callable, tasks: Iterator[tuple]) -> Iterator:
     and one queued: once the oldest result is ready, it submits the next task,
     then yields that result.  So finished results cannot pile up here, and a
     process that finishes before the oldest task starts the queued one in
-    place of waiting for the caller."""
-    if size <= 1:
-        yield from starmap(fn, tasks)
-        return
-    with _started(futures.ProcessPoolExecutor, size) as pool:
-        pending = [_started(pool.submit, fn, *args) for args in islice(tasks, size + 1)]
-        try:
-            while pending:
-                result = pending.pop(0).result()
-                pending += [_started(pool.submit, fn, *args) for args in islice(tasks, 1)]
-                yield result
-        finally:
-            for future in pending:
-                future.cancel()
+    place of waiting for the caller.
+
+    An OSError raised here, by a task in-process or on the pool, or by
+    building the pool or submitting to it (ENOSYS where POSIX semaphores are
+    missing, EAGAIN at the process limit, ENOMEM anywhere), is raised as
+    BrokenExecutor: the sweep did not complete.  The caller's own writes run
+    while this generator is suspended, so their errors never pass here."""
+    try:
+        if size <= 1:
+            yield from starmap(fn, tasks)
+            return
+        with futures.ProcessPoolExecutor(size) as pool:
+            pending = [pool.submit(fn, *args) for args in islice(tasks, size + 1)]
+            try:
+                while pending:
+                    result = pending.pop(0).result()
+                    pending += [pool.submit(fn, *args) for args in islice(tasks, 1)]
+                    yield result
+            finally:
+                for future in pending:
+                    future.cancel()
+    except OSError as exc:
+        raise futures.BrokenExecutor(f"the sweep failed: {exc}") from exc
 
 
 def run_verification(

@@ -100,6 +100,45 @@ def cli_csv_rows(argv):
     return rows
 
 
+def force_bands(monkeypatch, max_p: int, count: int) -> list[tuple[int, int]]:
+    """Patch `_BAND_SLOTS` so that a CSV sweep to max_p cuts `count` bands;
+    returns them."""
+    monkeypatch.setattr(verify_module, "_BAND_SLOTS", -(-verify_module._row(max_p + 1) // count))
+    bands = verify_module._bands(max_p)
+    assert len(bands) == count
+    return bands
+
+
+def several_bands(monkeypatch) -> list[tuple[int, int]]:
+    """Patch `_BAND_SLOTS` so that max_p 60 cuts several bands, some of them a
+    single p row; returns them."""
+    monkeypatch.setattr(verify_module, "_BAND_SLOTS", 100)
+    bands = verify_module._bands(60)
+    assert len(bands) > 5 and (55, 55) in bands and bands[-1] == (60, 60)
+    assert [lo for lo, _ in bands] == [3] + [hi + 1 for _, hi in bands[:-1]]
+    return bands
+
+
+def raise_oserror(code: int, *args) -> None:
+    """Fail as the OS does with `code`, whatever the arguments: a stand-in for
+    any call (module-level, so that a partial of it pickles)."""
+    raise OSError(code, os.strerror(code))
+
+
+def fail_in_walk_tasks(monkeypatch, code: int) -> None:
+    """Patch `verify._walk` to raise OSError `code` in each of the report's
+    walk tasks, but not in this process's walk of the top prefixes, which
+    collects those tasks."""
+    walk = verify_module._walk
+
+    def failing(max_p, stack, tasks=None, *rest):
+        if tasks is None:
+            raise_oserror(code)
+        return walk(max_p, stack, tasks, *rest)
+
+    monkeypatch.setattr(verify_module, "_walk", failing)
+
+
 def pool_that_cannot_start(monkeypatch, where: str) -> None:
     """Stand the ProcessPoolExecutor that verify looks up in `concurrent.futures`
     in with a fake that cannot start: its constructor fails with ENOSYS, as
@@ -107,13 +146,10 @@ def pool_that_cannot_start(monkeypatch, where: str) -> None:
     or spawns, with EAGAIN, as at the process limit.  The host reports 64 CPUs,
     so that a sweep at two workers builds the pool on any machine."""
 
-    def fail(code):
-        raise OSError(code, os.strerror(code))
-
     class FailingPool:
         def __init__(self, max_workers):
             if where == "constructor":
-                fail(errno.ENOSYS)
+                raise_oserror(errno.ENOSYS)
 
         def __enter__(self):
             return self
@@ -122,7 +158,7 @@ def pool_that_cannot_start(monkeypatch, where: str) -> None:
             return None
 
         def submit(self, fn, *args):
-            fail(errno.EAGAIN)
+            raise_oserror(errno.EAGAIN)
 
     monkeypatch.setattr(verify_module.futures, "ProcessPoolExecutor", FailingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -583,6 +619,73 @@ class TestParserContract:
         )
         assert code == 1
         assert "cannot write output" in err
+
+
+_NO_DEV_FULL = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="no /dev/full, whose writes fail with ENOSPC"
+)
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_oserror_in_a_sweep_task_exits_2(
+        self, tmp_path, capsys, monkeypatch, pool_sizes, workers, flag
+    ):
+        # the sweep stopped, not the output: its band task (one band in
+        # process, three on the pool) or its walk task runs out of memory
+        if flag == "--csv":
+            force_bands(monkeypatch, 50, 1 if workers == "1" else 3)
+            monkeypatch.setattr(verify_module, "_band", lambda lo, hi: raise_oserror(errno.ENOMEM))
+        else:
+            fail_in_walk_tasks(monkeypatch, errno.ENOMEM)
+        path = tmp_path / "out"
+        argv = ["verify", "--max-p", "50", "--workers", workers, flag, str(path)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("crosscap: verify did not complete: BrokenExecutor(")
+        assert os.strerror(errno.ENOMEM) in err
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert pool_sizes == ([] if workers == "1" else [2])
+
+    @_NO_DEV_FULL
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["invariants", "7", "5", "--json"], id="invariants-json"),
+            pytest.param(["verify", "--max-p", "20", "--csv"], id="verify-csv"),
+            pytest.param(["verify", "--max-p", "20", "--json"], id="verify-json"),
+            pytest.param(["verify", "--max-p", "60", "--workers", "2", "--csv"], id="pooled-csv"),
+        ],
+    )
+    def test_write_that_fails_exits_1(self, capsys, monkeypatch, pool_sizes, argv):
+        # a write error is the output's, also while the CSV's band pool runs
+        if "--workers" in argv:
+            several_bands(monkeypatch)
+        code, out, err = run_cli([*argv, "/dev/full"], capsys)
+        assert code == 1
+        enospc = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert err == f"crosscap: error: cannot write output: {enospc}\n"
+        assert out == ""
+        assert pool_sizes == ([2] if "--workers" in argv else [])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["invariants", "7", "5", "--json"], id="invariants-json"),
+            pytest.param(["verify", "--max-p", "20", "--csv"], id="verify-csv"),
+        ],
+    )
+    def test_path_the_os_rejects_exits_1(self, tmp_path, capsys, monkeypatch, argv):
+        calls = count_check_knot(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli([*argv, "a\0b"], capsys)
+        assert code == 1
+        assert err == "crosscap: error: embedded null byte\n"
+        assert out == ""
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConsoleEntry:

@@ -9,6 +9,7 @@ import io
 import json
 import multiprocessing
 import os
+from concurrent import futures
 from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby
@@ -47,7 +48,14 @@ from crosscap import (
 from crosscap.cli import main
 from crosscap.continued_fractions import ODD, SKIP, TAKE, euclid, lemma9_lists
 from crosscap.verify import _Partial
-from test_cli import two_pass_csv
+from test_cli import (
+    fail_in_walk_tasks,
+    force_bands,
+    pool_that_cannot_start,
+    raise_oserror,
+    several_bands,
+    two_pass_csv,
+)
 
 
 def phi_sieve(n: int) -> list[int]:
@@ -157,15 +165,6 @@ def kernel_report(config: SweepConfig) -> VerificationReport:
         knot = (k.p, k.q, checked)
         part.add(1, (knot,) if checked[8] or checked[9] & verify_module._SHARPENED else (), knot)
     return part.report(config)
-
-
-def force_bands(monkeypatch, max_p: int, count: int) -> list[tuple[int, int]]:
-    """Patch `_BAND_SLOTS` so that a CSV sweep to max_p cuts `count` bands;
-    returns them."""
-    monkeypatch.setattr(verify_module, "_BAND_SLOTS", -(-verify_module._row(max_p + 1) // count))
-    bands = verify_module._bands(max_p)
-    assert len(bands) == count
-    return bands
 
 
 def band_report(config: SweepConfig, sink: list | None = None) -> VerificationReport:
@@ -559,16 +558,6 @@ class TestKernelGuards:
         assert lo == 298 and cells.typecode == "i" and len(cells) == 296 + 297 + 298
 
 
-def several_bands(monkeypatch) -> list[tuple[int, int]]:
-    """Patch `_BAND_SLOTS` so that max_p 60 cuts several bands, some of them a
-    single p row; returns them."""
-    monkeypatch.setattr(verify_module, "_BAND_SLOTS", 100)
-    bands = verify_module._bands(60)
-    assert len(bands) > 5 and (55, 55) in bands and bands[-1] == (60, 60)
-    assert [lo for lo, _ in bands] == [3] + [hi + 1 for _, hi in bands[:-1]]
-    return bands
-
-
 def doctor_flags(monkeypatch, how: str) -> None:
     """Make the checks fail on some knots, for the walk and the row kernel
     alike: every bound 0 (the four bound checks fail on every knot), the
@@ -832,17 +821,52 @@ class TestRunVerification:
             assert pool_sizes == ([] if size is None else [size]), max_p
             assert report == run_verification(SweepConfig(max_p=max_p)), max_p
 
-    def test_an_oserror_from_a_task_stays_an_oserror(self, monkeypatch, pool_sizes):
-        # only building the pool or submitting to it raises BrokenExecutor
-        force_bands(monkeypatch, 60, 3)
-
-        def failing(lo, hi):
-            raise OSError(errno.EIO, "in a band task")
-
-        monkeypatch.setattr(verify_module, "_band", failing)
-        with pytest.raises(OSError, match="in a band task"):
-            band_report(SweepConfig(max_p=60, workers=2))
-        assert pool_sizes == [2]
+    @pytest.mark.parametrize(
+        "where, code",
+        [
+            pytest.param("band", errno.ENOMEM, id="csv-in-process"),
+            pytest.param("pooled band", errno.ENOMEM, id="csv-pool"),
+            pytest.param("walk task", errno.EIO, id="report-walk-task"),
+            pytest.param("constructor", errno.ENOSYS, id="pool-constructor"),
+            pytest.param("submit", errno.EAGAIN, id="pool-submit"),
+            pytest.param(
+                "forked band",
+                errno.ENOMEM,
+                id="csv-forked-pool",
+                marks=pytest.mark.skipif(
+                    multiprocessing.get_start_method() != "fork",
+                    reason="the patched band task reaches only forked pool workers",
+                ),
+            ),
+        ],
+    )
+    def test_an_oserror_in_the_sweep_is_a_broken_executor(self, request, monkeypatch, where, code):
+        # one rule, in _mapped: whether a task fails in-process or on the
+        # pool, or the pool cannot be built or take a task, the sweep did not
+        # complete; the OSError is the cause
+        sizes = [] if where == "forked band" else request.getfixturevalue("pool_sizes")
+        config = SweepConfig(max_p=60, workers=2)
+        if where == "band":
+            force_bands(monkeypatch, 60, 1)
+            config = SweepConfig(max_p=60)
+        else:
+            force_bands(monkeypatch, 60, 3)
+        if where.endswith("band"):
+            monkeypatch.setattr(verify_module, "_band", functools.partial(raise_oserror, code))
+            sweeps = [band_report]
+        elif where == "walk task":
+            fail_in_walk_tasks(monkeypatch, code)
+            sweeps = [run_verification]
+        else:
+            pool_that_cannot_start(monkeypatch, where)
+            sweeps = [run_verification, band_report]
+        for sweep in sweeps:
+            with pytest.raises(futures.BrokenExecutor) as info:
+                sweep(config)
+            cause = info.value.__cause__
+            assert isinstance(cause, OSError) and cause.errno == code, sweep
+            assert os.strerror(code) in str(info.value)
+        assert sizes == ([2] if where in ("pooled band", "walk task") else [])
 
     def test_checks_echoed_sorted(self):
         report = run_verification(SweepConfig(max_p=5))
