@@ -1,6 +1,9 @@
 """Command-line surface: invariant queries, expansion inspection, families, sweeps.
 
 Every subcommand renders JSON, CSV or text and writes it through `_output`.
+Each imports the layers it runs when it is dispatched: `cf` loads only
+`continued_fractions`, `invariants` and `family` add `torus_knots`, and only
+`verify` loads the sweep and its process pool.
 
 Exit codes: 0 = success / all checks hold, 1 = usage or input error,
 2 = verification finding, internal failure, or a run that did not complete;
@@ -13,33 +16,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import BrokenExecutor
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from io import TextIOBase
 from stat import S_IMODE, S_ISREG
-from typing import Iterable, Iterator, TextIO
-
-from .continued_fractions import (
-    HalfInteger,
-    Rational,
-    cf_expand,
-    coefficient_sum,
-    skipped_sum,
-)
-from .torus_knots import (
-    RECORD_FIELDS,
-    IntegralityError,
-    invariants,
-    mobius_family,
-    normalize,
-    sharp_family,
-)
-from .verify import (
-    SweepCapError,
-    SweepConfig,
-    _csv_text,
-    run_verification,
-    serialize_report,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,15 +54,18 @@ def _add_format_flags(sub: argparse.ArgumentParser, with_csv: bool = True) -> No
 
 
 @contextmanager
-def _output(target: str) -> Iterator[TextIO]:
+def _output(target: str) -> Iterator[TextIOBase]:
     """Stdout for "-", else `target`. A new file, or a regular file of ours with one
     link, is written beside its real path and renamed over it, keeping its mode, when
     the block completes, so an abort leaves it as it was. Others are written in place."""
     if target == "-":
         yield sys.stdout
         return
-    path = os.path.realpath(target)  # write through a symlink, not over it
-    st = os.stat(path) if os.path.exists(path) else None
+    try:
+        path = os.path.realpath(target)  # write through a symlink, not over it
+        st = os.stat(path) if os.path.exists(path) else None
+    except ValueError as exc:  # a path no OS call takes, one with a NUL byte
+        raise OSError(str(exc)) from exc
     if st is None:
         # a new file, unless `target` is a /proc fd link, like /dev/stdout to a pipe
         replaceable = not os.path.exists(target)
@@ -110,6 +93,8 @@ def _emit(args: argparse.Namespace, payload, rows: Iterable[Iterable], lines: li
     if args.json is not None:
         target, text = args.json, json.dumps(payload, indent=2) + "\n"
     elif args.csv is not None:
+        from .torus_knots import _csv_text
+
         target, text = args.csv, _csv_text(rows)
     else:
         target, text = "-", "".join(f"{line}\n" for line in lines)
@@ -136,12 +121,18 @@ def _record_lines(fields: dict, a: int, b: int) -> list[str]:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
+    from .torus_knots import RECORD_FIELDS, invariants, normalize
+
     fields = invariants(normalize(args.p, args.q)).as_dict()
     _emit(args, fields, [RECORD_FIELDS, fields.values()], _record_lines(fields, args.p, args.q))
     return EXIT_OK
 
 
 def cmd_cf(args: argparse.Namespace) -> int:
+    from .continued_fractions import (
+        HalfInteger, Rational, cf_expand, coefficient_sum, skipped_sum,
+    )
+
     a, b = args.numerator, args.denominator
     cf = cf_expand(Rational(a, b))
     total = skipped_sum(cf)
@@ -165,6 +156,8 @@ def cmd_cf(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import SweepConfig, run_verification, serialize_report
+
     config = SweepConfig(max_p=args.max_p, workers=args.workers)
     if args.csv is not None:
         with _output(args.csv) as out:
@@ -195,6 +188,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
+    from .torus_knots import RECORD_FIELDS, invariants, mobius_family, sharp_family
+
     if args.count < 1:
         raise ValueError(f"count must be at least 1, got {args.count}")
     generator = mobius_family if args.name == "mobius" else sharp_family
@@ -276,6 +271,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _loaded(module: str, name: str) -> tuple[type, ...]:
+    """The class `name` of `module` if that module is loaded, else no class: a
+    command loads only the modules it runs, and a class not loaded was not raised."""
+    return (getattr(sys.modules[module], name),) if module in sys.modules else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7 on; earlier releases have no limit
         sys.set_int_max_str_digits(0)  # a knot's invariants print at any length
@@ -285,11 +286,16 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except OSError as exc:  # the output's: verify._mapped raises the sweep's as BrokenExecutor
         code, message = EXIT_USAGE, f"error: cannot write output: {exc}"
-    except (IntegralityError, SweepCapError) as exc:  # before ValueError, SweepCapError's base
+    except (  # before ValueError, SweepCapError's base
+        *_loaded(f"{__package__}.torus_knots", "IntegralityError"),
+        *_loaded(f"{__package__}.verify", "SweepCapError"),
+    ) as exc:
         code, message = EXIT_FINDING, str(exc)
-    except ValueError as exc:  # input validation, a path with a NUL byte included
+    except ValueError as exc:  # input validation
         code, message = EXIT_USAGE, f"error: {exc}"
-    except (BrokenExecutor, KeyboardInterrupt) as exc:
+    except (  # MemoryError: an allocation failed, in a sweep task or in rendering
+        *_loaded("concurrent.futures", "BrokenExecutor"), KeyboardInterrupt, MemoryError
+    ) as exc:
         code, message = EXIT_FINDING, f"{args.command} did not complete: {exc!r}"
     print(f"crosscap: {message}", file=sys.stderr)
     return code

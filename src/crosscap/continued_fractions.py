@@ -11,9 +11,9 @@ their arguments and wrap the results, so each algorithm exists once.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
 
 
 @dataclass(frozen=True)

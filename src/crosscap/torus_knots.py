@@ -9,6 +9,7 @@ min{N(p*q - 1, p^2), N(p*q + 1, p^2)}.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
@@ -111,6 +112,15 @@ class InvariantRecord:
 
 #: The keys of `InvariantRecord.as_dict`, in wire order: the CSV header of a record.
 RECORD_FIELDS = tuple(InvariantRecord(UNKNOT, None, 0, 0, 0, Bounds(0, 0, 0, 0), 0).as_dict())
+
+
+def _csv_text(rows: Iterable[Iterable]) -> str:
+    """`rows` as CSV lines by the rule of every crosscap CSV, `verify._CSV_ROW`'s
+    too: each field as `str` gives it, joined by commas, each line ending in a
+    newline.  Nothing is quoted, so no field may hold `,`, `"`, a carriage
+    return or a newline; none does, being an int or a plain word (a field
+    name, a parity or `unknot`)."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 @dataclass(frozen=True)

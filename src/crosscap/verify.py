@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import os
 from array import array
+from collections.abc import Callable, Iterable, Iterator
 from concurrent import futures
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby, islice, repeat, starmap
 from math import gcd
-from typing import Callable, Iterable, Iterator
 
 from .continued_fractions import (
     NEXT,
@@ -40,6 +40,7 @@ from .torus_knots import (
     InvariantRecord,
     Parity,
     TorusKnot,
+    _csv_text,
     bound_ints,
     crosscap_from,
     q3_closed_form,
@@ -285,14 +286,6 @@ class _Partial:
 
 #: A knot's parity field, indexed by p & q & 1.
 _PARITY = (Parity.EVEN.value, Parity.ODD.value)
-
-
-def _csv_text(rows: Iterable[Iterable]) -> str:
-    """`rows` as CSV lines by `_CSV_ROW`'s rule: each field as `str` gives it,
-    joined by commas, each line ending in a newline.  Nothing is quoted, so no
-    field may hold `,`, `"`, a carriage return or a newline; none does, being
-    an int or a plain word (a field name, a parity or `unknot`)."""
-    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _row(p: int) -> int:

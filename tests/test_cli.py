@@ -16,7 +16,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-import crosscap.cli as cli_module
 import crosscap.verify as verify_module
 from crosscap import (
     CHECK_NAMES,
@@ -125,15 +124,21 @@ def raise_oserror(code: int, *args) -> None:
     raise OSError(code, os.strerror(code))
 
 
-def fail_in_walk_tasks(monkeypatch, code: int) -> None:
-    """Patch `verify._walk` to raise OSError `code` in each of the report's
-    walk tasks, but not in this process's walk of the top prefixes, which
-    collects those tasks."""
+def raise_memoryerror(*args) -> None:
+    """Fail as an allocation does in Python, whatever the arguments: with
+    MemoryError, not OSError(ENOMEM)."""
+    raise MemoryError
+
+
+def fail_in_walk_tasks(monkeypatch, exc: BaseException) -> None:
+    """Patch `verify._walk` to raise `exc` in each of the report's walk tasks,
+    but not in this process's walk of the top prefixes, which collects those
+    tasks."""
     walk = verify_module._walk
 
     def failing(max_p, stack, tasks=None, *rest):
         if tasks is None:
-            raise_oserror(code)
+            raise exc
         return walk(max_p, stack, tasks, *rest)
 
     monkeypatch.setattr(verify_module, "_walk", failing)
@@ -346,7 +351,6 @@ class TestVerifyCommand:
     def test_violation_finding_exits_2(self, tmp_path, capsys, monkeypatch):
         # the shipped checks never find a violation, so substitute a report
         # that contains one and pin the exit-code contract
-        import crosscap.cli as cli_module
         from crosscap import BoundCheckRecord, SweepConfig, VerificationReport, invariants
         from crosscap.torus_knots import TorusKnot
 
@@ -360,7 +364,7 @@ class TestVerifyCommand:
             max_gap_witness=rec,
             lemma_failures=(),
         )
-        monkeypatch.setattr(cli_module, "run_verification", lambda config: doctored)
+        monkeypatch.setattr(verify_module, "run_verification", lambda config: doctored)
         code, out, _ = run_cli(["verify", "--max-p", "10"], capsys)
         assert code == 2
         assert "1 violations" in out
@@ -521,7 +525,7 @@ class TestVerifyCommand:
         def fail(config, write=None):
             raise exc
 
-        monkeypatch.setattr(cli_module, "run_verification", fail)
+        monkeypatch.setattr(verify_module, "run_verification", fail)
         for flag in ("--csv", "--json"):
             path = tmp_path / "out"
             argv = ["verify", "--max-p", "20", "--workers", "2", flag, str(path)]
@@ -638,7 +642,7 @@ class TestExitCodeTable:
             force_bands(monkeypatch, 50, 1 if workers == "1" else 3)
             monkeypatch.setattr(verify_module, "_band", lambda lo, hi: raise_oserror(errno.ENOMEM))
         else:
-            fail_in_walk_tasks(monkeypatch, errno.ENOMEM)
+            fail_in_walk_tasks(monkeypatch, OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)))
         path = tmp_path / "out"
         argv = ["verify", "--max-p", "50", "--workers", workers, flag, str(path)]
         code, _, err = run_cli(argv, capsys)
@@ -646,6 +650,30 @@ class TestExitCodeTable:
         assert err.startswith("crosscap: verify did not complete: BrokenExecutor(")
         assert os.strerror(errno.ENOMEM) in err
         assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert pool_sizes == ([] if workers == "1" else [2])
+
+    @pytest.mark.parametrize("where", ["walk-task", "band-task", "csv-rendering"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_memoryerror_in_a_sweep_exits_2(
+        self, tmp_path, capsys, monkeypatch, pool_sizes, workers, where
+    ):
+        # a failed allocation is a MemoryError, in a task run in this process
+        # or on the pool (whose result raises it here), or in this process's
+        # rendering of the CSV: the sweep did not complete
+        if where == "walk-task":
+            fail_in_walk_tasks(monkeypatch, MemoryError())
+        else:
+            force_bands(monkeypatch, 50, 1 if workers == "1" else 3)
+            target = "_band" if where == "band-task" else "_write_rows"
+            monkeypatch.setattr(verify_module, target, raise_memoryerror)
+        path = tmp_path / "out"
+        flag = "--json" if where == "walk-task" else "--csv"
+        argv = ["verify", "--max-p", "50", "--workers", workers, flag, str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == "crosscap: verify did not complete: MemoryError()\n"
+        assert out == ""
         assert list(tmp_path.iterdir()) == []
         assert pool_sizes == ([] if workers == "1" else [2])
 
@@ -682,7 +710,7 @@ class TestExitCodeTable:
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli([*argv, "a\0b"], capsys)
         assert code == 1
-        assert err == "crosscap: error: embedded null byte\n"
+        assert err == "crosscap: error: cannot write output: embedded null byte\n"
         assert out == ""
         assert calls == []
         assert list(tmp_path.iterdir()) == []

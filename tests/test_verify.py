@@ -855,7 +855,7 @@ class TestRunVerification:
             monkeypatch.setattr(verify_module, "_band", functools.partial(raise_oserror, code))
             sweeps = [band_report]
         elif where == "walk task":
-            fail_in_walk_tasks(monkeypatch, code)
+            fail_in_walk_tasks(monkeypatch, OSError(code, os.strerror(code)))
             sweeps = [run_verification]
         else:
             pool_that_cannot_start(monkeypatch, where)
