@@ -312,6 +312,12 @@ def _walk(
     value of [..., x + 1], and a skip total that differs by 0 or 1, so an even
     total is the canonical list's and an odd one aborts.
 
+    Per knot the walk keeps plain ints.  It runs the bound checks only on a
+    knot whose crosscap number meets thm1 or thm2, the least of the four
+    bounds, and builds a knot's kernel tuple only to list it; each prefix's
+    first max-gap knot gets one after the prefix's last knot, and only if it
+    can be the witness.
+
     The lemma-9 lists share all but their middle pair, so the continuant of
     the down list, (a - 1, a + 1), is that of the up list, (a + 1, a - 1),
     plus twice (h2 c0 - h1 c1, k2 c0 - k1 c1), whatever a is.  The walk
@@ -371,7 +377,9 @@ def _walk(
         last = (max_p - k2) // k1
         if first > last:
             continue
-        top = top_gap = None  # the prefix's first max-gap knot; p and q grow with a
+        # the prefix's first max-gap knot, as (a, c, violated, hits): p and q
+        # grow with a, so the first is the smallest (p, q)
+        top = top_gap = None
         for a in range(first, last + 1):
             p = a * k1 + k2
             q = a * h1 + h2
@@ -398,10 +406,13 @@ def _walk(
             g = (p - 1) * (q - 1) >> 1
             n = p * (q - 1)
             gap = g - c
-            bounds = bound_ints(g, n)
             violated = hits = 0
-            if c >= min(bounds):
-                violated, hits = _bound_flags(c, bounds)
+            # c >= min(bound_ints(g, n)), as in `_check`: every knot has g >= 1,
+            # where clark = 2g + 1 > (g + 9) // 6 = thm1, and n >= 3, where
+            # my = n // 2 >= (n + 16) // 12 = thm2, so the least bound is
+            # thm1's or thm2's
+            if c >= (g + 9) // 6 or c >= (n + 16) // 12:
+                violated, hits = _bound_flags(c, bound_ints(g, n))
 
             if gap < 0:
                 violated |= _GAP
@@ -422,15 +433,18 @@ def _walk(
             if cells is not None:
                 cells[((p - 2) * (p - 3) >> 1) + q - base] = c << 8 | violated
 
-            if top is None or gap > top_gap or violated or hits & sharp:
-                checked = (g, n, c, *bounds, gap, violated, hits)
-                if top is None or gap > top_gap:
-                    top, top_gap = (p, q, checked), gap
-                if violated or hits & sharp:
-                    listed.append((p, q, checked))
+            if violated or hits & sharp:
+                listed.append((p, q, (g, n, c, *bound_ints(g, n), gap, violated, hits)))
+            if top is None or gap > top_gap:
+                top, top_gap = (a, c, violated, hits), gap
         part.count += last - first + 1
         if part.best is None or top_gap >= part.best[2][7]:  # a witness that can win
-            part.add(0, (), top)
+            a, c, violated, hits = top
+            p = a * k1 + k2
+            q = a * h1 + h2
+            g = (p - 1) * (q - 1) >> 1
+            n = p * (q - 1)
+            part.add(0, (), (p, q, (g, n, c, *bound_ints(g, n), top_gap, violated, hits)))
     return part
 
 

@@ -59,24 +59,35 @@ def two_pass_csv(max_p):
     return csv_module_text(rows)
 
 
-def count_check_knot(monkeypatch, fail_at=None, exc=None):
-    """Count the knots verify's sweeps evaluate, as TorusKnots; raise `exc` on
-    call number `fail_at`.  The walk, which feeds the report and the CSV,
-    calls `verify.bound_ints(g, n)` once per knot it checks, and the CSV's
-    renderer once per row it writes; (p, q) is read back from the genus
-    g = (p - 1)(q - 1)/2 and crossing number n = p(q - 1), since
-    n - 2g = q - 1."""
+def count_checked(monkeypatch, fail_at=None, exc=None):
+    """Count the knots verify's walks check in this process, as TorusKnots in
+    walk order; raise `exc` at knot number `fail_at`.  Given cells, a walk
+    stores each knot's cell once it has checked the knot, at slot
+    _row(p) - _row(lo) + q - 2 (see `verify._band`): the patched `_walk`
+    hands every walk, a report's too, a stand-in for its cells that stores
+    to the real cells, if any, and records the knot of each slot."""
     calls = []
-    real = verify_module.bound_ints
+    row, walk = verify_module._row, verify_module._walk
 
-    def counted(g, n):
-        q = n - 2 * g + 1
-        calls.append(TorusKnot(n // (q - 1), q))
-        if len(calls) == fail_at:
-            raise exc
-        return real(g, n)
+    class Cells:
+        def __init__(self, lo, cells):
+            self.lo, self.cells = lo, cells
 
-    monkeypatch.setattr(verify_module, "bound_ints", counted)
+        def __setitem__(self, slot, cell):
+            if self.cells is not None:
+                self.cells[slot] = cell
+            slot += row(self.lo)  # among all (p, q), 2 <= q < p, from p = 3
+            p = 3
+            while row(p + 1) <= slot:
+                p += 1
+            calls.append(TorusKnot(p, slot - row(p) + 2))
+            if len(calls) == fail_at:
+                raise exc
+
+    def counted(max_p, stack, tasks=None, lo=3, cells=None):
+        return walk(max_p, stack, tasks, lo, Cells(lo, cells))
+
+    monkeypatch.setattr(verify_module, "_walk", counted)
     return calls
 
 
@@ -384,24 +395,26 @@ class TestVerifyCommand:
         assert all(row.endswith(",0,0,0,0,0,0,0,0") for row in lines[1:])
 
     def test_csv_checks_each_knot_once(self, tmp_path, capsys, monkeypatch):
-        # the walk checks each knot once, in walk order; the renderer then
-        # writes each knot's row once, in (p, q) order
-        calls = count_check_knot(monkeypatch)
-        checked, walk = [], verify_module._walk
+        # each band's walk checks each knot of its rows once, and counts it
+        # once; the renderer then writes each knot's row once, in (p, q) order
+        bands = force_bands(monkeypatch, 60, 3)
+        calls = count_checked(monkeypatch)
+        counts, band = [], verify_module._band
 
-        def counted_walk(*args):
-            start = len(calls)
-            part = walk(*args)
-            checked.extend(calls[start:])
-            return part
+        def counted_band(lo, hi):
+            result = band(lo, hi)
+            counts.append((lo, hi, result[1].count))
+            return result
 
-        monkeypatch.setattr(verify_module, "_walk", counted_walk)
+        monkeypatch.setattr(verify_module, "_band", counted_band)
         path = tmp_path / "knots.csv"
         code, _, _ = run_cli(["verify", "--max-p", "60", "--csv", str(path)], capsys)
         assert code == 0
         knots = list(enumerate_coprime(60))
-        assert Counter(checked) == Counter(knots)
-        assert calls == checked + knots
+        assert Counter(calls) == Counter(knots)
+        assert counts == [(lo, hi, sum(lo <= k.p <= hi for k in knots)) for lo, hi in bands]
+        rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+        assert rows == [[str(k.p), str(k.q)] for k in knots]
 
     @pytest.mark.parametrize("workers", ["1", "3"])
     def test_csv_bytes_and_summary_match_two_pass(self, tmp_path, capsys, workers):
@@ -432,14 +445,14 @@ class TestVerifyCommand:
         "exc", [IntegralityError(TorusKnot(7, 5), HalfInteger(7)), KeyboardInterrupt()]
     )
     def test_aborted_csv_sweep_leaves_no_file(self, tmp_path, capsys, monkeypatch, exc):
-        count_check_knot(monkeypatch, fail_at=50, exc=exc)
+        count_checked(monkeypatch, fail_at=50, exc=exc)
         path = tmp_path / "knots.csv"
         code, _, _ = run_cli(["verify", "--max-p", "60", "--csv", str(path)], capsys)
         assert code == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_csv_to_missing_dir_fails_before_sweeping(self, tmp_path, capsys, monkeypatch):
-        calls = count_check_knot(monkeypatch)
+        calls = count_checked(monkeypatch)
         path = tmp_path / "no" / "such" / "knots.csv"
         code, _, err = run_cli(["verify", "--max-p", "20", "--csv", str(path)], capsys)
         assert code == 1
@@ -447,7 +460,7 @@ class TestVerifyCommand:
         assert calls == []
 
     def test_json_to_missing_dir_fails_before_sweeping(self, tmp_path, capsys, monkeypatch):
-        calls = count_check_knot(monkeypatch)
+        calls = count_checked(monkeypatch)
         path = tmp_path / "no" / "such" / "r.json"
         code, _, err = run_cli(["verify", "--max-p", "20", "--json", str(path)], capsys)
         assert code == 1
@@ -460,7 +473,7 @@ class TestVerifyCommand:
         path.write_text("old rows\n")
         stray = tmp_path / "knots.csv.partial"
         stray.write_text("not ours\n")
-        count_check_knot(monkeypatch, fail_at=50, exc=KeyboardInterrupt())
+        count_checked(monkeypatch, fail_at=50, exc=KeyboardInterrupt())
         code, _, _ = run_cli(["verify", "--max-p", "60", flag, str(path)], capsys)
         assert code == 2
         assert sorted(tmp_path.iterdir()) == [path, stray]
@@ -706,7 +719,7 @@ class TestExitCodeTable:
         ],
     )
     def test_path_the_os_rejects_exits_1(self, tmp_path, capsys, monkeypatch, argv):
-        calls = count_check_knot(monkeypatch)
+        calls = count_checked(monkeypatch)
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli([*argv, "a\0b"], capsys)
         assert code == 1

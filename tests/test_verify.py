@@ -13,8 +13,11 @@ from concurrent import futures
 from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby
+from math import gcd
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import crosscap.continued_fractions as cf_module
 import crosscap.torus_knots as torus_module
@@ -47,8 +50,10 @@ from crosscap import (
 )
 from crosscap.cli import main
 from crosscap.continued_fractions import ODD, SKIP, TAKE, euclid, lemma9_lists
+from crosscap.torus_knots import bound_ints
 from crosscap.verify import _Partial
 from test_cli import (
+    count_checked,
     fail_in_walk_tasks,
     force_bands,
     pool_that_cannot_start,
@@ -185,20 +190,16 @@ def sweeps(config: SweepConfig, monkeypatch) -> list[VerificationReport]:
     return [run_verification(config), band_report(config), kernel_report(config)]
 
 
-def fail_at_q9_and_p_mod_q_2(monkeypatch):
-    """Patch `verify.bound_ints`, which both drivers call once per knot, to
-    raise IntegralityError on the knots with q >= 9 and p % q == 2; (p, q) is
-    read back from the genus g and crossing number n, since n - 2g = q - 1."""
-    real = verify_module.bound_ints
-
-    def failing(g, n):
-        q = n - 2 * g + 1
-        p = n // (q - 1)
-        if q >= 9 and p % q == 2:
-            raise IntegralityError(TorusKnot(p, q), HalfInteger(1))
-        return real(g, n)
-
-    monkeypatch.setattr(verify_module, "bound_ints", failing)
+def doctor_skip_rule(monkeypatch):
+    """Doctor `verify.NEXT`, the skip rule's table that the walk steps, to stay
+    in ODD after an odd coefficient added to an odd total, where the rule
+    skips the next one.  Then every knot [0; 1, 1, a], a even, and others
+    below [0; 1, 1] and elsewhere, totals odd: to max_p 60 the first in walk
+    order is (5, 3), 3/5 = [0; 1, 1, 2], then (9, 5) = [0; 1, 1, 4], both in
+    the first walk task at any worker count and in the first band, and later
+    tasks and bands have one too.  The top prefixes [0] and [0; 1] total
+    even."""
+    monkeypatch.setattr(verify_module, "NEXT", ((SKIP, TAKE, ODD), (ODD, TAKE, ODD)))
 
 
 def patch_kernel(monkeypatch, name, replacement):
@@ -354,15 +355,22 @@ class TestSweepAgainstReference:
 class TestWalkPerKnot:
     """A report alone walks the expansions depth first, at more than one
     worker as pool tasks; a sweep with a CSV sink walks each p band as one
-    task.  With every bound 0, each knot violates each bound check it runs,
-    so a report lists every knot with its invariants, and the walk, the
-    walk's tasks, the band tasks, the row kernel and the reference are
-    compared knot by knot."""
+    task.  With the two lemma-9 lists swapped, each knot fails lemma9, so a
+    report lists every knot with its invariants, and the walk, the walk's
+    tasks, the band tasks, the row kernel and the reference are compared
+    knot by knot."""
 
     @pytest.mark.parametrize("max_p", [pytest.param(300, id="all-300")])
     def test_walk_equals_rows_and_reference(self, monkeypatch, pool_sizes, max_p):
-        monkeypatch.setattr(verify_module, "bound_ints", lambda g, n: (0, 0, 0, 0))
         config = SweepConfig(max_p)
+        # the swap flags lemma9 on every knot, and q3, which reads the
+        # congruence-selected list, the other one now, on every odd (p, 3) knot
+        records = []
+        for k, r in zip(enumerate_coprime(max_p), reference_records(max_p, CHECK_NAMES)):
+            swapped = {"lemma9", "q3"} if k.q == 3 and k.p % 2 else {"lemma9"}
+            records.append(replace(r, violated=r.violated | swapped))
+        expected = fold(records).report(config)
+        doctor_flags(monkeypatch, "lemma9")
         walk = run_verification(config)
         assert pool_sizes == []
         tasks = run_verification(replace(config, workers=2))
@@ -370,11 +378,108 @@ class TestWalkPerKnot:
         bands = band_report(replace(config, workers=2))
         assert pool_sizes == [2, 2]
         rows = kernel_report(config)
-        zero = lambda g, n: Bounds(0, 0, 0, 0)  # noqa: E731
-        records = (reference_check_knot(k, bounds=zero) for k in enumerate_coprime(max_p))
-        expected = fold(records).report(config)
         assert walk == tasks == bands == rows == expected
         assert len(walk.violations) == walk.knots_checked
+
+    def test_walk_flags_the_bounds_on_every_knot_the_guard_admits(self, monkeypatch, pool_sizes):
+        # with every bound 0, each bound check the walk runs fails; the walk
+        # runs them where the crosscap number meets thm1 or thm2, the least
+        # of the four bounds, so exactly those knots are listed, with the four
+        # bound checks violated and the bounds 0 in their records
+        config = SweepConfig(300)
+        records = []
+        for r in reference_records(300, CHECK_NAMES):
+            b = r.record.bounds
+            admitted = r.record.crosscap >= min(b.thm1, b.thm2)
+            records.append(BoundCheckRecord(
+                replace(r.record, bounds=Bounds(0, 0, 0, 0)),
+                r.violated | ({"thm1", "thm2", "clark", "my"} if admitted else set()),
+                frozenset(),
+            ))
+        expected = fold(records).report(config)
+        assert 0 < len(expected.violations) < expected.knots_checked
+        monkeypatch.setattr(verify_module, "bound_ints", lambda g, n: (0, 0, 0, 0))
+        walk = run_verification(config)
+        tasks = run_verification(replace(config, workers=2))
+        force_bands(monkeypatch, 300, 3)
+        bands = band_report(replace(config, workers=2))
+        assert pool_sizes == [2, 2]
+        assert walk == tasks == bands == expected
+
+
+class TestBoundGuard:
+    """The walk runs the bound checks only where c >= (g + 9) // 6 or
+    c >= (n + 16) // 12, and builds a knot's kernel tuple only when the knot
+    is listed or is the max-gap witness that can win; the row kernel runs the
+    checks where c >= min(bound_ints(g, n))."""
+
+    def test_least_bound_is_thm1_or_thm2_to_1000(self):
+        for p in range(3, 1001):
+            for q in range(2, p):
+                if gcd(p, q) == 1:
+                    g, n = (p - 1) * (q - 1) // 2, p * (q - 1)
+                    assert min(bound_ints(g, n)) == min((g + 9) // 6, (n + 16) // 12), (p, q)
+
+    @given(st.integers(2, 10**12), st.integers(1, 10**12))
+    def test_least_bound_is_thm1_or_thm2(self, q, d):
+        p = q + d
+        assume(gcd(p, q) == 1)
+        g, n = (p - 1) * (q - 1) // 2, p * (q - 1)
+        assert min(bound_ints(g, n)) == min((g + 9) // 6, (n + 16) // 12)
+
+    def test_walk_witness_equals_the_row_kernels_at_every_cap(self, monkeypatch, pool_sizes):
+        # the row kernel's witness to each max_p: the first knot, in (p, q)
+        # order, of the largest gap (no cap to 100 has two; see the next test)
+        best, witnesses = None, {}
+        for k in enumerate_coprime(100):
+            checked = verify_module._check(k.p, k.q)
+            if best is None or checked[7] > best[2][7]:
+                best = (k.p, k.q, checked)
+            witnesses[k.p] = best
+        monkeypatch.setattr(verify_module, "_BAND_SLOTS", 1000)  # 5 bands to max_p 100
+        for max_p in range(3, 101):
+            p, q, checked = witnesses[max_p]
+            expected = verify_module._record(TorusKnot(p, q), checked).record
+            assert verify_module._walk(max_p, [verify_module._ROOT]).best == witnesses[max_p]
+            for config in (SweepConfig(max_p), SweepConfig(max_p, workers=2)):
+                assert run_verification(config).max_gap_witness == expected, config
+                assert band_report(config).max_gap_witness == expected, config
+        assert len(verify_module._bands(100)) == 5 and 2 in pool_sizes
+
+    @pytest.mark.parametrize(
+        "max_p, first, second, witness",
+        [
+            pytest.param(12, (3, 1, 4, 1), (1, 0, 2, 1), (9, 7), id="first-walked"),
+            pytest.param(27, (4, 1, 5, 1), (7, 1, 8, 1), (26, 23), id="second-walked"),
+        ],
+    )
+    def test_walk_witness_breaks_a_tie_by_the_smallest_knot(
+        self, monkeypatch, max_p, first, second, witness
+    ):
+        # two walk tasks, in walk order, whose largest gaps tie: the prefixes
+        # [0; 1, 3] and [0; 2], or [0; 1, 4] and [0; 1, 7], by their matrices
+        # (h1, h2, k1, k2).  The witness is the smaller knot, as the row
+        # kernel folded in (p, q) order finds it, whichever is walked first
+        # and in whichever order the two tasks' folds are merged
+        prefixes = []
+        verify_module._walk(max_p, [verify_module._ROOT], prefixes)
+        a, b = ({pre[:4]: pre for pre in prefixes}[key] for key in (first, second))
+        assert prefixes.index(a) < prefixes.index(b)
+        calls = count_checked(monkeypatch)
+        part = verify_module._walk(max_p, [b, a])  # pops a, then b
+        knots = sorted({(k.p, k.q) for k in calls})
+        kernel = [(p, q, verify_module._check(p, q)) for p, q in knots]
+        assert len(kernel) == len(calls) == part.count
+        top = max(checked[7] for _, _, checked in kernel)
+        tied = [knot for knot in kernel if knot[2][7] == top]
+        assert len(tied) == 2 and tied[0][:2] == witness
+        assert part.best == tied[0]
+        parts = [verify_module._walk(max_p, [prefix]) for prefix in (a, b)]
+        for order in (parts, parts[::-1]):
+            merged = _Partial()
+            for one in order:
+                merged.add(one.count, one.listed, one.best)
+            assert merged.best == tied[0]
 
 
 class TestLemma9Lists:
@@ -518,24 +623,24 @@ class TestKernelGuards:
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_abort_names_the_first_knot_in_walk_order(self, monkeypatch, pool_sizes, workers):
-        # in walk order the first such knot is (11, 9), 9/11 = [0; 1, 4, 2];
-        # the next is (13, 11), 11/13 = [0; 1, 5, 2], in the same walk task at
-        # workers 2, which must walk its prefixes [0; 1, 4] before [0; 1, 5]
-        fail_at_q9_and_p_mod_q_2(monkeypatch)
+        # in walk order the first odd total is (5, 3), 3/5 = [0; 1, 1, 2];
+        # the next is (9, 5), 5/9 = [0; 1, 1, 4], in the same walk task, and
+        # later tasks have one too
+        doctor_skip_rule(monkeypatch)
         with pytest.raises(IntegralityError) as info:
             run_verification(SweepConfig(60, workers=workers))
-        assert info.value.knot == TorusKnot(11, 9)
+        assert info.value.knot == TorusKnot(5, 3)
         assert pool_sizes == ([] if workers == 1 else [workers])
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
-        reason="the patched bounds reach only forked pool workers",
+        reason="the patched table reaches only forked pool workers",
     )
     def test_abort_in_a_forked_walk_task_names_the_first_knot_in_walk_order(self, monkeypatch):
-        fail_at_q9_and_p_mod_q_2(monkeypatch)
+        doctor_skip_rule(monkeypatch)
         with pytest.raises(IntegralityError) as info:
             run_verification(SweepConfig(60, workers=2))
-        assert info.value.knot == TorusKnot(11, 9)
+        assert info.value.knot == TorusKnot(5, 3)
 
     def test_drivers_fold_plain_ints(self, monkeypatch, pool_sizes):
         # what a pool task returns: (p, q, kernel tuple) for each listed knot
@@ -560,12 +665,15 @@ class TestKernelGuards:
 
 def doctor_flags(monkeypatch, how: str) -> None:
     """Make the checks fail on some knots, for the walk and the row kernel
-    alike: every bound 0 (the four bound checks fail on every knot), the
-    closed form off by one at p % 6 == 1 (q3 fails there), or the two
-    lemma-9 lists swapped (lemma9 fails on every knot, and q3 on every odd
-    (p, 3) knot)."""
+    alike: every bound one less (a knot that meets a bound violates it, and
+    the walk runs the bound checks on each knot that meets thm1 or thm2, the
+    least bound), the closed form off by one at p % 6 == 1 (q3 fails there),
+    or the two lemma-9 lists swapped (lemma9 fails on every knot, and q3 on
+    every odd (p, 3) knot)."""
     if how == "bounds":
-        monkeypatch.setattr(verify_module, "bound_ints", lambda g, n: (0, 0, 0, 0))
+        real = verify_module.bound_ints
+        lowered = lambda g, n: tuple(b - 1 for b in real(g, n))  # noqa: E731
+        monkeypatch.setattr(verify_module, "bound_ints", lowered)
     elif how == "q3":
 
         def doctored(p):
@@ -590,7 +698,16 @@ def assert_flags_set(text: str, how: str) -> None:
             flagged[int(fields[0]), int(fields[1])] = ",".join(fields[-8:])
     knots = [(k.p, k.q) for k in enumerate_coprime(60)]
     if how == "bounds":
-        assert flagged == dict.fromkeys(knots, "1,1,1,1,0,0,0,0")
+        # from the reference pipeline: a flag for each bound the knot meets
+        met = {}
+        for k in knots:
+            rec = invariants(TorusKnot(*k))
+            b = rec.bounds
+            bounds = (b.thm1, b.thm2, b.clark, b.murakami_yasuhara)  # CHECK_NAMES order
+            bits = [rec.crosscap >= bound for bound in bounds]
+            if any(bits):
+                met[k] = ",".join(str(int(bit)) for bit in bits) + ",0,0,0,0"
+        assert len(met) > 10 and flagged == met
     elif how == "q3":
         assert flagged == {(p, 3): "0,0,0,0,0,0,1,0" for p in range(7, 61, 6)}
     else:
@@ -661,10 +778,10 @@ class TestBands:
         assert pool_sizes == [2]
         assert outstanding == [3] * 15 + [2, 1, 0]
         assert "".join(sink) == two_pass_csv(60)
-        fail_at_q9_and_p_mod_q_2(monkeypatch)
+        doctor_skip_rule(monkeypatch)
         with pytest.raises(IntegralityError) as info:
             band_report(SweepConfig(60, workers=2))
-        assert info.value.knot == TorusKnot(11, 9)
+        assert info.value.knot == TorusKnot(5, 3)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -682,25 +799,30 @@ class TestBands:
         self, monkeypatch, pool_sizes, workers
     ):
         # the first band, (3, 16), has the first failing knot: its walk
-        # reaches (11, 9) = [0; 1, 4, 2] before (13, 11), and later bands
-        # fail too, but their results come after the first band's
+        # reaches (5, 3) = [0; 1, 1, 2] before (9, 5), and later bands fail
+        # too, but their results come after the first band's
         several_bands(monkeypatch)
-        fail_at_q9_and_p_mod_q_2(monkeypatch)
+        doctor_skip_rule(monkeypatch)
         sink = []
         with pytest.raises(IntegralityError) as info:
             band_report(SweepConfig(60, workers=workers), sink)
-        assert info.value.knot == TorusKnot(11, 9)
+        assert info.value.knot == TorusKnot(5, 3)
         assert sink == [",".join(verify_module._CSV_HEADER) + "\n"]
         assert pool_sizes == ([] if workers == 1 else [workers])
 
     def test_one_band_aborts_at_the_reports_knot(self, monkeypatch):
         assert verify_module._bands(60) == [(3, 60)]
-        fail_at_q9_and_p_mod_q_2(monkeypatch)
+        doctor_skip_rule(monkeypatch)
         with pytest.raises(IntegralityError) as report:
             run_verification(SweepConfig(60))
         with pytest.raises(IntegralityError) as csv_sweep:
             band_report(SweepConfig(60))
-        assert report.value.knot == csv_sweep.value.knot == TorusKnot(11, 9)
+        assert report.value.knot == csv_sweep.value.knot == TorusKnot(5, 3)
+        # the next failing knot in walk order: a band from row 6 walks past
+        # (5, 3)'s prefix [0; 1, 1] to (9, 5)
+        with pytest.raises(IntegralityError) as later:
+            verify_module._band(6, 60)
+        assert later.value.knot == TorusKnot(9, 5)
 
     def test_bands_cover_the_rows_by_slot_count(self):
         # about equal slot counts, each at most the band size give or take
