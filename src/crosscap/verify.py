@@ -152,11 +152,9 @@ def _names(bits: int) -> frozenset[str]:
     return frozenset(name for name, bit in _BITS.items() if bits & bit)
 
 
-def _check(p: int, q: int) -> tuple[int, ...]:
-    """Every check on the knot (p, q): plain ints only.
-
-    Returns (genus, crossing, crosscap, clark, my, thm1, thm2, gap,
-    violated bits, equality-hit bits); see :func:`check_knot` for the checks.
+def _check(p: int, q: int) -> tuple[int, int, int]:
+    """Every check on the knot (p, q): its crosscap number and its violated
+    and equality-hit bits, plain ints; see :func:`check_knot` for the checks.
     """
     coeffs = euclid(q, p)  # [0, a1, ..., an]: q/p, and p/q after the leading 0
     # an odd knot's crosscap number is read from the lemma-9 lists
@@ -164,13 +162,8 @@ def _check(p: int, q: int) -> tuple[int, ...]:
     c = crosscap_from(p, q, coeffs, branches)
     g = (p - 1) * (q - 1) // 2
     n = p * (q - 1)
-    gap = g - c
-    bounds = bound_ints(g, n)
-    violated = hits = 0
-    if c >= min(bounds):  # else no bound is met or beaten: nothing to flag
-        violated, hits = _bound_flags(c, bounds)
-
-    if gap < 0:
+    violated, hits = _bound_flags(c, bound_ints(g, n))
+    if g < c:
         violated |= _GAP
 
     if sum(coeffs) > p:
@@ -186,7 +179,7 @@ def _check(p: int, q: int) -> tuple[int, ...]:
     if q == 3 and p & 1 and _q3_fails(p, c, *map(skip_total, branches)):
         violated |= _Q3
 
-    return (g, n, c, *bounds, gap, violated, hits)
+    return c, violated, hits
 
 
 def _bound_flags(c: int, bounds: tuple[int, ...]) -> tuple[int, int]:
@@ -209,10 +202,13 @@ def _q3_fails(p: int, c: int, minus: int, plus: int) -> bool:
     return q3_closed_form(p)[1] != c or selected != 2 * c
 
 
-def _record(k: TorusKnot, checked: tuple[int, ...]) -> BoundCheckRecord:
-    """The record of `k` from its kernel tuple."""
-    g, n, c, clark, my, thm1, thm2, gap, violated, hits = checked
-    rec = InvariantRecord(k, k.parity, g, n, c, Bounds(clark, my, thm1, thm2), gap)
+def _record(p: int, q: int, c: int, violated: int, hits: int) -> BoundCheckRecord:
+    """The record of the checked knot (p, q, c, violated, hits): the one place
+    that derives its other fields."""
+    k = TorusKnot(p, q)
+    g = (p - 1) * (q - 1) // 2
+    n = p * (q - 1)
+    rec = InvariantRecord(k, k.parity, g, n, c, Bounds(*bound_ints(g, n)), g - c)
     return BoundCheckRecord(rec, _names(violated), _names(hits))
 
 
@@ -236,21 +232,21 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = CHECK_NAMES) -> BoundCheckR
     lemma-9 branch attains the minimum.
     """
     on = _mask(checks)
-    *invariant_ints, violated, hits = _check(k.p, k.q)
-    return _record(k, (*invariant_ints, violated & on, hits & on))
+    c, violated, hits = _check(k.p, k.q)
+    return _record(k.p, k.q, c, violated & on, hits & on)
 
 
 def _rank(knot: tuple) -> tuple[int, int, int]:
-    """The max-gap witness is the knot (p, q, kernel tuple) of highest rank:
-    the largest gap, then the smallest (p, q)."""
-    p, q, checked = knot
-    return checked[7], -p, -q
+    """The max-gap witness is the checked knot of highest rank: the largest
+    gap, then the smallest (p, q)."""
+    p, q, c, _, _ = knot
+    return (p - 1) * (q - 1) // 2 - c, -p, -q
 
 
 @dataclass
 class _Partial:
     """Knot count, listed knots and max-gap witness of the knots folded so far,
-    each knot as (p, q, kernel tuple): plain ints, until `report`."""
+    each a checked knot (p, q, c, violated, hits): plain ints, until `report`."""
 
     count: int = 0
     listed: list[tuple] = field(default_factory=list)  # violations, sharp hits
@@ -267,19 +263,22 @@ class _Partial:
     def report(self, config: SweepConfig) -> VerificationReport:
         """The report: the listed knots in (p, q) order, as the report's types."""
         assert self.best is not None  # max_p >= 3 guarantees at least the (3,2) knot
-        self.listed.sort()  # by (p, q): no two listed knots share it
-        p, q, checked = self.best
+        listed = sorted(self.listed)  # by (p, q): no two listed knots share it
         return VerificationReport(
             max_p=config.max_p,
             checks=tuple(sorted(CHECK_NAMES)),
             knots_checked=self.count,
-            violations=tuple(_record(TorusKnot(p, q), c) for p, q, c in self.listed if c[8]),
-            sharpness_hits=tuple(TorusKnot(p, q) for p, q, c in self.listed if c[9] & _SHARPENED),
-            max_gap_witness=_record(TorusKnot(p, q), checked).record,
+            violations=tuple(
+                _record(p, q, c, violated, hits) for p, q, c, violated, hits in listed if violated
+            ),
+            sharpness_hits=tuple(
+                TorusKnot(p, q) for p, q, _, _, hits in listed if hits & _SHARPENED
+            ),
+            max_gap_witness=_record(*self.best).record,
             lemma_failures=tuple(
                 (TorusKnot(p, q), failed)
-                for p, q, c in self.listed
-                if (failed := tuple(n for n in _LEMMA_CHECKS if c[8] & _BITS[n]))
+                for p, q, _, violated, _ in listed
+                if (failed := tuple(n for n in _LEMMA_CHECKS if violated & _BITS[n]))
             ),
         )
 
@@ -314,9 +313,10 @@ def _walk(
 
     Per knot the walk keeps plain ints.  It runs the bound checks only on a
     knot whose crosscap number meets thm1 or thm2, the least of the four
-    bounds, and builds a knot's kernel tuple only to list it; each prefix's
-    first max-gap knot gets one after the prefix's last knot, and only if it
-    can be the witness.
+    bounds, and builds the checked knot (p, q, c, violated, hits) only to
+    list it or to offer it as the witness: each knot whose gap is at least
+    the largest so far goes to `_Partial.add`, whose `_rank` keeps the
+    smallest (p, q) of a tie, so the witness does not depend on walk order.
 
     The lemma-9 lists share all but their middle pair, so the continuant of
     the down list, (a - 1, a + 1), is that of the up list, (a + 1, a - 1),
@@ -334,6 +334,7 @@ def _walk(
     """
     part = _Partial()
     listed = part.listed
+    best_gap = float("-inf")
     next_ = NEXT
     sharp = _SHARPENED
     base = _row(lo) + 2  # cells[_row(p) + q - base] is the slot of (p, q)
@@ -377,9 +378,6 @@ def _walk(
         last = (max_p - k2) // k1
         if first > last:
             continue
-        # the prefix's first max-gap knot, as (a, c, violated, hits): p and q
-        # grow with a, so the first is the smallest (p, q)
-        top = top_gap = None
         for a in range(first, last + 1):
             p = a * k1 + k2
             q = a * h1 + h2
@@ -407,10 +405,10 @@ def _walk(
             n = p * (q - 1)
             gap = g - c
             violated = hits = 0
-            # c >= min(bound_ints(g, n)), as in `_check`: every knot has g >= 1,
-            # where clark = 2g + 1 > (g + 9) // 6 = thm1, and n >= 3, where
-            # my = n // 2 >= (n + 16) // 12 = thm2, so the least bound is
-            # thm1's or thm2's
+            # c >= min(bound_ints(g, n)), below which `_bound_flags` flags
+            # nothing: every knot has g >= 1, where clark = 2g + 1 >
+            # (g + 9) // 6 = thm1, and n >= 3, where my = n // 2 >=
+            # (n + 16) // 12 = thm2, so the least bound is thm1's or thm2's
             if c >= (g + 9) // 6 or c >= (n + 16) // 12:
                 violated, hits = _bound_flags(c, bound_ints(g, n))
 
@@ -434,17 +432,11 @@ def _walk(
                 cells[((p - 2) * (p - 3) >> 1) + q - base] = c << 8 | violated
 
             if violated or hits & sharp:
-                listed.append((p, q, (g, n, c, *bound_ints(g, n), gap, violated, hits)))
-            if top is None or gap > top_gap:
-                top, top_gap = (a, c, violated, hits), gap
+                listed.append((p, q, c, violated, hits))
+            if gap >= best_gap:
+                part.add(0, (), (p, q, c, violated, hits))
+                best_gap = gap
         part.count += last - first + 1
-        if part.best is None or top_gap >= part.best[2][7]:  # a witness that can win
-            a, c, violated, hits = top
-            p = a * k1 + k2
-            q = a * h1 + h2
-            g = (p - 1) * (q - 1) >> 1
-            n = p * (q - 1)
-            part.add(0, (), (p, q, (g, n, c, *bound_ints(g, n), top_gap, violated, hits)))
     return part
 
 

@@ -149,16 +149,21 @@ def reference_check_knot(
 
 def fold(records) -> _Partial:
     """The aggregate of `records`, given in (p, q) order, folded one record at a
-    time as (p, q, kernel tuple): a record is listed when it violated a check
-    or met thm1 or thm2."""
+    time as the checked knot (p, q, c, violated, hits): a record is listed
+    when it violated a check or met thm1 or thm2."""
     part = _Partial()
     for c in records:
-        rec, b, bits = c.record, c.record.bounds, verify_module._mask
-        checked = (rec.genus, rec.crossing, rec.crosscap, b.clark, b.murakami_yasuhara,
-                   b.thm1, b.thm2, rec.gap, bits(c.violated), bits(c.equality_hits))
-        knot = (rec.knot.p, rec.knot.q, checked)
+        rec, bits = c.record, verify_module._mask
+        knot = (rec.knot.p, rec.knot.q, rec.crosscap, bits(c.violated), bits(c.equality_hits))
         part.add(1, (knot,) if c.violated or {"thm1", "thm2"} & c.equality_hits else (), knot)
     return part
+
+
+@functools.cache
+def kernel_knots(max_p: int) -> tuple:
+    """The row kernel's checked knots (p, q, c, violated, hits) to max_p, in
+    (p, q) order."""
+    return tuple((k.p, k.q, *verify_module._check(k.p, k.q)) for k in enumerate_coprime(max_p))
 
 
 def kernel_report(config: SweepConfig) -> VerificationReport:
@@ -166,9 +171,9 @@ def kernel_report(config: SweepConfig) -> VerificationReport:
     order: the oracle of the walk, which feeds both sweep outputs."""
     part = _Partial()
     for k in enumerate_coprime(config.max_p):
-        checked = verify_module._check(k.p, k.q)
-        knot = (k.p, k.q, checked)
-        part.add(1, (knot,) if checked[8] or checked[9] & verify_module._SHARPENED else (), knot)
+        c, violated, hits = verify_module._check(k.p, k.q)
+        knot = (k.p, k.q, c, violated, hits)
+        part.add(1, (knot,) if violated or hits & verify_module._SHARPENED else (), knot)
     return part.report(config)
 
 
@@ -396,9 +401,11 @@ class TestWalkPerKnot:
                 r.violated | ({"thm1", "thm2", "clark", "my"} if admitted else set()),
                 frozenset(),
             ))
+        # the report builds each record's bounds through verify's bound_ints
+        monkeypatch.setattr(verify_module, "bound_ints", lambda g, n: (0, 0, 0, 0))
         expected = fold(records).report(config)
         assert 0 < len(expected.violations) < expected.knots_checked
-        monkeypatch.setattr(verify_module, "bound_ints", lambda g, n: (0, 0, 0, 0))
+        assert {c.record.bounds for c in expected.violations} == {Bounds(0, 0, 0, 0)}
         walk = run_verification(config)
         tasks = run_verification(replace(config, workers=2))
         force_bands(monkeypatch, 300, 3)
@@ -409,9 +416,8 @@ class TestWalkPerKnot:
 
 class TestBoundGuard:
     """The walk runs the bound checks only where c >= (g + 9) // 6 or
-    c >= (n + 16) // 12, and builds a knot's kernel tuple only when the knot
-    is listed or is the max-gap witness that can win; the row kernel runs the
-    checks where c >= min(bound_ints(g, n))."""
+    c >= (n + 16) // 12, which is c >= min(bound_ints(g, n)); the row kernel
+    runs them on every knot, and finds the same flags and witness."""
 
     def test_least_bound_is_thm1_or_thm2_to_1000(self):
         for p in range(3, 1001):
@@ -431,15 +437,14 @@ class TestBoundGuard:
         # the row kernel's witness to each max_p: the first knot, in (p, q)
         # order, of the largest gap (no cap to 100 has two; see the next test)
         best, witnesses = None, {}
-        for k in enumerate_coprime(100):
-            checked = verify_module._check(k.p, k.q)
-            if best is None or checked[7] > best[2][7]:
-                best = (k.p, k.q, checked)
-            witnesses[k.p] = best
+        for knot in kernel_knots(100):
+            p, q, c, _, _ = knot
+            if best is None or genus(TorusKnot(p, q)) - c > best_gap:
+                best, best_gap = knot, genus(TorusKnot(p, q)) - c
+            witnesses[p] = best
         monkeypatch.setattr(verify_module, "_BAND_SLOTS", 1000)  # 5 bands to max_p 100
         for max_p in range(3, 101):
-            p, q, checked = witnesses[max_p]
-            expected = verify_module._record(TorusKnot(p, q), checked).record
+            expected = verify_module._record(*witnesses[max_p]).record
             assert verify_module._walk(max_p, [verify_module._ROOT]).best == witnesses[max_p]
             for config in (SweepConfig(max_p), SweepConfig(max_p, workers=2)):
                 assert run_verification(config).max_gap_witness == expected, config
@@ -468,10 +473,10 @@ class TestBoundGuard:
         calls = count_checked(monkeypatch)
         part = verify_module._walk(max_p, [b, a])  # pops a, then b
         knots = sorted({(k.p, k.q) for k in calls})
-        kernel = [(p, q, verify_module._check(p, q)) for p, q in knots]
+        kernel = [(p, q, *verify_module._check(p, q)) for p, q in knots]
         assert len(kernel) == len(calls) == part.count
-        top = max(checked[7] for _, _, checked in kernel)
-        tied = [knot for knot in kernel if knot[2][7] == top]
+        gaps = [genus(TorusKnot(p, q)) - c for p, q, c, _, _ in kernel]
+        tied = [knot for knot, gap in zip(kernel, gaps) if gap == max(gaps)]
         assert len(tied) == 2 and tied[0][:2] == witness
         assert part.best == tied[0]
         parts = [verify_module._walk(max_p, [prefix]) for prefix in (a, b)]
@@ -565,7 +570,7 @@ class TestKernelGuards:
         part = verify_module._walk(7, [doctored])
         assert part.count == 2  # a = 2 and 3, and no prefix below it to 7
         lemma9, q3 = verify_module._LEMMA9, verify_module._Q3
-        assert [(p, q, checked[8]) for p, q, checked in part.listed] == [
+        assert [(p, q, violated) for p, q, _, violated, _ in part.listed] == [
             (5, 3, lemma9 | q3), (7, 4, lemma9)
         ]
 
@@ -643,8 +648,9 @@ class TestKernelGuards:
         assert info.value.knot == TorusKnot(5, 3)
 
     def test_drivers_fold_plain_ints(self, monkeypatch, pool_sizes):
-        # what a pool task returns: (p, q, kernel tuple) for each listed knot
-        # and for the max-gap witness, and no record or knot object
+        # what a pool task returns: the checked knot (p, q, c, violated, hits)
+        # for each listed knot and for the max-gap witness, and no record or
+        # knot object
         parts, walk = [], verify_module._walk
 
         def recorded(*args):
@@ -657,9 +663,9 @@ class TestKernelGuards:
         lo, band, cells = verify_module._band(298, 300)
         assert parts[1].listed and band.listed  # sharp: (7, 5) = [0; 1, 2, 2]; (298, 3)
         for part in [*parts[1:], band]:  # the walk's tasks, then a band task
-            for p, q, checked in [*part.listed, part.best]:
-                assert type(checked) is tuple and len(checked) == 10
-                assert {type(x) for x in (p, q, *checked)} == {int}, (p, q, checked)
+            for knot in [*part.listed, part.best]:
+                assert type(knot) is tuple and len(knot) == 5
+                assert {type(x) for x in knot} == {int}, knot
         assert lo == 298 and cells.typecode == "i" and len(cells) == 296 + 297 + 298
 
 
@@ -1017,7 +1023,10 @@ class TestSummarize:
         )
         records[3], records[9] = lemma_only, mixed
         best = max((c.record for c in records), key=lambda rec: rec.gap)
-        tie = replace(best, knot=TorusKnot(13, 12))
+        # the fold passes the crosscap number alone, and the report derives
+        # the gap from it: give (13, 12) the crosscap number of the same gap
+        knot = TorusKnot(13, 12)
+        tie = replace(best, knot=knot, crosscap=genus(knot) - best.gap)
         records.append(BoundCheckRecord(tie, frozenset(), frozenset()))
 
         report = fold(records).report(config)
@@ -1032,6 +1041,31 @@ class TestSummarize:
         )
         assert report.max_gap_witness == best
         assert report.max_gap_witness != tie
+
+    @given(st.data())
+    def test_witness_does_not_depend_on_the_fold_order(self, data):
+        # the row kernel's checked knots to max_p 40, a few with the crosscap
+        # number lowered to tie the largest gap, folded one `add` at a time:
+        # in any order the witness is the one of (p, q) order, as the walk,
+        # which offers every knot of a gap at least the largest so far,
+        # relies on for each tie within one walk
+        knots = list(kernel_knots(40))
+        gaps = [genus(TorusKnot(p, q)) - c for p, q, c, _, _ in knots]
+        top = max(gaps)
+        lowered = data.draw(st.sets(st.sampled_from(range(len(knots))), min_size=2, max_size=6))
+        for i in lowered:
+            p, q, c, violated, hits = knots[i]
+            knots[i] = (p, q, c - top + gaps[i], violated, hits)
+        tied = sorted(knots[i] for i in {*lowered, gaps.index(top)})
+        assert len(tied) >= 2
+        in_order = _Partial()
+        for knot in knots:
+            in_order.add(1, (), knot)
+        assert in_order.best == tied[0]
+        shuffled = _Partial()
+        for knot in data.draw(st.permutations(knots)):
+            shuffled.add(1, (), knot)
+        assert shuffled.best == in_order.best
 
 
 class TestSerialization:
