@@ -320,12 +320,19 @@ def _walk(
 
     The lemma-9 lists share all but their middle pair, so the continuant of
     the down list, (a - 1, a + 1), is that of the up list, (a + 1, a - 1),
-    plus twice (h2 c0 - h1 c1, k2 c0 - k1 c1), whatever a is.  The walk
-    checks that half difference once per prefix, and per knot only the up
-    list's continuant, both from the tail continuant (c0, c1).  Reversal
-    does not change a continuant, so (c0, c1) is the prefix's (k1, k2); but
-    in place of (c0, c1), (k1, k2) would turn the check into the determinant
-    identity of the convergents, which no prefix fails, so the walk keeps both.
+    plus twice (h2 c0 - h1 c1, k2 c0 - k1 c1), whatever a is, and the walk
+    checks that half difference against (sign, 0) once per prefix.  The up
+    list's continuant, from the tail continuant (c0, c1), is (h1 v + h2 u,
+    k1 v + k2 u) with u = (a - 1) c0 + c1 and v = (a + 1) u + c0.  Where
+    (c0, c1) = (k1, k2), it is (pq + h1 k2 - h2 k1, p^2) for every a, and
+    the half difference's first entry makes that (pq - sign, p^2): the walk
+    decides the check once per prefix, for all of its knots.  Reversal does
+    not change a continuant, so an honest walk's (c0, c1) is always (k1, k2);
+    the walk still carries (c0, c1), because where the per-prefix decision
+    fails it checks each knot's up continuant from (c0, c1), so a doctored
+    root that perturbs (c0, c1) or swaps the lists gets exact per-knot flags.
+    The row kernel `_check` stays the independent oracle: it runs
+    `continuant` on the explicit `lemma9_lists`.
 
     Given `cells` (see `_band`), the walk stores each knot's c << 8 | violated
     in its slot once it has checked the knot.  Given `tasks`, it visits only
@@ -366,18 +373,19 @@ def _walk(
             ))
         if not h1:  # [0]: q/p = [0; a] = 1/a is no knot
             continue
-        # lemma 9: the minus list's continuant is (pq - 1, p^2), the plus list's
-        # (pq + 1, p^2), so with sign = +1 when the up list is the minus list, a
-        # knot passes when the up continuant is (pq - sign, p^2) and the half
-        # difference is (sign, 0)
-        sign = 1 if minus_up else -1
-        diff_ok = h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
-
         # the smallest a >= 2 with lo <= p, and the largest with p <= max_p
         first = 2 if 2 * k1 + k2 >= lo else -((k2 - lo) // k1)
         last = (max_p - k2) // k1
         if first > last:
             continue
+
+        # lemma 9: the minus list's continuant is (pq - 1, p^2), the plus list's
+        # (pq + 1, p^2), so with sign = +1 when the up list is the minus list, a
+        # knot passes when the up continuant is (pq - sign, p^2) and the half
+        # difference is (sign, 0); every_a: each knot of the prefix passes
+        sign = 1 if minus_up else -1
+        diff_ok = h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
+        every_a = diff_ok and c0 == k1 and c1 == k2
         for a in range(first, last + 1):
             p = a * k1 + k2
             q = a * h1 + h2
@@ -418,12 +426,13 @@ def _walk(
             if coeff_sum + a > p:
                 violated |= _LEMMA2
 
-            # the up list's continuant: the head matrix times [[a + 1, 1],
-            # [1, 0]] times [[a - 1, 1], [1, 0]] times the tail's (c0, c1)
-            u = (a - 1) * c0 + c1
-            v = (a + 1) * u + c0
-            if not diff_ok or h1 * v + h2 * u != p * q - sign or k1 * v + k2 * u != p * p:
-                violated |= _LEMMA9
+            if not every_a:
+                # the up list's continuant: the head matrix times [[a + 1, 1],
+                # [1, 0]] times [[a - 1, 1], [1, 0]] times the tail's (c0, c1)
+                u = (a - 1) * c0 + c1
+                v = (a + 1) * u + c0
+                if not diff_ok or h1 * v + h2 * u != p * q - sign or k1 * v + k2 * u != p * p:
+                    violated |= _LEMMA9
 
             if q == 3 and p & 1 and _q3_fails(p, c, minus, plus):
                 violated |= _Q3

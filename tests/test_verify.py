@@ -49,7 +49,7 @@ from crosscap import (
     serialize_report,
 )
 from crosscap.cli import main
-from crosscap.continued_fractions import ODD, SKIP, TAKE, euclid, lemma9_lists
+from crosscap.continued_fractions import ODD, SKIP, TAKE, continuant, euclid, lemma9_lists
 from crosscap.torus_knots import bound_ints
 from crosscap.verify import _Partial
 from test_cli import (
@@ -667,6 +667,91 @@ class TestKernelGuards:
                 assert type(knot) is tuple and len(knot) == 5
                 assert {type(x) for x in knot} == {int}, knot
         assert lo == 298 and cells.typecode == "i" and len(cells) == 296 + 297 + 298
+
+
+class TestLemma9Shortcut:
+    """Where a prefix's half difference is (sign, 0) and its tail continuant
+    (c0, c1) is its (k1, k2), the up list's continuant is (pq - sign, p^2)
+    for every last coefficient a, so the walk decides lemma 9 once for the
+    prefix; elsewhere it checks each knot."""
+
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=29), st.integers(2, 10**6))
+    def test_the_shortcut_holds_and_every_a_passes(self, middle, a):
+        # q/p = [0; a1, ..., a(n-1), a] with n up to 30; the convergents and
+        # the reversed tail's continuant from `continuant`, not the walk's
+        # recurrences
+        head = [0, *middle]
+        n = len(head)
+        h1, k1 = continuant(head)
+        h2, k2 = continuant(head[:-1])
+        c0, c1 = continuant(middle[::-1])
+        sign = 1 if n % 2 else -1  # the up list is the minus list when n is odd
+        assert h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
+        assert (c0, c1) == (k1, k2)
+        q, p = continuant([*head, a])
+        minus, plus = lemma9_lists([*head, a])
+        up = minus if n % 2 else plus
+        assert up[n : n + 2] == [a + 1, a - 1]
+        assert continuant(up) == (p * q - sign, p * p)
+
+    def test_an_honest_walk_takes_the_shortcut_at_every_prefix(self):
+        # the prefixes a walk to 1000 hands out as tasks, and every prefix a
+        # whole walk pops from its stack
+        tasks, visited = [], []
+
+        class Stack(list):
+            def pop(self):
+                visited.append(super().pop())
+                return visited[-1]
+
+        verify_module._walk(1000, [verify_module._ROOT], tasks)
+        verify_module._walk(1000, Stack([verify_module._ROOT]))
+        assert len(tasks) > 500 and len(visited) > 100_000
+        for h1, h2, k1, k2, *_, c0, c1, minus_up in [*tasks, *visited]:
+            sign = 1 if minus_up else -1
+            assert h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
+            assert (c0, c1) == (k1, k2)
+
+    def test_the_difference_alone_does_not_take_the_shortcut(self, monkeypatch):
+        # negate the root's tail continuant, (c0, c1) = (-1, 0), and flip
+        # which list is up: every prefix's half difference is then (sign, 0),
+        # but its tail continuant is -(k1, k2), so each knot's up continuant
+        # is -(pq - sign, p^2) for the old sign, and every knot fails lemma9
+        root = verify_module._ROOT
+        monkeypatch.setattr(verify_module, "_ROOT", (*root[:10], -1, 0, not root[-1]))
+        tasks = []
+        verify_module._walk(120, [verify_module._ROOT], tasks)
+        for h1, h2, k1, k2, *_, c0, c1, minus_up in tasks:
+            sign = 1 if minus_up else -1
+            assert h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
+            assert (c0, c1) == (-k1, -k2)
+        report = run_verification(SweepConfig(120))
+        knots = list(enumerate_coprime(120))
+        assert report.lemma_failures == tuple((k, ("lemma9",)) for k in knots)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_wrong_tail_continuant_flags_every_csv_row(self, monkeypatch, pool_sizes, workers):
+        # the fallback: with the root's c1 doctored as in
+        # test_walk_with_a_wrong_tail_continuant_fails_lemma9_on_every_knot,
+        # no prefix takes the shortcut, and the bands' per-knot test sets
+        # violated_lemma9 on every row and changes no other field
+        force_bands(monkeypatch, 120, 3)
+        config = SweepConfig(120, workers=workers)
+        honest, doctored = [], []
+        band_report(config, honest)
+        root = verify_module._ROOT
+        monkeypatch.setattr(verify_module, "_ROOT", (*root[:11], 1, *root[12:]))
+        band_report(config, doctored)
+        assert pool_sizes == ([] if workers == 1 else [2, 2])
+        assert "".join(honest) == two_pass_csv(120)
+        honest, doctored = "".join(honest).splitlines(), "".join(doctored).splitlines()
+        assert doctored[0] == honest[0] and len(doctored) == len(honest) > 1
+        column = honest[0].split(",").index("violated_lemma9")
+        for got, want in zip(doctored[1:], honest[1:]):
+            got, want = got.split(","), want.split(",")
+            assert got[column] == "1" and want[column] == "0"
+            got[column] = "0"
+            assert got == want
 
 
 def doctor_flags(monkeypatch, how: str) -> None:
