@@ -320,19 +320,22 @@ def _walk(
 
     The lemma-9 lists share all but their middle pair, so the continuant of
     the down list, (a - 1, a + 1), is that of the up list, (a + 1, a - 1),
-    plus twice (h2 c0 - h1 c1, k2 c0 - k1 c1), whatever a is, and the walk
-    checks that half difference against (sign, 0) once per prefix.  The up
-    list's continuant, from the tail continuant (c0, c1), is (h1 v + h2 u,
-    k1 v + k2 u) with u = (a - 1) c0 + c1 and v = (a + 1) u + c0.  Where
-    (c0, c1) = (k1, k2), it is (pq + h1 k2 - h2 k1, p^2) for every a, and
-    the half difference's first entry makes that (pq - sign, p^2): the walk
-    decides the check once per prefix, for all of its knots.  Reversal does
-    not change a continuant, so an honest walk's (c0, c1) is always (k1, k2);
-    the walk still carries (c0, c1), because where the per-prefix decision
-    fails it checks each knot's up continuant from (c0, c1), so a doctored
-    root that perturbs (c0, c1) or swaps the lists gets exact per-knot flags.
-    The row kernel `_check` stays the independent oracle: it runs
-    `continuant` on the explicit `lemma9_lists`.
+    plus twice (h2 c0 - h1 c1, k2 c0 - k1 c1), whatever a is; from the tail
+    continuant (c0, c1), the up list's is (h1 v + h2 u, k1 v + k2 u) with
+    u = (a - 1) c0 + c1 and v = (a + 1) u + c0.  A knot passes when the half
+    difference is (sign, 0) and the up continuant is (pq - sign, p^2), and
+    the walk decides that once per prefix, for all of its knots.  The
+    convergent matrix is unimodular, h1 k2 - h2 k1 = +/-1, so gcd(k1, k2) = 1
+    and the half difference's second entry vanishes only at (c0, c1) =
+    t (k1, k2); then u = t (p - k1), v = t (ap + k2) and the up continuant is
+    t (pq + h1 k2 - h2 k1, p^2), which needs t = 1.  At t = 1 the first
+    entry, h2 k1 - h1 k2 = sign, makes it (pq - sign, p^2) for every a.
+    Reversal does not change a continuant, so an honest walk's (c0, c1) is
+    always (k1, k2); the walk still carries it, so that the check reads the
+    tail's own continuant and not only the determinant identity of the
+    convergents, and a doctored root that perturbs (c0, c1) or swaps the
+    lists fails lemma 9 on every knot.  The row kernel `_check` stays the
+    independent oracle: it runs `continuant` on the explicit `lemma9_lists`.
 
     Given `cells` (see `_band`), the walk stores each knot's c << 8 | violated
     in its slot once it has checked the knot.  Given `tasks`, it visits only
@@ -382,10 +385,11 @@ def _walk(
         # lemma 9: the minus list's continuant is (pq - 1, p^2), the plus list's
         # (pq + 1, p^2), so with sign = +1 when the up list is the minus list, a
         # knot passes when the up continuant is (pq - sign, p^2) and the half
-        # difference is (sign, 0); every_a: each knot of the prefix passes
+        # difference is (sign, 0): for every a exactly when that holds and
+        # (c0, c1) = (k1, k2)
         sign = 1 if minus_up else -1
         diff_ok = h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
-        every_a = diff_ok and c0 == k1 and c1 == k2
+        lemma9 = 0 if diff_ok and c0 == k1 and c1 == k2 else _LEMMA9
         for a in range(first, last + 1):
             p = a * k1 + k2
             q = a * h1 + h2
@@ -426,13 +430,7 @@ def _walk(
             if coeff_sum + a > p:
                 violated |= _LEMMA2
 
-            if not every_a:
-                # the up list's continuant: the head matrix times [[a + 1, 1],
-                # [1, 0]] times [[a - 1, 1], [1, 0]] times the tail's (c0, c1)
-                u = (a - 1) * c0 + c1
-                v = (a + 1) * u + c0
-                if not diff_ok or h1 * v + h2 * u != p * q - sign or k1 * v + k2 * u != p * p:
-                    violated |= _LEMMA9
+            violated |= lemma9
 
             if q == 3 and p & 1 and _q3_fails(p, c, minus, plus):
                 violated |= _Q3

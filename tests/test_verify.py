@@ -673,7 +673,7 @@ class TestLemma9Shortcut:
     """Where a prefix's half difference is (sign, 0) and its tail continuant
     (c0, c1) is its (k1, k2), the up list's continuant is (pq - sign, p^2)
     for every last coefficient a, so the walk decides lemma 9 once for the
-    prefix; elsewhere it checks each knot."""
+    prefix; elsewhere every knot of the prefix fails it."""
 
     @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=29), st.integers(2, 10**6))
     def test_the_shortcut_holds_and_every_a_passes(self, middle, a):
@@ -729,29 +729,28 @@ class TestLemma9Shortcut:
         knots = list(enumerate_coprime(120))
         assert report.lemma_failures == tuple((k, ("lemma9",)) for k in knots)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_wrong_tail_continuant_flags_every_csv_row(self, monkeypatch, pool_sizes, workers):
-        # the fallback: with the root's c1 doctored as in
-        # test_walk_with_a_wrong_tail_continuant_fails_lemma9_on_every_knot,
-        # no prefix takes the shortcut, and the bands' per-knot test sets
-        # violated_lemma9 on every row and changes no other field
-        force_bands(monkeypatch, 120, 3)
-        config = SweepConfig(120, workers=workers)
-        honest, doctored = [], []
-        band_report(config, honest)
-        root = verify_module._ROOT
-        monkeypatch.setattr(verify_module, "_ROOT", (*root[:11], 1, *root[12:]))
-        band_report(config, doctored)
-        assert pool_sizes == ([] if workers == 1 else [2, 2])
-        assert "".join(honest) == two_pass_csv(120)
-        honest, doctored = "".join(honest).splitlines(), "".join(doctored).splitlines()
-        assert doctored[0] == honest[0] and len(doctored) == len(honest) > 1
-        column = honest[0].split(",").index("violated_lemma9")
-        for got, want in zip(doctored[1:], honest[1:]):
-            got, want = got.split(","), want.split(",")
-            assert got[column] == "1" and want[column] == "0"
-            got[column] = "0"
-            assert got == want
+    @given(
+        st.lists(st.integers(1, 10**6), min_size=1, max_size=29),
+        st.integers(2, 10**6),
+        st.integers(-2, 2),
+        st.one_of(st.just((0, 0)), st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+        st.booleans(),
+    )
+    def test_the_per_prefix_decision_is_the_per_knot_test(self, middle, a, t, off, flip):
+        # a tail continuant at or near t (k1, k2), and either sign: a knot's
+        # own test, the half difference and the up list's continuant from
+        # (c0, c1), passes exactly where the prefix's decision does
+        head = [0, *middle]
+        h1, k1 = continuant(head)
+        h2, k2 = continuant(head[:-1])
+        c0, c1 = t * k1 + off[0], t * k2 + off[1]
+        sign = (h2 * k1 - h1 * k2) * (-1 if flip else 1)
+        q, p = continuant([*head, a])
+        u = (a - 1) * c0 + c1
+        v = (a + 1) * u + c0
+        diff_ok = h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
+        per_knot = diff_ok and h1 * v + h2 * u == p * q - sign and k1 * v + k2 * u == p * p
+        assert per_knot == (diff_ok and (c0, c1) == (k1, k2))
 
 
 def doctor_flags(monkeypatch, how: str) -> None:
