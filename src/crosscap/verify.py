@@ -293,7 +293,7 @@ def _row(p: int) -> int:
 
 
 #: The walk's start: the empty prefix [0] (see `_walk` for the fields).
-_ROOT = (0, 1, 1, 0, SKIP, 0, TAKE, 0, 0, (0, 0, 0), 1, 0, True)
+_ROOT = (0, 1, 1, 0, SKIP, 0, TAKE, 0, 0, (0, 0, 0), True)
 
 
 def _walk(
@@ -318,24 +318,16 @@ def _walk(
     the largest so far goes to `_Partial.add`, whose `_rank` keeps the
     smallest (p, q) of a tie, so the witness does not depend on walk order.
 
-    The lemma-9 lists share all but their middle pair, so the continuant of
-    the down list, (a - 1, a + 1), is that of the up list, (a + 1, a - 1),
-    plus twice (h2 c0 - h1 c1, k2 c0 - k1 c1), whatever a is; from the tail
-    continuant (c0, c1), the up list's is (h1 v + h2 u, k1 v + k2 u) with
-    u = (a - 1) c0 + c1 and v = (a + 1) u + c0.  A knot passes when the half
-    difference is (sign, 0) and the up continuant is (pq - sign, p^2), and
-    the walk decides that once per prefix, for all of its knots.  The
-    convergent matrix is unimodular, h1 k2 - h2 k1 = +/-1, so gcd(k1, k2) = 1
-    and the half difference's second entry vanishes only at (c0, c1) =
-    t (k1, k2); then u = t (p - k1), v = t (ap + k2) and the up continuant is
-    t (pq + h1 k2 - h2 k1, p^2), which needs t = 1.  At t = 1 the first
-    entry, h2 k1 - h1 k2 = sign, makes it (pq - sign, p^2) for every a.
-    Reversal does not change a continuant, so an honest walk's (c0, c1) is
-    always (k1, k2); the walk still carries it, so that the check reads the
-    tail's own continuant and not only the determinant identity of the
-    convergents, and a doctored root that perturbs (c0, c1) or swaps the
-    lists fails lemma 9 on every knot.  The row kernel `_check` stays the
-    independent oracle: it runs `continuant` on the explicit `lemma9_lists`.
+    The lemma-9 lists are the head [0, a1, ..., a(n-1)], a middle pair, and
+    the reversed tail a(n-1), ..., a1, whose continuant is (k1, k2), since
+    reversal does not change a continuant.  So the up list, middle pair
+    (a + 1, a - 1), has the continuant (pq + h1 k2 - h2 k1, p^2) for every a,
+    and the down list (pq - h1 k2 + h2 k1, p^2).  The minus list needs
+    (pq - 1, p^2) and the plus list (pq + 1, p^2), so with sign = +1 where
+    the up list is the minus list, both are right for every a exactly when
+    h2 k1 - h1 k2 = sign, and the walk decides that once per prefix.  The row
+    kernel `_check` is the independent oracle: it runs `continuant` on the
+    explicit `lemma9_lists`.
 
     Given `cells` (see `_band`), the walk stores each knot's c << 8 | violated
     in its slot once it has checked the knot.  Given `tasks`, it visits only
@@ -352,13 +344,12 @@ def _walk(
     # whose columns are its last two convergents; (s0, t0) and (s1, t1): the skip
     # states and totals of [0, a1, ...] (the leading 0 makes the rule skip a1) and
     # of [a1, ...]; its coefficient sum; of the reversed tail a(n-1), ..., a1, the
-    # tail of both lemma-9 lists, the skip adds from each entry state and the
-    # continuant (c0, c1); minus_up: n is odd, so the minus list has the middle
-    # pair (a + 1, a - 1).  A stack, not recursion, so that a walk can start from
-    # any run of prefixes.
+    # tail of both lemma-9 lists, the skip adds from each entry state; minus_up:
+    # n is odd, so the minus list has the middle pair (a + 1, a - 1).  A stack,
+    # not recursion, so that a walk can start from any run of prefixes.
     while stack:  # depth first, children in increasing order of their coefficient
         prefix = stack.pop()
-        h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, c0, c1, minus_up = prefix
+        h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, minus_up = prefix
         if tasks is not None and k1 > 1:  # below [0] and [0; 1]: a pool task's
             tasks.append(prefix)
             continue
@@ -372,7 +363,7 @@ def _walk(
                 step[s0], t0 + take0 * b, step[s1], t1 + take1 * b,
                 coeff_sum + b,
                 (b + tail[step[TAKE]], tail[step[SKIP]], b + tail[step[ODD]]),
-                b * c0 + c1, c0, not minus_up,
+                not minus_up,
             ))
         if not h1:  # [0]: q/p = [0; a] = 1/a is no knot
             continue
@@ -382,14 +373,9 @@ def _walk(
         if first > last:
             continue
 
-        # lemma 9: the minus list's continuant is (pq - 1, p^2), the plus list's
-        # (pq + 1, p^2), so with sign = +1 when the up list is the minus list, a
-        # knot passes when the up continuant is (pq - sign, p^2) and the half
-        # difference is (sign, 0): for every a exactly when that holds and
-        # (c0, c1) = (k1, k2)
-        sign = 1 if minus_up else -1
-        diff_ok = h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
-        lemma9 = 0 if diff_ok and c0 == k1 and c1 == k2 else _LEMMA9
+        # lemma 9, for every a: h2 k1 - h1 k2 = sign, +1 when the up list is
+        # the minus list
+        lemma9 = 0 if h2 * k1 - h1 * k2 == (1 if minus_up else -1) else _LEMMA9
         for a in range(first, last + 1):
             p = a * k1 + k2
             q = a * h1 + h2

@@ -536,43 +536,57 @@ class TestKernelGuards:
         q3 = [c.record.knot for c in walk.violations if "q3" in c.violated]
         assert q3 == [k for k in knots if k.q == 3 and k.p % 2]
 
-    def test_walk_with_a_wrong_tail_continuant_fails_lemma9_on_every_knot(self, monkeypatch):
-        # the tail continuant (c0, c1) of the empty prefix is (1, 0): with
-        # c1 = 1, every prefix's tail continuant is wrong, and so is one of
-        # its lists' continuants for every a, while the skip totals, and so
-        # the crosscap numbers, are untouched
-        expected = run_verification(SweepConfig(120))
-        root = verify_module._ROOT
-        assert root[10:12] == (1, 0)
-        monkeypatch.setattr(verify_module, "_ROOT", (*root[:11], 1, *root[12:]))
-        report = run_verification(SweepConfig(120))
-        knots = list(enumerate_coprime(120))
-        assert report.lemma_failures == tuple((k, ("lemma9",)) for k in knots)
-        assert [c.record for c in report.violations] == [check_knot(k).record for k in knots]
-        assert {c.violated for c in report.violations} == {frozenset({"lemma9"})}
-        assert report.knots_checked == expected.knots_checked
-        assert report.sharpness_hits == expected.sharpness_hits
-        assert report.max_gap_witness == expected.max_gap_witness
-
     def test_walk_checks_the_difference_of_the_lists(self):
-        # a prefix state no walk reaches: [0; 1, 1] with its lists swapped and
-        # the tail continuant (c0, c1) = (-12, 19) in place of (2, 1).  For the
-        # knot (5, 3), a = 2, the up list, now the plus list, then has the
-        # continuant (16, 25) = (pq + 1, p^2), as it should; only the down
-        # list's, (-46, -75), is wrong, and the walk sees that from the
-        # difference of the two, 2 (-31, -50) in place of 2 (-1, 0).  The q3
-        # check of (5, 3) reads the congruence-selected list, the other one now
+        # a prefix state no walk reaches: [0; 1, 1] with its lists swapped.
+        # The half difference of its lists' continuants, down minus up, is
+        # (h2 k1 - h1 k2, 0) = (1, 0) for every a, which names the down list
+        # the plus list; with the up list named the plus list, every knot
+        # below the prefix fails lemma 9.  The q3 check of (5, 3) reads the
+        # congruence-selected list, the other one now
         prefixes = []
         verify_module._walk(5, [verify_module._ROOT], prefixes)
         (prefix,) = (pre for pre in prefixes if pre[:4] == (1, 1, 2, 1))
-        assert prefix[10:] == (2, 1, True)
-        doctored = (*prefix[:10], -12, 19, False)
+        assert prefix[10:] == (True,)
+        doctored = (*prefix[:10], False)
         part = verify_module._walk(7, [doctored])
         assert part.count == 2  # a = 2 and 3, and no prefix below it to 7
         lemma9, q3 = verify_module._LEMMA9, verify_module._Q3
         assert [(p, q, violated) for p, q, _, violated, _ in part.listed] == [
             (5, 3, lemma9 | q3), (7, 4, lemma9)
         ]
+
+    def test_a_task_with_one_flipped_prefix_fails_lemma9_on_its_subtree(
+        self, monkeypatch, pool_sizes
+    ):
+        # flip which list is up on the first prefix of the second walk task:
+        # its knots, those whose expansion [0; a1, ..., a(n-1), a] has the
+        # prefix's convergents (h1/k1, h2/k2) among those of [0; a1, ...,
+        # a(n-1)], fail lemma 9, found from their own expansions, and no other
+        # knot does, through the pool and the merge
+        real, flipped = verify_module._runs, []
+
+        def runs(prefixes, count):
+            cut = real(prefixes, count)
+            first = cut[1][-1]  # a run is reversed: its first prefix is last
+            flipped.append((*first[:-1], not first[-1]))
+            cut[1][-1] = flipped[0]
+            return cut
+
+        monkeypatch.setattr(verify_module, "_runs", runs)
+        report = run_verification(SweepConfig(120, workers=2))
+        assert pool_sizes == [2]
+        h1, h2, k1, k2, *_ = flipped[0]
+        below = []
+        for k in enumerate_coprime(120):
+            coeffs = euclid(k.q, k.p)
+            ends = range(2, len(coeffs))  # [0; a1, ..., a(i-1)], i <= n
+            if ((h1, k1), (h2, k2)) in (
+                (continuant(coeffs[:i]), continuant(coeffs[: i - 1])) for i in ends
+            ):
+                below.append(k)
+        assert report.lemma_failures == tuple((k, ("lemma9",)) for k in below)
+        assert len(below) == verify_module._walk(120, [flipped[0]]).count > 1
+        assert report.knots_checked == len(list(enumerate_coprime(120)))
 
     def test_odd_skip_total_aborts(self, monkeypatch, capsys):
         patch_kernel(monkeypatch, "skip_total", lambda coeffs: 7)
@@ -670,9 +684,9 @@ class TestKernelGuards:
 
 
 class TestLemma9Shortcut:
-    """Where a prefix's half difference is (sign, 0) and its tail continuant
-    (c0, c1) is its (k1, k2), the up list's continuant is (pq - sign, p^2)
-    for every last coefficient a, so the walk decides lemma 9 once for the
+    """The reversed tail of a prefix has the continuant (k1, k2), so where
+    h2 k1 - h1 k2 = sign the up list's continuant is (pq - sign, p^2) for
+    every last coefficient a, and the walk decides lemma 9 once for the
     prefix; elsewhere every knot of the prefix fails it."""
 
     @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=29), st.integers(2, 10**6))
@@ -684,10 +698,9 @@ class TestLemma9Shortcut:
         n = len(head)
         h1, k1 = continuant(head)
         h2, k2 = continuant(head[:-1])
-        c0, c1 = continuant(middle[::-1])
         sign = 1 if n % 2 else -1  # the up list is the minus list when n is odd
-        assert h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
-        assert (c0, c1) == (k1, k2)
+        assert h2 * k1 - h1 * k2 == sign
+        assert continuant(middle[::-1]) == (k1, k2)
         q, p = continuant([*head, a])
         minus, plus = lemma9_lists([*head, a])
         up = minus if n % 2 else plus
@@ -696,7 +709,7 @@ class TestLemma9Shortcut:
 
     def test_an_honest_walk_takes_the_shortcut_at_every_prefix(self):
         # the prefixes a walk to 1000 hands out as tasks, and every prefix a
-        # whole walk pops from its stack
+        # whole walk pops from its stack, the root [0] among them
         tasks, visited = [], []
 
         class Stack(list):
@@ -706,51 +719,9 @@ class TestLemma9Shortcut:
 
         verify_module._walk(1000, [verify_module._ROOT], tasks)
         verify_module._walk(1000, Stack([verify_module._ROOT]))
-        assert len(tasks) > 500 and len(visited) > 100_000
-        for h1, h2, k1, k2, *_, c0, c1, minus_up in [*tasks, *visited]:
-            sign = 1 if minus_up else -1
-            assert h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
-            assert (c0, c1) == (k1, k2)
-
-    def test_the_difference_alone_does_not_take_the_shortcut(self, monkeypatch):
-        # negate the root's tail continuant, (c0, c1) = (-1, 0), and flip
-        # which list is up: every prefix's half difference is then (sign, 0),
-        # but its tail continuant is -(k1, k2), so each knot's up continuant
-        # is -(pq - sign, p^2) for the old sign, and every knot fails lemma9
-        root = verify_module._ROOT
-        monkeypatch.setattr(verify_module, "_ROOT", (*root[:10], -1, 0, not root[-1]))
-        tasks = []
-        verify_module._walk(120, [verify_module._ROOT], tasks)
-        for h1, h2, k1, k2, *_, c0, c1, minus_up in tasks:
-            sign = 1 if minus_up else -1
-            assert h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
-            assert (c0, c1) == (-k1, -k2)
-        report = run_verification(SweepConfig(120))
-        knots = list(enumerate_coprime(120))
-        assert report.lemma_failures == tuple((k, ("lemma9",)) for k in knots)
-
-    @given(
-        st.lists(st.integers(1, 10**6), min_size=1, max_size=29),
-        st.integers(2, 10**6),
-        st.integers(-2, 2),
-        st.one_of(st.just((0, 0)), st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
-        st.booleans(),
-    )
-    def test_the_per_prefix_decision_is_the_per_knot_test(self, middle, a, t, off, flip):
-        # a tail continuant at or near t (k1, k2), and either sign: a knot's
-        # own test, the half difference and the up list's continuant from
-        # (c0, c1), passes exactly where the prefix's decision does
-        head = [0, *middle]
-        h1, k1 = continuant(head)
-        h2, k2 = continuant(head[:-1])
-        c0, c1 = t * k1 + off[0], t * k2 + off[1]
-        sign = (h2 * k1 - h1 * k2) * (-1 if flip else 1)
-        q, p = continuant([*head, a])
-        u = (a - 1) * c0 + c1
-        v = (a + 1) * u + c0
-        diff_ok = h2 * c0 - h1 * c1 == sign and k2 * c0 - k1 * c1 == 0
-        per_knot = diff_ok and h1 * v + h2 * u == p * q - sign and k1 * v + k2 * u == p * p
-        assert per_knot == (diff_ok and (c0, c1) == (k1, k2))
+        assert len(tasks) == 996 and len(visited) == 101_392
+        for h1, h2, k1, k2, *_, minus_up in [*tasks, *visited]:
+            assert h2 * k1 - h1 * k2 == (1 if minus_up else -1)
 
 
 def doctor_flags(monkeypatch, how: str) -> None:
