@@ -115,11 +115,11 @@ RECORD_FIELDS = tuple(InvariantRecord(UNKNOT, None, 0, 0, 0, Bounds(0, 0, 0, 0),
 
 
 def _csv_text(rows: Iterable[Iterable]) -> str:
-    """`rows` as CSV lines by the rule of every crosscap CSV, `verify._CSV_ROW`'s
-    too: each field as `str` gives it, joined by commas, each line ending in a
-    newline.  Nothing is quoted, so no field may hold `,`, `"`, a carriage
-    return or a newline; none does, being an int or a plain word (a field
-    name, a parity or `unknot`)."""
+    """`rows` as CSV lines by the rule of every crosscap CSV, the sweep's row
+    format `verify._CSV_TAIL` too: each field as `str` gives it, joined by
+    commas, each line ending in a newline.  Nothing is quoted, so no field
+    may hold `,`, `"`, a carriage return or a newline; none does, being an
+    int or a plain word (a field name, a parity or `unknot`)."""
     return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 

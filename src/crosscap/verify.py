@@ -62,9 +62,9 @@ _SHARPENED = _THM1 | _THM2
 
 #: The sweep CSV's header: a knot's record fields, then one violated flag per check.
 _CSV_HEADER = (*RECORD_FIELDS, *(f"violated_{name}" for name in CHECK_NAMES))
-#: A CSV row, as `%` formats it: one field per record field, then the
-#: violated flags as one text (see `_FLAGS`).
-_CSV_ROW = "%s," * len(RECORD_FIELDS) + "%s\n"
+#: A CSV row after its p, as `%` formats it: one field per record field but
+#: p, then the violated flags as one text (see `_FLAGS`).
+_CSV_TAIL = "%s," * (len(RECORD_FIELDS) - 1) + "%s\n"
 #: The violated flags of each 8-bit value as CSV text, one 0/1 per check in
 #: CHECK_NAMES order.
 _FLAGS = tuple(
@@ -479,20 +479,22 @@ def _band(lo: int, hi: int) -> tuple[int, _Partial, array]:
 
 def _write_rows(write: Callable[[str], object], lo: int, cells: array) -> None:
     """Write the `_CSV_HEADER` rows of a band from row lo, one text per p with
-    its knots in q order, from its cells (see `_band`)."""
-    row, parity, flag_texts = _CSV_ROW, _PARITY, _FLAGS
+    its knots in q order, from its cells (see `_band`): the fields of a row's
+    knots go into one flat list, and one `%` renders them all."""
+    tail, parity, flag_texts = _CSV_TAIL, _PARITY, _FLAGS
+    width = len(RECORD_FIELDS)  # a knot's fields after p: q to gap, then its flags
     start, p = 0, lo
     while start < len(cells):
-        texts = []
+        fields = []
         for q, cell in enumerate(cells[start : start + p - 2], 2):
             if cell >= 0:
                 c = cell >> 8
                 g = (p - 1) * (q - 1) >> 1
                 n = p * (q - 1)
-                flags = flag_texts[cell & 255]
-                fields = (p, q, parity[p & q & 1], g, n, c, *bound_ints(g, n), g - c, flags)
-                texts.append(row % fields)
-        write("".join(texts))
+                fields += (q, parity[p & q & 1], g, n, c)
+                fields += bound_ints(g, n)
+                fields += (g - c, flag_texts[cell & 255])
+        write((f"{p}," + tail) * (len(fields) // width) % tuple(fields))
         start += p - 2
         p += 1
 

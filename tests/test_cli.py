@@ -690,6 +690,30 @@ class TestExitCodeTable:
         assert list(tmp_path.iterdir()) == []
         assert pool_sizes == ([] if workers == "1" else [2])
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_memoryerror_in_a_rows_format_exits_2(
+        self, tmp_path, capsys, monkeypatch, pool_sizes, workers
+    ):
+        # the allocation fails inside the `%` that renders a row: one bound
+        # of each knot compares as its int but cannot become text
+        class Unprintable(int):
+            def __str__(self):
+                raise MemoryError
+
+        real = verify_module.bound_ints
+        monkeypatch.setattr(
+            verify_module, "bound_ints", lambda g, n: (*real(g, n)[:3], Unprintable(real(g, n)[3]))
+        )
+        force_bands(monkeypatch, 50, 1 if workers == "1" else 3)
+        path = tmp_path / "out"
+        argv = ["verify", "--max-p", "50", "--workers", workers, "--csv", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == "crosscap: verify did not complete: MemoryError()\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+        assert pool_sizes == ([] if workers == "1" else [2])
+
     @_NO_DEV_FULL
     @pytest.mark.parametrize(
         "argv",

@@ -9,6 +9,7 @@ import io
 import json
 import multiprocessing
 import os
+from array import array
 from concurrent import futures
 from dataclasses import replace
 from fractions import Fraction
@@ -16,7 +17,7 @@ from itertools import groupby
 from math import gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import crosscap.continued_fractions as cf_module
@@ -50,7 +51,7 @@ from crosscap import (
 )
 from crosscap.cli import main
 from crosscap.continued_fractions import ODD, SKIP, TAKE, continuant, euclid, lemma9_lists
-from crosscap.torus_knots import bound_ints
+from crosscap.torus_knots import _csv_text, bound_ints
 from crosscap.verify import _Partial
 from test_cli import (
     count_checked,
@@ -921,6 +922,46 @@ class TestBands:
         assert 0 < len(runs) <= count and all(runs)
         # each run is reversed, so that `_walk` pops it in walk order
         assert [prefix for run in runs for prefix in reversed(run)] == prefixes
+
+
+
+class TestWriteRows:
+    """`_write_rows` on cells that no walk made, against `_csv_text` of the
+    fields `_record` gives each live cell."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lo=st.integers(3, 9_990),
+        shares=st.tuples(*[st.sampled_from((0.0, 0.01, 0.5, 1.0))] * 3),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_each_row_is_one_text_of_its_live_cells(self, lo, shares, rnd):
+        # three rows from lo, each coprime slot live with its row's share:
+        # a share of 0 empties the row, and only coprime slots can be live,
+        # since `_record` builds a TorusKnot; the live slots' flags run
+        # through every 8-bit value, and c reaches 2^23 - 1, the most a cell holds
+        rows = range(lo, lo + 3)
+        cells = array("i")
+        expected = []
+        for p, share in zip(rows, shares):
+            lines = []
+            for q in range(2, p):
+                if gcd(p, q) > 1 or rnd.random() >= share:
+                    cells.append(-1)
+                    continue
+                c = rnd.choice((1, (1 << 23) - 1, rnd.randrange(1 << 23)))
+                flags = (len(cells) + lo) & 255
+                cells.append(c << 8 | flags)
+                checked = verify_module._record(p, q, c, flags, 0)
+                bits = [int(name in checked.violated) for name in CHECK_NAMES]
+                lines.append([*checked.record.as_dict().values(), *bits])
+            expected.append(_csv_text(lines))
+        assert len(cells) == verify_module._row(lo + 3) - verify_module._row(lo)
+        texts = []
+        verify_module._write_rows(texts.append, lo, cells)
+        assert texts == expected  # one write per row, "" for an empty one
+        for p, text in zip(rows, texts):
+            assert all(line.startswith(f"{p},") for line in text.splitlines())
 
 
 class TestRunVerification:
