@@ -162,9 +162,7 @@ def _check(p: int, q: int) -> tuple[int, int, int]:
     c = crosscap_from(p, q, coeffs, branches)
     g = (p - 1) * (q - 1) // 2
     n = p * (q - 1)
-    violated, hits = _bound_flags(c, bound_ints(g, n))
-    if g < c:
-        violated |= _GAP
+    violated, hits = _bound_flags(c, g, n)
 
     if sum(coeffs) > p:
         violated |= _LEMMA2
@@ -182,11 +180,14 @@ def _check(p: int, q: int) -> tuple[int, int, int]:
     return c, violated, hits
 
 
-def _bound_flags(c: int, bounds: tuple[int, ...]) -> tuple[int, int]:
+def _bound_flags(c: int, g: int, n: int) -> tuple[int, int]:
     """The violated and equality-hit bits of the bound checks, for the
-    crosscap number c and `bound_ints`'s four bounds."""
-    violated = hits = 0
-    for bit, bound in zip(_BOUND_BITS, bounds):
+    crosscap number c, genus g and crossing number n: the one place for
+    them.  Each of the four bounds of `bound_ints(g, n)` flags a violation
+    or an equality hit; gap flags c > g, and records no equality hit."""
+    violated = _GAP if c > g else 0
+    hits = 0
+    for bit, bound in zip(_BOUND_BITS, bound_ints(g, n)):
         if c > bound:
             violated |= bit
         elif c == bound:
@@ -311,12 +312,13 @@ def _walk(
     value of [..., x + 1], and a skip total that differs by 0 or 1, so an even
     total is the canonical list's and an odd one aborts.
 
-    Per knot the walk keeps plain ints.  It runs the bound checks only on a
-    knot whose crosscap number meets thm1 or thm2, the least of the four
-    bounds, and builds the checked knot (p, q, c, violated, hits) only to
-    list it or to offer it as the witness: each knot whose gap is at least
-    the largest so far goes to `_Partial.add`, whose `_rank` keeps the
-    smallest (p, q) of a tie, so the witness does not depend on walk order.
+    Per knot the walk keeps plain ints.  It runs the bound checks and the
+    gap check only on a knot whose crosscap number meets thm1 or thm2, the
+    least of the four bounds, as every knot with c > g does, and builds the
+    checked knot (p, q, c, violated, hits) only to list it or to offer it as
+    the witness: each knot whose gap is at least the largest so far goes to
+    `_Partial.add`, whose `_rank` keeps the smallest (p, q) of a tie, so the
+    witness does not depend on walk order.
 
     The lemma-9 lists are the head [0, a1, ..., a(n-1)], a middle pair, and
     the reversed tail a(n-1), ..., a1, whose continuant is (k1, k2), since
@@ -362,7 +364,7 @@ def _walk(
                 b * h1 + h2, h1, b * k1 + k2, k1,
                 step[s0], t0 + take0 * b, step[s1], t1 + take1 * b,
                 coeff_sum + b,
-                (b + tail[step[TAKE]], tail[step[SKIP]], b + tail[step[ODD]]),
+                (b + tail[step[TAKE]], tail[TAKE], b + tail[step[ODD]]),
                 not minus_up,
             ))
         if not h1:  # [0]: q/p = [0; a] = 1/a is no knot
@@ -382,7 +384,7 @@ def _walk(
             if p & q & 1:
                 # the lemma-9 lists: head, middle pair (a +/- 1, a -/+ 1), tail;
                 # a + 1 and a - 1 share a parity, so both pass the same states,
-                # and the totals differ by 2 (take0 - take_y): minus names an odd one
+                # and the totals differ by 2 (take0 - take_y): one parity test covers both
                 step = next_[~a & 1]
                 mid = step[s0]
                 take_y = mid != SKIP
@@ -390,14 +392,13 @@ def _walk(
                 up = head + take0 * (a + 1) + take_y * (a - 1)
                 down = head + take0 * (a - 1) + take_y * (a + 1)
                 minus, plus = (up, down) if minus_up else (down, up)
-                if (minus | plus) & 1:
-                    raise IntegralityError(TorusKnot(p, q), HalfInteger(minus))
                 total = min(minus, plus)
             else:
-                # N(p, q) reads p/q = [a1, ..., a], N(q, p) reads q/p = [0, a1, ..., a]
-                total = t1 + take1 * a if p & 1 == 0 else t0 + take0 * a
-                if total & 1:
-                    raise IntegralityError(TorusKnot(p, q), HalfInteger(total))
+                # N(p, q) reads p/q = [a1, ..., a], N(q, p) reads q/p = [0, a1, ..., a];
+                # an abort names this total, and an odd knot's minus total
+                minus = total = t1 + take1 * a if p & 1 == 0 else t0 + take0 * a
+            if total & 1:
+                raise IntegralityError(TorusKnot(p, q), HalfInteger(minus))
             c = total >> 1
             g = (p - 1) * (q - 1) >> 1
             n = p * (q - 1)
@@ -406,12 +407,10 @@ def _walk(
             # c >= min(bound_ints(g, n)), below which `_bound_flags` flags
             # nothing: every knot has g >= 1, where clark = 2g + 1 >
             # (g + 9) // 6 = thm1, and n >= 3, where my = n // 2 >=
-            # (n + 16) // 12 = thm2, so the least bound is thm1's or thm2's
+            # (n + 16) // 12 = thm2, so the least bound is thm1's or thm2's;
+            # and g + 1 >= thm1 there, so each knot with c > g (gap) passes
             if c >= (g + 9) // 6 or c >= (n + 16) // 12:
-                violated, hits = _bound_flags(c, bound_ints(g, n))
-
-            if gap < 0:
-                violated |= _GAP
+                violated, hits = _bound_flags(c, g, n)
 
             if coeff_sum + a > p:
                 violated |= _LEMMA2
@@ -437,7 +436,9 @@ def _cut(items: Iterable, weights: Iterable, count: int) -> list[list]:
     """`items`, in order, cut into at most `count` groups of contiguous items
     with about equal weights: item i goes to group start_i * count // total,
     where start_i is the sum of the weights of the items before it and total
-    that of all of them.  Integer weights keep the cut exact."""
+    that of all of them.  Integer weights make the cut exact; float weights,
+    as `_runs` passes, may move an item at a group's edge, which changes
+    how the work is split but no output."""
     weights = list(weights)
     total = sum(weights)
     starts = accumulate(weights, initial=0)

@@ -282,6 +282,22 @@ class TestCheckKnot:
         with pytest.raises(ValueError, match=r"unknown checks: \['lemma_9'\]"):
             check_knot(TorusKnot(7, 5), {"lemma_9"})
 
+    def test_gap_flags_exactly_where_the_crosscap_number_exceeds_the_genus(self, monkeypatch):
+        # the shipped crosscap numbers never pass the genus, so raise each by
+        # 200: gap fails where c > g, and c = g is neither a failure nor a hit
+        real = verify_module.crosscap_from
+        monkeypatch.setattr(verify_module, "crosscap_from", lambda *args: real(*args) + 200)
+        above = equal = 0
+        for knot in enumerate_coprime(60):
+            checked = check_knot(knot)
+            rec = checked.record
+            assert rec.crosscap == crosscap(knot) + 200, knot
+            assert ("gap" in checked.violated) == (rec.crosscap > rec.genus), knot
+            assert "gap" not in checked.equality_hits, knot
+            above += rec.crosscap > rec.genus
+            equal += rec.crosscap == rec.genus
+        assert (above, equal) == (367, 1)
+
 
 @functools.cache
 def reference_records(max_p: int, checks: tuple[str, ...]) -> tuple:
@@ -413,6 +429,37 @@ class TestWalkPerKnot:
         bands = band_report(replace(config, workers=2))
         assert pool_sizes == [2, 2]
         assert walk == tasks == bands == expected
+
+    def test_walk_flags_gap_exactly_where_the_crosscap_number_exceeds_the_genus(
+        self, monkeypatch, pool_sizes
+    ):
+        # the root's skip totals t0 and t1 (fields 5 and 7) raised by 400
+        # raise every knot's crosscap number by 200, past its genus on some
+        # knots: each CSV row flags gap exactly where its crosscap passes its
+        # genus, and the walk, its tasks and the bands agree with the row
+        # kernel whose crosscap number is raised by 200 too
+        root = verify_module._ROOT
+        raised = (*root[:5], root[5] + 400, root[6], root[7] + 400, *root[8:])
+        monkeypatch.setattr(verify_module, "_ROOT", raised)
+        real = verify_module.crosscap_from
+        monkeypatch.setattr(verify_module, "crosscap_from", lambda *args: real(*args) + 200)
+        config = SweepConfig(60)
+        one_band, three_bands = [], []
+        walk = run_verification(config)
+        in_process = band_report(config, one_band)
+        tasks = run_verification(replace(config, workers=2))
+        force_bands(monkeypatch, 60, 3)
+        bands = band_report(replace(config, workers=2), three_bands)
+        assert pool_sizes == [2, 2]
+        assert walk == in_process == tasks == bands == kernel_report(config)
+        assert "".join(one_band) == "".join(three_bands) == two_pass_csv(60)
+        rows = list(csv.DictReader(io.StringIO("".join(three_bands))))
+        gap = [row for row in rows if row["violated_gap"] == "1"]
+        assert gap == [row for row in rows if int(row["crosscap"]) > int(row["genus"])]
+        assert (len(gap), len(rows)) == (367, 1042)
+        assert [c.record.knot for c in walk.violations if "gap" in c.violated] == [
+            TorusKnot(int(row["p"]), int(row["q"])) for row in gap
+        ]
 
 
 class TestBoundGuard:
@@ -661,6 +708,27 @@ class TestKernelGuards:
         with pytest.raises(IntegralityError) as info:
             run_verification(SweepConfig(60, workers=2))
         assert info.value.knot == TorusKnot(5, 3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_odd_knots_abort_names_its_minus_total(self, monkeypatch, pool_sizes, workers):
+        # doctor both tables, the walk's and skip_total's, to skip after an
+        # even coefficient added to an odd total: to max_p 60 the first odd
+        # total in walk order is the odd knot (31, 19), 19/31 = [0; 1, 1, 1,
+        # 1, 2, 2], whose minus total 11 is above its plus total 9.  The
+        # walk's abort names the minus total, as the row kernel's does
+        table = ((SKIP, TAKE, SKIP), (ODD, TAKE, SKIP))
+        monkeypatch.setattr(cf_module, "NEXT", table)
+        monkeypatch.setattr(verify_module, "NEXT", table)
+        lists = lemma9_lists(euclid(19, 31))
+        assert tuple(map(cf_module.skip_total, lists)) == (11, 9)
+        with pytest.raises(IntegralityError) as row:
+            check_knot(TorusKnot(31, 19))
+        for sweep in (run_verification, band_report):
+            with pytest.raises(IntegralityError) as walk:
+                sweep(SweepConfig(60, workers=workers))
+            assert walk.value.knot == row.value.knot == TorusKnot(31, 19)
+            assert walk.value.value == row.value.value == HalfInteger(11)
+        assert pool_sizes == ([] if workers == 1 else [2])
 
     def test_drivers_fold_plain_ints(self, monkeypatch, pool_sizes):
         # what a pool task returns: the checked knot (p, q, c, violated, hits)
@@ -933,7 +1001,7 @@ class TestWriteRows:
     @given(
         lo=st.integers(3, 9_990),
         shares=st.tuples(*[st.sampled_from((0.0, 0.01, 0.5, 1.0))] * 3),
-        rnd=st.randoms(use_true_random=False),
+        rnd=st.randoms(use_true_random=True),
     )
     def test_each_row_is_one_text_of_its_live_cells(self, lo, shares, rnd):
         # three rows from lo, each coprime slot live with its row's share:
