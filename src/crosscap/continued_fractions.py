@@ -7,6 +7,12 @@ safe for any p the sweep cap admits.
 The algorithms run on plain int lists (``euclid``, ``skip_total``,
 ``lemma9_lists``, ``continuant``); the typed functions below them validate
 their arguments and wrap the results, so each algorithm exists once.
+
+Each value type checks its arguments in its own ``__init__``, then writes
+its fields with one update of the instance dict, the write the generated
+frozen ``__init__`` makes one ``object.__setattr__`` per field.  The class
+stays a frozen dataclass, which keeps its equality, hash, repr, ordering,
+``replace`` and ``FrozenInstanceError`` on assignment.
 """
 
 from __future__ import annotations
@@ -27,13 +33,14 @@ class Rational:
     numerator: int
     denominator: int
 
-    def __post_init__(self) -> None:
-        if self.denominator < 1:
-            raise ValueError(f"negative or zero denominator in {self}")
-        if self.numerator < 0:
-            raise ValueError(f"negative numerator in {self}")
-        if gcd(self.numerator, self.denominator) != 1:
-            raise ValueError(f"{self} is not in lowest terms")
+    def __init__(self, numerator: int, denominator: int) -> None:
+        if denominator < 1:
+            raise ValueError(f"negative or zero denominator in {numerator}/{denominator}")
+        if numerator < 0:
+            raise ValueError(f"negative numerator in {numerator}/{denominator}")
+        if gcd(numerator, denominator) != 1:
+            raise ValueError(f"{numerator}/{denominator} is not in lowest terms")
+        self.__dict__.update(numerator=numerator, denominator=denominator)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
@@ -51,12 +58,12 @@ class ContinuedFraction:
 
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
+    def __init__(self, coefficients: Sequence[int]) -> None:
+        coeffs = tuple(coefficients)
         _validate_raw(coeffs)
         if len(coeffs) > 1 and coeffs[-1] == 1:
             raise ValueError(f"not canonical: trailing coefficient 1 in {list(coeffs)}")
+        self.__dict__.update(coefficients=coeffs)
 
     def __iter__(self):
         return iter(self.coefficients)
@@ -74,9 +81,10 @@ class HalfInteger:
 
     doubled: int
 
-    def __post_init__(self) -> None:
-        if self.doubled < 0:
-            raise ValueError(f"doubled value must be non-negative, got {self.doubled}")
+    def __init__(self, doubled: int) -> None:
+        if doubled < 0:
+            raise ValueError(f"doubled value must be non-negative, got {doubled}")
+        self.__dict__.update(doubled=doubled)
 
     @property
     def is_integral(self) -> bool:
@@ -179,7 +187,7 @@ def cf_expand(r: Rational) -> ContinuedFraction:
     The result is canonical by construction: the algorithm can only end
     with a coefficient of 1 when the whole expansion is the single term [1].
     """
-    return ContinuedFraction(tuple(euclid(r.numerator, r.denominator)))
+    return ContinuedFraction(euclid(r.numerator, r.denominator))
 
 
 def cf_value(cf: ContinuedFraction | Sequence[int]) -> Rational:
@@ -208,7 +216,7 @@ def cf_canonicalize(coefficients: Sequence[int]) -> ContinuedFraction:
     if len(coeffs) > 1 and coeffs[-1] == 1:
         coeffs.pop()
         coeffs[-1] += 1
-    return ContinuedFraction(tuple(coeffs))
+    return ContinuedFraction(coeffs)
 
 
 def coefficient_sum(cf: ContinuedFraction) -> int:

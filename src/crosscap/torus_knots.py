@@ -5,6 +5,9 @@ A (a, b) torus curve is a knot exactly when gcd(a, b) = 1; it is trivial
 The crosscap number comes from Teragaito's classification: for an even knot
 (even p*q) it is N(even parameter, odd parameter); for an odd knot it is
 min{N(p*q - 1, p^2), N(p*q + 1, p^2)}.
+
+The value types validate in their own ``__init__`` and write their fields
+once, as in :mod:`crosscap.continued_fractions`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ class Parity(Enum):
     ODD = "odd"
 
 
+#: A knot's parity, indexed by p & q & 1: odd only when both parameters are.
+PARITY = (Parity.EVEN, Parity.ODD)
+
+
 @dataclass(frozen=True)
 class TorusKnot:
     """Normalized coprime parameter pair with p > q >= 2."""
@@ -31,16 +38,17 @@ class TorusKnot:
     p: int
     q: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: int, q: int) -> None:
         # coprimality first: normalize leaves it to this check, so (4, 4) is a link
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"({self.p}, {self.q}) is not coprime: a link, not a knot")
-        if self.q < 2 or self.p <= self.q:
-            raise ValueError(f"need p > q >= 2, got ({self.p}, {self.q})")
+        if gcd(p, q) != 1:
+            raise ValueError(f"({p}, {q}) is not coprime: a link, not a knot")
+        if q < 2 or p <= q:
+            raise ValueError(f"need p > q >= 2, got ({p}, {q})")
+        self.__dict__.update(p=p, q=q)
 
     @property
     def parity(self) -> Parity:
-        return Parity.EVEN if (self.p * self.q) % 2 == 0 else Parity.ODD
+        return PARITY[self.p & self.q & 1]
 
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
@@ -71,6 +79,9 @@ class Bounds:
     thm1: int
     thm2: int
 
+    def __init__(self, clark: int, murakami_yasuhara: int, thm1: int, thm2: int) -> None:
+        self.__dict__.update(clark=clark, murakami_yasuhara=murakami_yasuhara, thm1=thm1, thm2=thm2)
+
 
 @dataclass(frozen=True)
 class InvariantRecord:
@@ -88,6 +99,13 @@ class InvariantRecord:
     crosscap: int
     bounds: Bounds
     gap: int
+
+    def __init__(
+        self, knot: TorusKnot | Unknot, parity: Parity | None, genus: int, crossing: int,
+        crosscap: int, bounds: Bounds, gap: int,
+    ) -> None:
+        self.__dict__.update(knot=knot, parity=parity, genus=genus, crossing=crossing,
+                             crosscap=crosscap, bounds=bounds, gap=gap)
 
     def as_dict(self) -> dict:
         """Flat field mapping in the wire order used by JSON and CSV output."""
@@ -130,11 +148,12 @@ class Q3Form:
     m: int
     sign: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
+    def __init__(self, m: int, sign: int) -> None:
+        if sign not in (-1, 1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        if m < 1:
+            raise ValueError(f"m must be positive, got {m}")
+        self.__dict__.update(m=m, sign=sign)
 
     @property
     def p(self) -> int:
@@ -166,9 +185,11 @@ def normalize(a: int, b: int) -> TorusKnot | Unknot:
     Unknot if either is 1."""
     if a < 1 or b < 1:
         raise ValueError(f"parameters must be positive, got ({a}, {b})")
-    if min(a, b) == 1:
+    if a < b:
+        a, b = b, a
+    if b == 1:
         return UNKNOT
-    return TorusKnot(max(a, b), min(a, b))
+    return TorusKnot(a, b)
 
 
 def genus(k: TorusKnot) -> int:
@@ -283,8 +304,14 @@ def sharp_family(n: int) -> tuple[TorusKnot, InvariantRecord]:
 
 
 def invariants(k: TorusKnot | Unknot) -> InvariantRecord:
-    """Fully populated invariant record for a knot; all zeros for the unknot."""
+    """Fully populated invariant record for a knot; all zeros for the unknot.
+
+    Built from plain ints by the formulas of :func:`genus`,
+    :func:`crossing_number`, :func:`crosscap` and :func:`bounds_for`, less
+    the latter's non-negativity check: a `TorusKnot` has g >= 1 and n >= 3."""
     if isinstance(k, Unknot):
         return InvariantRecord(k, None, 0, 0, 0, Bounds(0, 0, 0, 0), 0)
-    g, cr, c = genus(k), crossing_number(k), crosscap(k)
-    return InvariantRecord(k, k.parity, g, cr, c, bounds_for(g, cr), g - c)
+    p, q = k.p, k.q
+    g, n = (p - 1) * (q - 1) // 2, p * (q - 1)
+    c = crosscap_from(p, q, euclid(q, p))
+    return InvariantRecord(k, PARITY[p & q & 1], g, n, c, Bounds(*bound_ints(g, n)), g - c)

@@ -34,11 +34,11 @@ from .continued_fractions import (
     skip_total,
 )
 from .torus_knots import (
+    PARITY,
     RECORD_FIELDS,
     Bounds,
     IntegralityError,
     InvariantRecord,
-    Parity,
     TorusKnot,
     _csv_text,
     bound_ints,
@@ -285,7 +285,7 @@ class _Partial:
 
 
 #: A knot's parity field, indexed by p & q & 1.
-_PARITY = (Parity.EVEN.value, Parity.ODD.value)
+_PARITY = tuple(parity.value for parity in PARITY)
 
 
 def _row(p: int) -> int:

@@ -7,6 +7,8 @@ arithmetic is a genuinely separate route to the same value.
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from math import gcd
 
@@ -58,6 +60,25 @@ def raw_coeff_lists(draw):
     a0 = draw(st.integers(0, 20))
     rest = [draw(st.integers(1, 20)) for _ in range(length - 1)]
     return [a0] + rest
+
+
+def check_frozen_value(value, text, names, change, changed):
+    """The frozen-dataclass contract of a value type: its fields in order,
+    repr, equality and hash of an equal copy, pickling, `replace` with
+    `change` giving `changed`, and FrozenInstanceError on assigning or
+    deleting any field."""
+    assert tuple(f.name for f in fields(value)) == names
+    assert repr(value) == text
+    copy = type(value)(**{name: getattr(value, name) for name in names})
+    assert copy is not value and copy == value and hash(copy) == hash(value)
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert replace(value, **change) == changed
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+    assert value == copy
 
 
 class TestRational:
@@ -293,3 +314,54 @@ class TestLemma9Expansions:
         cf_minus, cf_plus = lemma9_expansions(cf_expand(make_rational(q, p)))
         assert cf_value(cf_minus) == make_rational(p * q - 1, p * p)
         assert cf_value(cf_plus) == make_rational(p * q + 1, p * p)
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "value,text,names,change,changed",
+        [
+            pytest.param(
+                Rational(1, 2), "Rational(numerator=1, denominator=2)",
+                ("numerator", "denominator"), {"denominator": 3}, Rational(1, 3),
+                id="Rational",
+            ),
+            pytest.param(
+                ContinuedFraction((0, 1, 2)), "ContinuedFraction(coefficients=(0, 1, 2))",
+                ("coefficients",), {"coefficients": [0, 2]}, ContinuedFraction((0, 2)),
+                id="ContinuedFraction",
+            ),
+            pytest.param(
+                HalfInteger(5), "HalfInteger(doubled=5)", ("doubled",), {"doubled": 6},
+                HalfInteger(6), id="HalfInteger",
+            ),
+        ],
+    )
+    def test_frozen_dataclass_contract(self, value, text, names, change, changed):
+        check_frozen_value(value, text, names, change, changed)
+
+    def test_half_integers_sort(self):
+        values = [HalfInteger(d) for d in (7, 0, 4, 3)]
+        assert sorted(values) == [HalfInteger(d) for d in (0, 3, 4, 7)]
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Rational(3, 0), "negative or zero denominator in 3/0"),
+            (lambda: Rational(-1, 2), "negative numerator in -1/2"),
+            (lambda: Rational(6, 4), "6/4 is not in lowest terms"),
+            (lambda: replace(Rational(1, 2), numerator=2), "2/2 is not in lowest terms"),
+            (lambda: ContinuedFraction([]), "empty coefficient sequence"),
+            (lambda: ContinuedFraction([-1, 2]), "leading coefficient must be non-negative, got -1"),
+            (lambda: ContinuedFraction([0, 2, 0, 3]), "coefficient a2 must be positive, got 0"),
+            (lambda: ContinuedFraction([0, 2, 1]), "not canonical: trailing coefficient 1 in [0, 2, 1]"),
+            (
+                lambda: replace(ContinuedFraction((0, 2)), coefficients=(0, 2, 1)),
+                "not canonical: trailing coefficient 1 in [0, 2, 1]",
+            ),
+            (lambda: HalfInteger(-1), "doubled value must be non-negative, got -1"),
+        ],
+    )
+    def test_constructor_messages(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -14,12 +15,14 @@ from crosscap import (
     Bounds,
     HalfInteger,
     IntegralityError,
+    InvariantRecord,
     Parity,
     Q3Form,
     TorusKnot,
     Unknot,
     bounds_for,
     bredon_wood_N,
+    check_knot,
     crosscap,
     crossing_number,
     genus,
@@ -30,6 +33,7 @@ from crosscap import (
     q3_congruence_selector,
     sharp_family,
 )
+from test_continued_fractions import check_frozen_value
 
 # The ten smallest odd knots handled individually in the source analysis,
 # with crossing number, crosscap number, and genus.  Note (17,9): the
@@ -339,3 +343,73 @@ class TestInvariants:
             assert rec.crosscap <= rec.bounds.clark
             assert rec.crosscap <= rec.bounds.murakami_yasuhara
             assert rec.gap >= 0
+
+    def test_equals_the_sweeps_record_to_150(self):
+        # verify._record assembles the same record for the sweep's report
+        for p, q in coprime_pairs(150):
+            k = TorusKnot(p, q)
+            assert invariants(k) == check_knot(k).record
+
+    @given(st.integers(2, 5 * 10**11), st.integers(0, 1), st.integers(0, 10**9))
+    @example(3, 1, 750_000_000)  # (7, 5)
+    @example(4, 0, 200_000_000)  # (8, 3)
+    @example(5 * 10**11, 1, 10**9)  # (10**12 + 1, 10**12)
+    def test_equals_the_record_of_the_public_functions(self, half_p, odd, u):
+        p = 2 * half_p + odd
+        q = 2 + (p - 3) * u // 10**9  # 2 <= q < p
+        assume(gcd(p, q) == 1)
+        k = TorusKnot(p, q)
+        g, n, c = genus(k), crossing_number(k), crosscap(k)
+        assert invariants(k) == InvariantRecord(k, k.parity, g, n, c, bounds_for(g, n), g - c)
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "value,text,names,change,changed",
+        [
+            pytest.param(
+                TorusKnot(5, 3), "TorusKnot(p=5, q=3)", ("p", "q"), {"q": 2}, TorusKnot(5, 2),
+                id="TorusKnot",
+            ),
+            pytest.param(
+                Bounds(25, 14, 3, 3),
+                "Bounds(clark=25, murakami_yasuhara=14, thm1=3, thm2=3)",
+                ("clark", "murakami_yasuhara", "thm1", "thm2"),
+                {"thm2": 4},
+                Bounds(25, 14, 3, 4),
+                id="Bounds",
+            ),
+            pytest.param(
+                invariants(TorusKnot(7, 5)),
+                "InvariantRecord(knot=TorusKnot(p=7, q=5), parity=<Parity.ODD: 'odd'>,"
+                " genus=12, crossing=28, crosscap=3,"
+                " bounds=Bounds(clark=25, murakami_yasuhara=14, thm1=3, thm2=3), gap=9)",
+                ("knot", "parity", "genus", "crossing", "crosscap", "bounds", "gap"),
+                {"gap": 10},
+                InvariantRecord(TorusKnot(7, 5), Parity.ODD, 12, 28, 3, Bounds(25, 14, 3, 3), 10),
+                id="InvariantRecord",
+            ),
+            pytest.param(
+                Q3Form(1, 1), "Q3Form(m=1, sign=1)", ("m", "sign"), {"sign": -1}, Q3Form(1, -1),
+                id="Q3Form",
+            ),
+        ],
+    )
+    def test_frozen_dataclass_contract(self, value, text, names, change, changed):
+        check_frozen_value(value, text, names, change, changed)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: TorusKnot(6, 4), "(6, 4) is not coprime: a link, not a knot"),
+            (lambda: TorusKnot(2, 3), "need p > q >= 2, got (2, 3)"),
+            (lambda: replace(TorusKnot(5, 3), q=5), "(5, 5) is not coprime: a link, not a knot"),
+            (lambda: Q3Form(1, 0), "sign must be +1 or -1, got 0"),
+            (lambda: Q3Form(0, 1), "m must be positive, got 0"),
+            (lambda: replace(Q3Form(1, 1), m=0), "m must be positive, got 0"),
+        ],
+    )
+    def test_constructor_messages(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
