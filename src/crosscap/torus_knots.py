@@ -222,11 +222,11 @@ def crosscap_from(
     caller has not.  The pair is trusted to be a knot: a `TorusKnot` is built
     only for the error.
     """
-    if p * q % 2 == 0:
-        totals = (skip_total(coeffs[1:] if p % 2 == 0 else coeffs),)
-    else:
+    if p & q & 1:
         minus, plus = branches or lemma9_lists(coeffs)
         totals = (skip_total(minus), skip_total(plus))
+    else:
+        totals = (skip_total(coeffs if p & 1 else coeffs[1:]),)
     for total in totals:
         if total % 2:
             raise IntegralityError(TorusKnot(p, q), HalfInteger(total))

@@ -306,11 +306,12 @@ def _walk(
     The walk empties `stack`: from [_ROOT], the empty prefix [0], it visits
     the prefixes [0; a1, ..., a(n-1)] whose smallest knot (a = 2) has
     p <= max_p, and checks each knot, its prefix extended by a last
-    coefficient a >= 2, in O(1) as `_check` does.  An odd total aborts at the
-    first knot that has one in walk order, and the listed knots come in walk
-    order.  The walk keeps a trailing a1 = 1 unmerged: [..., x, 1] has the
-    value of [..., x + 1], and a skip total that differs by 0 or 1, so an even
-    total is the canonical list's and an odd one aborts.
+    coefficient a >= 2, in O(1) as `_check` does, or settles it by the jump
+    below.  An odd total aborts at the first knot that has one in walk order,
+    and the listed knots come in walk order.  The walk keeps a trailing
+    a1 = 1 unmerged: [..., x, 1] has the value of [..., x + 1], and a skip
+    total that differs by 0 or 1, so an even total is the canonical list's
+    and an odd one aborts.
 
     Per knot the walk keeps plain ints.  It runs the bound checks and the
     gap check only on a knot whose crosscap number meets thm1 or thm2, the
@@ -330,6 +331,29 @@ def _walk(
     h2 k1 - h1 k2 = sign, and the walk decides that once per prefix.  The row
     kernel `_check` is the independent oracle: it runs `continuant` on the
     explicit `lemma9_lists`.
+
+    The report's walk jumps over each prefix's quiet run.  At a knot a of a
+    prefix with a > first, where neither knot a - 1 nor knot a was listed (no
+    violated bit and no thm1 or thm2 hit, so lemma 9 holds on the prefix),
+    q >= 4, p + q >= 12 at a - 1 and a < last - 2, it resumes at a = last - 1,
+    and it still counts every knot.  The knots it jumps over lie in the two
+    parity classes of a, those of a - 1 and of a, and a step a -> a + 2 within
+    a class adds 2 k1 to p and 2 h1 to q.  Each jumped knot is settled from
+    the walk's own state:
+    - integrality: a total is T + S a, with T and S fixed on a class and S in
+      {0, 1, 2} (take0 or take1 for an even knot, take0 + take_y for an odd
+      one) for any `NEXT` table, so its parity is constant on the class; each
+      class has its first knot at or before a, so an odd total would already
+      have aborted, in walk order;
+    - bounds: a step adds k1 (q - 1) + h1 (p - 1) + 2 k1 h1 >= p + q >= 12 to
+      g and at least 2 (p + q) to n, so thm1 = (g + 9) // 6 and thm2 =
+      (n + 16) // 12 each rise by at least 2, and c by S <= 2: an unlisted
+      knot has c below both, stays below the guard, and flags nothing;
+    - lemma 2: coeff_sum + a <= a k1 + k2 keeps holding as a grows, as k1 >= 1;
+    - q3: q = a h1 + h2 grows with a, so q >= 4 rules out q = 3;
+    - witness: a step raises the gap g - c, so each class's largest gap past a
+      is at last - 1 or last, and the walk visits both.
+    The CSV's walk visits every knot, because every slot needs its cell.
 
     Given `cells` (see `_band`), the walk stores each knot's c << 8 | violated
     in its slot once it has checked the knot.  Given `tasks`, it visits only
@@ -378,56 +402,69 @@ def _walk(
         # lemma 9, for every a: h2 k1 - h1 k2 = sign, +1 when the up list is
         # the minus list
         lemma9 = 0 if h2 * k1 - h1 * k2 == (1 if minus_up else -1) else _LEMMA9
-        for a in range(first, last + 1):
-            p = a * k1 + k2
-            q = a * h1 + h2
-            if p & q & 1:
-                # the lemma-9 lists: head, middle pair (a +/- 1, a -/+ 1), tail;
-                # a + 1 and a - 1 share a parity, so both pass the same states,
-                # and the totals differ by 2 (take0 - take_y): one parity test covers both
-                step = next_[~a & 1]
-                mid = step[s0]
-                take_y = mid != SKIP
-                head = t0 + tail[step[mid]]
-                up = head + take0 * (a + 1) + take_y * (a - 1)
-                down = head + take0 * (a - 1) + take_y * (a + 1)
-                minus, plus = (up, down) if minus_up else (down, up)
-                total = min(minus, plus)
+        # the report's walk jumps from a to last - 1 once knots a - 1 and a
+        # are quiet (see above); the CSV's never does: a - 1 < stop = first
+        # would need a = first, and loud < a - 1 needs a > first
+        stop = last - 3 if cells is None else first
+        loud = first - 1  # the last listed a, or first - 1
+        a = first
+        while True:
+            for a in range(a, last + 1):
+                p = a * k1 + k2
+                q = a * h1 + h2
+                if p & q & 1:
+                    # the lemma-9 lists: head, middle pair (a +/- 1, a -/+ 1), tail;
+                    # a + 1 and a - 1 share a parity, so both pass the same states,
+                    # and the totals differ by 2 (take0 - take_y): one parity test covers both
+                    step = next_[~a & 1]
+                    mid = step[s0]
+                    take_y = mid != SKIP
+                    head = t0 + tail[step[mid]]
+                    up = head + take0 * (a + 1) + take_y * (a - 1)
+                    down = head + take0 * (a - 1) + take_y * (a + 1)
+                    minus, plus = (up, down) if minus_up else (down, up)
+                    total = min(minus, plus)
+                else:
+                    # N(p, q) reads p/q = [a1, ..., a], N(q, p) reads q/p = [0, a1, ..., a];
+                    # an abort names this total, and an odd knot's minus total
+                    minus = total = t1 + take1 * a if p & 1 == 0 else t0 + take0 * a
+                if total & 1:
+                    raise IntegralityError(TorusKnot(p, q), HalfInteger(minus))
+                c = total >> 1
+                g = (p - 1) * (q - 1) >> 1
+                n = p * (q - 1)
+                gap = g - c
+                violated = hits = 0
+                # c >= min(bound_ints(g, n)), below which `_bound_flags` flags
+                # nothing: every knot has g >= 1, where clark = 2g + 1 >
+                # (g + 9) // 6 = thm1, and n >= 3, where my = n // 2 >=
+                # (n + 16) // 12 = thm2, so the least bound is thm1's or thm2's;
+                # and g + 1 >= thm1 there, so each knot with c > g (gap) passes
+                if c >= (g + 9) // 6 or c >= (n + 16) // 12:
+                    violated, hits = _bound_flags(c, g, n)
+
+                if coeff_sum + a > p:
+                    violated |= _LEMMA2
+
+                violated |= lemma9
+
+                if q == 3 and p & 1 and _q3_fails(p, c, minus, plus):
+                    violated |= _Q3
+
+                if cells is not None:
+                    cells[((p - 2) * (p - 3) >> 1) + q - base] = c << 8 | violated
+
+                if violated or hits & sharp:
+                    listed.append((p, q, c, violated, hits))
+                    loud = a
+                if gap >= best_gap:
+                    part.add(0, (), (p, q, c, violated, hits))
+                    best_gap = gap
+                if stop > a - 1 > loud and q > 3 and p + q >= 12 + k1 + h1:
+                    break
             else:
-                # N(p, q) reads p/q = [a1, ..., a], N(q, p) reads q/p = [0, a1, ..., a];
-                # an abort names this total, and an odd knot's minus total
-                minus = total = t1 + take1 * a if p & 1 == 0 else t0 + take0 * a
-            if total & 1:
-                raise IntegralityError(TorusKnot(p, q), HalfInteger(minus))
-            c = total >> 1
-            g = (p - 1) * (q - 1) >> 1
-            n = p * (q - 1)
-            gap = g - c
-            violated = hits = 0
-            # c >= min(bound_ints(g, n)), below which `_bound_flags` flags
-            # nothing: every knot has g >= 1, where clark = 2g + 1 >
-            # (g + 9) // 6 = thm1, and n >= 3, where my = n // 2 >=
-            # (n + 16) // 12 = thm2, so the least bound is thm1's or thm2's;
-            # and g + 1 >= thm1 there, so each knot with c > g (gap) passes
-            if c >= (g + 9) // 6 or c >= (n + 16) // 12:
-                violated, hits = _bound_flags(c, g, n)
-
-            if coeff_sum + a > p:
-                violated |= _LEMMA2
-
-            violated |= lemma9
-
-            if q == 3 and p & 1 and _q3_fails(p, c, minus, plus):
-                violated |= _Q3
-
-            if cells is not None:
-                cells[((p - 2) * (p - 3) >> 1) + q - base] = c << 8 | violated
-
-            if violated or hits & sharp:
-                listed.append((p, q, c, violated, hits))
-            if gap >= best_gap:
-                part.add(0, (), (p, q, c, violated, hits))
-                best_gap = gap
+                break
+            a = last - 1
         part.count += last - first + 1
     return part
 

@@ -535,6 +535,172 @@ class TestBoundGuard:
             assert merged.best == tied[0]
 
 
+def popped_prefixes(max_p: int) -> list[tuple]:
+    """Every prefix a whole walk to max_p pops from its stack, in walk order."""
+    visited = []
+
+    class Stack(list):
+        def pop(self):
+            visited.append(super().pop())
+            return visited[-1]
+
+    verify_module._walk(max_p, Stack([verify_module._ROOT]))
+    return visited
+
+
+def kernel_total(p: int, q: int) -> int:
+    """The knot's skip total from its own expansion, by `euclid` and
+    `skip_total`: an even knot's one total, or an odd knot's minus total,
+    whose parity its plus total shares."""
+    coeffs = euclid(q, p)
+    if p & q & 1:
+        return cf_module.skip_total(lemma9_lists(coeffs)[0])
+    return cf_module.skip_total(coeffs if p & 1 else coeffs[1:])
+
+
+def doctor_prefix(monkeypatch, key: tuple, index: int, by: int) -> None:
+    """Patch `verify._walk` so that every walk, the report's, its tasks' and
+    the bands', raises field `index` of the prefix whose (h1, h2, k1, k2) is
+    `key` by `by` as it is pushed on the walk's stack."""
+    real = verify_module._walk
+
+    class Stack(list):
+        def append(self, prefix):
+            if prefix[:4] == key:
+                prefix = (*prefix[:index], prefix[index] + by, *prefix[index + 1 :])
+            super().append(prefix)
+
+    monkeypatch.setattr(verify_module, "_walk", lambda max_p, stack, *args: real(
+        max_p, Stack(stack), *args
+    ))
+
+
+def assert_folds_as_the_band_walk(max_p: int) -> _Partial:
+    """Assert that the report's walk to max_p folds the count, the listed
+    knots and the witness of the CSV's band walk, which visits every knot;
+    returns the band walk's fold."""
+    band = verify_module._band(3, max_p)[1]
+    walk = verify_module._walk(max_p, [verify_module._ROOT])
+    assert (walk.count, sorted(walk.listed), walk.best) == (
+        band.count, sorted(band.listed), band.best
+    ), max_p
+    return band
+
+
+class TestJump:
+    """The report's walk jumps from a quiet knot a of a prefix to a = last - 1
+    (see `verify._walk`); the CSV's band walk visits every knot, so it is the
+    oracle of the report's."""
+
+    def test_the_report_walk_folds_as_the_band_walk_at_every_cap(self, pool_sizes):
+        # the same count, listed knots and witness: in-process, and through
+        # the walk's tasks on a pool of two, to every max_p from 3 to 250
+        # and at 1000
+        for max_p in [*range(3, 251), 1000]:
+            config = SweepConfig(max_p)
+            band = assert_folds_as_the_band_walk(max_p)
+            assert run_verification(replace(config, workers=2)) == band.report(config), max_p
+        assert pool_sizes == [2] * 247  # no walk task to max_p 3 and 4
+
+    def test_a_listed_knot_stops_the_jump_when_crosscap_numbers_are_raised(
+        self, monkeypatch
+    ):
+        # the root's skip totals t0 and t1 (fields 5 and 7) raised by 2r
+        # raise every knot's crosscap number by r: from r = 2, knots of q >= 4
+        # meet or pass the sharpened bounds, and a walk that jumped from a
+        # listed knot would miss the listed knots after it
+        root = verify_module._ROOT
+        for raised in range(0, 41, 4):
+            monkeypatch.setattr(verify_module, "_ROOT", (
+                *root[:5], root[5] + raised, root[6], root[7] + raised, *root[8:]
+            ))
+            assert_folds_as_the_band_walk(150)
+
+    def test_the_report_walk_jumps_over_a_prefix_and_the_band_walk_does_not(
+        self, monkeypatch
+    ):
+        # at max_p 300 the prefix [0; 1] holds the 298 knots (a + 1, a),
+        # 1 < a < 300, each with a larger gap than the one before, so each is
+        # a witness offer where the walk visits it.  (3, 2) to (6, 5) are
+        # listed, (7, 6) and (8, 7) are not, so the report's walk jumps from
+        # a = 7 to a = 298
+        offers, add = [], _Partial.add
+
+        def counted(self, count, listed, best):
+            offers.append(best[:2])
+            add(self, count, listed, best)
+
+        monkeypatch.setattr(_Partial, "add", counted)
+        verify_module._walk(300, [verify_module._ROOT])
+        walked = [q for p, q in offers if p == q + 1]
+        offers.clear()
+        verify_module._band(3, 300)
+        banded = [q for p, q in offers if p == q + 1]
+        assert banded == list(range(2, 300))
+        assert walked == [2, 3, 4, 5, 6, 7, 298, 299]
+
+    def test_the_row_kernel_meets_the_jumps_premises_to_400(self):
+        # at each a where the jump's condition holds, by the row kernel's
+        # flags: a > first = 2, knots a - 1 and a unlisted, q >= 4 at a,
+        # p + q >= 12 at a - 1 and a < last - 2.  Each knot the jump passes,
+        # a + 1 to last - 2, is unlisted, totals the parity of the knot of
+        # its class at a - 1 or a, and has a gap below its class's last knot
+        jumps = passed = 0
+        for h1, h2, k1, k2, *_ in popped_prefixes(400):
+            last = (400 - k2) // k1
+            if not h1 or last < 2:
+                continue
+            knot = {}  # a: (p, q, listed, total, gap)
+            for a in range(2, last + 1):
+                p, q = a * k1 + k2, a * h1 + h2
+                c, violated, hits = verify_module._check(p, q)
+                listed = bool(violated or hits & verify_module._SHARPENED)
+                knot[a] = (p, q, listed, kernel_total(p, q), genus(TorusKnot(p, q)) - c)
+            for a in range(3, last - 2):
+                p, q, listed, _, _ = knot[a]
+                before = knot[a - 1]
+                if listed or before[2] or q < 4 or before[0] + before[1] < 12:
+                    continue
+                jumps += 1
+                for b in range(a + 1, last - 1):
+                    seen = knot[a if (b - a) % 2 == 0 else a - 1]
+                    end = knot[last if (last - b) % 2 == 0 else last - 1]
+                    assert not knot[b][2], knot[b]
+                    assert knot[b][3] % 2 == seen[3] % 2, knot[b]
+                    assert knot[b][4] < end[4], knot[b]
+                    passed += 1
+        assert jumps > 1000 and passed > jumps
+
+    def test_an_abort_through_a_jumped_prefix_names_one_knot_at_any_worker_count(
+        self, monkeypatch, pool_sizes
+    ):
+        # the prefix [0; 1, 1, 2] (convergents 3/5 and 2/3) holds the 58
+        # knots (5a + 3, 3a + 2), 2 <= a <= 59 to max_p 300; the first,
+        # (13, 8), is quiet, and the walk would jump from a = 2 if it did not
+        # wait for a checked knot of each parity class of a.  Odd a gives an
+        # even p, whose total starts from the prefix's t1 (field 7): raised
+        # by 1, every knot of that class totals odd, and the first in walk
+        # order is (18, 11), a = 3, in-process, in a walk task and in the
+        # first of three bands
+        key, knot = (3, 2, 5, 3), TorusKnot(18, 11)
+        assert kernel_total(13, 8) % 2 == 0 and not any(check_knot(TorusKnot(13, 8)).violated)
+        doctor_prefix(monkeypatch, key, 7, 1)
+        config = SweepConfig(300)
+        force_bands(monkeypatch, 300, 3)
+        sweeps = (
+            lambda: verify_module._walk(300, [verify_module._ROOT]),
+            lambda: run_verification(config),
+            lambda: run_verification(replace(config, workers=2)),
+            lambda: band_report(replace(config, workers=2)),
+        )
+        for sweep in sweeps:
+            with pytest.raises(IntegralityError) as info:
+                sweep()
+            assert info.value.knot == knot
+            assert info.value.value == HalfInteger(kernel_total(18, 11) + 1)
+        assert pool_sizes == [2, 2]
+
+
 class TestLemma9Lists:
     def test_kernel_lists_are_the_stated_lists_to_300(self):
         # unmerged: a trailing a1 = 1 stays, as Lemma 9 states the lists
