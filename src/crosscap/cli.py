@@ -254,8 +254,9 @@ def _build_parser() -> _Parser:
         "--workers",
         type=int,
         default=1,
-        help="processes for the sweep, capped by the CPU count: the report's walk tasks, "
-        "and the CSV's p bands once there are two or more (above --max-p 2897)",
+        help="processes for the sweep, capped by the CPUs this one may run on: the report's "
+        "walkers, this process included, or the pool for the CSV's p bands once there are "
+        "two or more (above --max-p 2897), beside this process, which renders the rows",
     )
     _add_format_flags(p_verify)
     p_verify.set_defaults(handler=cmd_verify)

@@ -18,8 +18,9 @@ import os
 from array import array
 from collections.abc import Callable, Iterable, Iterator
 from concurrent import futures
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby, islice, repeat, starmap
+from itertools import accumulate, groupby, islice, starmap
 from math import gcd
 
 from .continued_fractions import (
@@ -82,9 +83,9 @@ MAX_SWEEP_P = 10_000
 #: more prefixes; fewer cost more memory, 4 bytes a slot.
 _BAND_SLOTS = 1 << 22
 
-#: Walk tasks per pool process: one each leaves the cores idle behind the
-#: largest subtree, and one per prefix costs more in dispatch than it balances.
-_TASKS_PER_WORKER = 4
+#: Walk runs per process: one each leaves the cores idle behind the largest
+#: subtree, and one per prefix costs more in dispatch than it balances.
+_RUNS_PER_WORKER = 16
 
 
 class SweepCapError(ValueError):
@@ -94,7 +95,7 @@ class SweepCapError(ValueError):
 @dataclass(frozen=True)
 class SweepConfig:
     """Range and parallelism for one verification run, which runs every check:
-    `workers` caps the sweep's process pool (see :func:`run_verification`)."""
+    `workers` caps the processes it runs on (see :func:`run_verification`)."""
 
     max_p: int
     workers: int = 1
@@ -335,11 +336,12 @@ def _walk(
     The report's walk jumps over each prefix's quiet run.  At a knot a of a
     prefix with a > first, where neither knot a - 1 nor knot a was listed (no
     violated bit and no thm1 or thm2 hit, so lemma 9 holds on the prefix),
-    q >= 4, p + q >= 12 at a - 1 and a < last - 2, it resumes at a = last - 1,
-    and it still counts every knot.  The knots it jumps over lie in the two
-    parity classes of a, those of a - 1 and of a, and a step a -> a + 2 within
-    a class adds 2 k1 to p and 2 h1 to q.  Each jumped knot is settled from
-    the walk's own state:
+    q >= 4, p + q >= 12 at a - 1 and a < last, it leaves the prefix if the
+    genus of knot last is below the largest gap so far, and else resumes at
+    a = max(a + 1, last - 1); it still counts every knot.  The knots past a
+    lie in the two parity classes of a, those of a - 1 and of a, and a step
+    a -> a + 2 within a class adds 2 k1 to p and 2 h1 to q.  Each knot it
+    jumps over is settled from the walk's own state:
     - integrality: a total is T + S a, with T and S fixed on a class and S in
       {0, 1, 2} (take0 or take1 for an even knot, take0 + take_y for an odd
       one) for any `NEXT` table, so its parity is constant on the class; each
@@ -352,7 +354,10 @@ def _walk(
     - lemma 2: coeff_sum + a <= a k1 + k2 keeps holding as a grows, as k1 >= 1;
     - q3: q = a h1 + h2 grows with a, so q >= 4 rules out q = 3;
     - witness: a step raises the gap g - c, so each class's largest gap past a
-      is at last - 1 or last, and the walk visits both.
+      is at last - 1 or last, and the walk visits both; and each knot past a
+      has gap <= g <= the genus of knot last, as c >= 0 and g grows with a, so
+      below the largest gap so far none can be the witness, and a knot that
+      ties it is still visited, for `_rank` to break the tie.
     The CSV's walk visits every knot, because every slot needs its cell.
 
     Given `cells` (see `_band`), the walk stores each knot's c << 8 | violated
@@ -402,10 +407,10 @@ def _walk(
         # lemma 9, for every a: h2 k1 - h1 k2 = sign, +1 when the up list is
         # the minus list
         lemma9 = 0 if h2 * k1 - h1 * k2 == (1 if minus_up else -1) else _LEMMA9
-        # the report's walk jumps from a to last - 1 once knots a - 1 and a
-        # are quiet (see above); the CSV's never does: a - 1 < stop = first
+        # the report's walk jumps from a < last once knots a - 1 and a are
+        # quiet (see above); the CSV's never does: a - 1 < stop = first
         # would need a = first, and loud < a - 1 needs a > first
-        stop = last - 3 if cells is None else first
+        stop = last - 1 if cells is None else first
         loud = first - 1  # the last listed a, or first - 1
         a = first
         while True:
@@ -464,9 +469,19 @@ def _walk(
                     break
             else:
                 break
-            a = last - 1
+            if (last * k1 + k2 - 1) * (last * h1 + h2 - 1) >> 1 < best_gap:
+                break  # no knot past a can be the witness: gap <= g <= g(last)
+            a = max(a + 1, last - 1)
         part.count += last - first + 1
     return part
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _cut(items: Iterable, weights: Iterable, count: int) -> list[list]:
@@ -490,7 +505,10 @@ def _runs(prefixes: list, count: int) -> list[list]:
 
     A prefix whose last two convergents have denominators k1 and k2 covers
     q/p on an interval of length 1/(k1 (k1 + k2)), and the knots below it
-    grow with that length."""
+    grow with that length.  A prefix is never split, and [0; 1, 1] and
+    [0; 2] each hold about a sixth of the knots.  The time a run takes
+    follows its knots only roughly, since the report's walk jumps over more
+    of them below a small k1: `_shared` evens that out by stealing runs."""
     weights = [1 / (k1 * (k1 + k2)) for _, _, k1, k2, *_ in prefixes]
     return [run[::-1] for run in _cut(prefixes, weights, count)]
 
@@ -537,6 +555,18 @@ def _write_rows(write: Callable[[str], object], lo: int, cells: array) -> None:
         p += 1
 
 
+@contextmanager
+def _sweep_failed() -> Iterator[None]:
+    """Raise an OSError from the block as BrokenExecutor: the sweep did not
+    complete.  That covers a task run in-process or on a pool, and building
+    a pool or submitting to it (ENOSYS where POSIX semaphores are missing,
+    EAGAIN at the process limit, ENOMEM anywhere)."""
+    try:
+        yield
+    except OSError as exc:
+        raise futures.BrokenExecutor(f"the sweep failed: {exc}") from exc
+
+
 def _mapped(size: int, fn: Callable, tasks: Iterator[tuple]) -> Iterator:
     """`fn` over the argument tuples `tasks`, in order: on a pool of `size`
     processes, or in-process when that is at most 1.  The pool holds at most
@@ -546,12 +576,10 @@ def _mapped(size: int, fn: Callable, tasks: Iterator[tuple]) -> Iterator:
     process that finishes before the oldest task starts the queued one in
     place of waiting for the caller.
 
-    An OSError raised here, by a task in-process or on the pool, or by
-    building the pool or submitting to it (ENOSYS where POSIX semaphores are
-    missing, EAGAIN at the process limit, ENOMEM anywhere), is raised as
-    BrokenExecutor: the sweep did not complete.  The caller's own writes run
-    while this generator is suspended, so their errors never pass here."""
-    try:
+    An OSError is raised as BrokenExecutor (see `_sweep_failed`).  The
+    caller's own writes run while this generator is suspended, so their
+    errors never pass here."""
+    with _sweep_failed():
         if size <= 1:
             yield from starmap(fn, tasks)
             return
@@ -565,8 +593,41 @@ def _mapped(size: int, fn: Callable, tasks: Iterator[tuple]) -> Iterator:
             finally:
                 for future in pending:
                     future.cancel()
-    except OSError as exc:
-        raise futures.BrokenExecutor(f"the sweep failed: {exc}") from exc
+
+
+def _shared(size: int, fn: Callable, tasks: list[tuple]) -> Iterator:
+    """`fn` over the argument tuples `tasks`, in order, on `size` processes:
+    a pool of `size` - 1 and this one, or this one alone when `size` is at
+    most 1.  Every task goes to the pool; then this process takes tasks from
+    the back, each that it can still cancel on the pool, and stops at the
+    first one the pool has started, or at one that raised.  The results come
+    in task order, and so does an exception: a task run here raises only
+    after every earlier task has come in, so the one raised is the earliest
+    task's.  On any exit, an abort's or Ctrl-C's too, the tasks not yet
+    started are cancelled, so that the pool's shutdown does not run them.
+    An OSError is raised as BrokenExecutor (see `_sweep_failed`)."""
+    with _sweep_failed():
+        if size <= 1:
+            yield from starmap(fn, tasks)
+            return
+        with futures.ProcessPoolExecutor(size - 1) as pool:
+            pending = []
+            try:
+                pending += (pool.submit(fn, *args) for args in tasks)
+                for i in reversed(range(len(tasks))):
+                    if not pending[i].cancel():
+                        break
+                    pending[i] = futures.Future()
+                    try:
+                        pending[i].set_result(fn(*tasks[i]))
+                    except Exception as exc:  # raised in task order, below
+                        pending[i].set_exception(exc)
+                        break
+                for future in pending:
+                    yield future.result()
+            finally:
+                for future in pending:
+                    future.cancel()
 
 
 def run_verification(
@@ -574,24 +635,28 @@ def run_verification(
 ) -> VerificationReport:
     """Run the configured sweep and aggregate a deterministic report.
 
-    Without `write`, this process walks the top prefixes (see :func:`_walk`),
-    and the walks from the `_runs` of the prefixes below them,
-    `_TASKS_PER_WORKER` per process, are its tasks.  With `write`, each of
-    the `_bands` is one `_band` task, and this process writes the CSV through
-    `write`: the header, then each band's rows.  The tasks run through
-    `_mapped`, on at most one process per worker, task and CPU, so more
-    workers speed a CSV only from two bands on.  The folds are merged in task
+    The sweep runs on `config.workers` processes, this one included, and at
+    most one per CPU this process may run on (see `_cpus`).  Without
+    `write`, this process walks the top prefixes (see :func:`_walk`), and the
+    walks from the `_runs` of the prefixes below them, `_RUNS_PER_WORKER` per
+    process, are its tasks: they run through `_shared`, on at most one
+    process per task, so this process walks runs beside the pool.  With
+    `write`, each of the `_bands` is one `_band` task, and this process
+    writes the CSV through `write`: the header, then each band's rows.  The
+    band tasks run through `_mapped`, on a pool of at most one process per
+    worker, band and CPU, beside this process, which renders the rows; so
+    more workers speed a CSV only from two bands on.  The folds come in task
     order, so the result, and the knot an abort names (the first odd total in
-    walk order, of the first band that has one), do not depend on worker count
-    or scheduling.  The max-gap witness is the smallest (p, q) among the knots
-    of the largest gap.
+    walk order, of the first task that has one), do not depend on worker
+    count or scheduling.  The max-gap witness is the smallest (p, q) among the
+    knots of the largest gap.
     """
-    size = min(config.workers, os.cpu_count() or 1)
+    size = min(config.workers, _cpus())
     if write is None:
         prefixes = []
         merged = _walk(config.max_p, [_ROOT], prefixes)
-        runs = _runs(prefixes, _TASKS_PER_WORKER * size)
-        for part in _mapped(min(size, len(runs)), _walk, zip(repeat(config.max_p), runs)):
+        runs = _runs(prefixes, _RUNS_PER_WORKER * size)
+        for part in _shared(min(size, len(runs)), _walk, [(config.max_p, run) for run in runs]):
             merged.add(part.count, part.listed, part.best)
         return merged.report(config)
     write(_csv_text([_CSV_HEADER]))

@@ -18,8 +18,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Stand the ProcessPoolExecutor that verify looks up in `concurrent.futures`
-    in with an in-process fake, on a host that reports 64 CPUs; the list
-    returned gets the size of each pool built."""
+    in with an in-process fake, and let this process run on 64 CPUs; the
+    list returned gets the size of each pool built.  The fake runs each task
+    as it is submitted, so this process can cancel none to walk it itself."""
     import crosscap.verify as verify_module
 
     sizes = []
@@ -44,5 +45,5 @@ def pool_sizes(monkeypatch):
             return future
 
     monkeypatch.setattr(verify_module.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
     return sizes

@@ -60,32 +60,47 @@ def two_pass_csv(max_p):
 
 
 def count_checked(monkeypatch, fail_at=None, exc=None):
-    """Count the knots verify's walks check in this process, as TorusKnots in
-    walk order; raise `exc` at knot number `fail_at`.  Given cells, a walk
-    stores each knot's cell once it has checked the knot, at slot
-    _row(p) - _row(lo) + q - 2 (see `verify._band`): the patched `_walk`
-    hands every walk, a report's too, a stand-in for its cells that stores
-    to the real cells, if any, and records the knot of each slot."""
+    """Record the knots verify's walks reach in this process, as TorusKnots
+    in walk order; raise `exc` at knot number `fail_at`.  A walk given cells,
+    a CSV band's, checks every knot and stores each knot's cell once it has
+    checked it, at slot _row(p) - _row(lo) + q - 2 (see `verify._band`): the
+    patched `_walk` hands it a stand-in for its cells that stores to them and
+    records the knot of each slot.  A walk without cells, the report's, jumps
+    over knots that it settles unchecked, so it records each knot that walk
+    offers as the max-gap witness through `_Partial.add`, which a walk calls
+    for nothing else."""
     calls = []
-    row, walk = verify_module._row, verify_module._walk
+    row, walk, add = verify_module._row, verify_module._walk, verify_module._Partial.add
+
+    def record(p, q):
+        calls.append(TorusKnot(p, q))
+        if len(calls) == fail_at:
+            raise exc
 
     class Cells:
         def __init__(self, lo, cells):
             self.lo, self.cells = lo, cells
 
         def __setitem__(self, slot, cell):
-            if self.cells is not None:
-                self.cells[slot] = cell
+            self.cells[slot] = cell
             slot += row(self.lo)  # among all (p, q), 2 <= q < p, from p = 3
             p = 3
             while row(p + 1) <= slot:
                 p += 1
-            calls.append(TorusKnot(p, slot - row(p) + 2))
-            if len(calls) == fail_at:
-                raise exc
+            record(p, slot - row(p) + 2)
+
+    def offered(self, count, listed, best):
+        record(*best[:2])
+        add(self, count, listed, best)
 
     def counted(max_p, stack, tasks=None, lo=3, cells=None):
-        return walk(max_p, stack, tasks, lo, Cells(lo, cells))
+        if cells is not None:
+            return walk(max_p, stack, tasks, lo, Cells(lo, cells))
+        verify_module._Partial.add = offered
+        try:
+            return walk(max_p, stack, tasks, lo)
+        finally:
+            verify_module._Partial.add = add
 
     monkeypatch.setattr(verify_module, "_walk", counted)
     return calls
@@ -159,8 +174,8 @@ def pool_that_cannot_start(monkeypatch, where: str) -> None:
     """Stand the ProcessPoolExecutor that verify looks up in `concurrent.futures`
     in with a fake that cannot start: its constructor fails with ENOSYS, as
     where POSIX semaphores are missing, or its `submit`, where a process forks
-    or spawns, with EAGAIN, as at the process limit.  The host reports 64 CPUs,
-    so that a sweep at two workers builds the pool on any machine."""
+    or spawns, with EAGAIN, as at the process limit.  This process may run on
+    64 CPUs, so that a sweep at two workers builds the pool on any machine."""
 
     class FailingPool:
         def __init__(self, max_workers):
@@ -177,7 +192,7 @@ def pool_that_cannot_start(monkeypatch, where: str) -> None:
             raise_oserror(errno.EAGAIN)
 
     monkeypatch.setattr(verify_module.futures, "ProcessPoolExecutor", FailingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
 
 
 def run_cli(argv, capsys):
@@ -664,7 +679,8 @@ class TestExitCodeTable:
         assert os.strerror(errno.ENOMEM) in err
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
-        assert pool_sizes == ([] if workers == "1" else [2])
+        # the report's pool leaves one walker to this process
+        assert pool_sizes == ([] if workers == "1" else [2 if flag == "--csv" else 1])
 
     @pytest.mark.parametrize("where", ["walk-task", "band-task", "csv-rendering"])
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -688,7 +704,7 @@ class TestExitCodeTable:
         assert err == "crosscap: verify did not complete: MemoryError()\n"
         assert out == ""
         assert list(tmp_path.iterdir()) == []
-        assert pool_sizes == ([] if workers == "1" else [2])
+        assert pool_sizes == ([] if workers == "1" else [1 if where == "walk-task" else 2])
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_memoryerror_in_a_rows_format_exits_2(

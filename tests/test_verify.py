@@ -10,6 +10,7 @@ import json
 import multiprocessing
 import os
 from array import array
+from collections import Counter
 from concurrent import futures
 from dataclasses import replace
 from fractions import Fraction
@@ -62,6 +63,11 @@ from test_cli import (
     several_bands,
     two_pass_csv,
 )
+
+
+#: verify's lookup of the CPUs this process may run on, which the
+#: `pool_sizes` fixture stands in for.
+CPUS = verify_module._cpus
 
 
 def phi_sieve(n: int) -> list[int]:
@@ -398,7 +404,7 @@ class TestWalkPerKnot:
         tasks = run_verification(replace(config, workers=2))
         force_bands(monkeypatch, max_p, 3)
         bands = band_report(replace(config, workers=2))
-        assert pool_sizes == [2, 2]
+        assert pool_sizes == [1, 2]  # the report's pool leaves one walker to this process
         rows = kernel_report(config)
         assert walk == tasks == bands == rows == expected
         assert len(walk.violations) == walk.knots_checked
@@ -427,7 +433,7 @@ class TestWalkPerKnot:
         tasks = run_verification(replace(config, workers=2))
         force_bands(monkeypatch, 300, 3)
         bands = band_report(replace(config, workers=2))
-        assert pool_sizes == [2, 2]
+        assert pool_sizes == [1, 2]
         assert walk == tasks == bands == expected
 
     def test_walk_flags_gap_exactly_where_the_crosscap_number_exceeds_the_genus(
@@ -450,7 +456,7 @@ class TestWalkPerKnot:
         tasks = run_verification(replace(config, workers=2))
         force_bands(monkeypatch, 60, 3)
         bands = band_report(replace(config, workers=2), three_bands)
-        assert pool_sizes == [2, 2]
+        assert pool_sizes == [1, 2]
         assert walk == in_process == tasks == bands == kernel_report(config)
         assert "".join(one_band) == "".join(three_bands) == two_pass_csv(60)
         rows = list(csv.DictReader(io.StringIO("".join(three_bands))))
@@ -504,29 +510,38 @@ class TestBoundGuard:
         [
             pytest.param(12, (3, 1, 4, 1), (1, 0, 2, 1), (9, 7), id="first-walked"),
             pytest.param(27, (4, 1, 5, 1), (7, 1, 8, 1), (26, 23), id="second-walked"),
+            pytest.param(44, (1, 1, 2, 1), (17, 1, 18, 1), (37, 35), id="second-after-jumps"),
         ],
     )
     def test_walk_witness_breaks_a_tie_by_the_smallest_knot(
         self, monkeypatch, max_p, first, second, witness
     ):
         # two walk tasks, in walk order, whose largest gaps tie: the prefixes
-        # [0; 1, 3] and [0; 2], or [0; 1, 4] and [0; 1, 7], by their matrices
-        # (h1, h2, k1, k2).  The witness is the smaller knot, as the row
-        # kernel folded in (p, q) order finds it, whichever is walked first
-        # and in whichever order the two tasks' folds are merged
+        # [0; 1, 3] and [0; 2], [0; 1, 4] and [0; 1, 7], or [0; 1, 1] and
+        # [0; 1, 17], by their matrices (h1, h2, k1, k2).  The witness is the
+        # smaller knot, as the row kernel folded in (p, q) order finds it,
+        # whichever is walked first and in whichever order the two tasks'
+        # folds are merged.  The band walk checks every knot; the report's
+        # walk, which in the third case leaves 8 prefixes below [0; 1, 1]
+        # after a jump, the genus of their last knot below the largest gap
+        # so far, still offers both tied knots
         prefixes = []
         verify_module._walk(max_p, [verify_module._ROOT], prefixes)
         a, b = ({pre[:4]: pre for pre in prefixes}[key] for key in (first, second))
         assert prefixes.index(a) < prefixes.index(b)
         calls = count_checked(monkeypatch)
-        part = verify_module._walk(max_p, [b, a])  # pops a, then b
+        cells = array("i", [-1]) * verify_module._row(max_p + 1)
+        band = verify_module._walk(max_p, [b, a], None, 3, cells)  # pops a, then b
         knots = sorted({(k.p, k.q) for k in calls})
         kernel = [(p, q, *verify_module._check(p, q)) for p, q in knots]
-        assert len(kernel) == len(calls) == part.count
+        assert len(kernel) == len(calls) == band.count
         gaps = [genus(TorusKnot(p, q)) - c for p, q, c, _, _ in kernel]
         tied = [knot for knot, gap in zip(kernel, gaps) if gap == max(gaps)]
         assert len(tied) == 2 and tied[0][:2] == witness
-        assert part.best == tied[0]
+        calls.clear()
+        part = verify_module._walk(max_p, [b, a])
+        assert {TorusKnot(p, q) for p, q, *_ in tied} <= set(calls)
+        assert part.count == band.count and part.best == band.best == tied[0]
         parts = [verify_module._walk(max_p, [prefix]) for prefix in (a, b)]
         for order in (parts, parts[::-1]):
             merged = _Partial()
@@ -600,7 +615,7 @@ class TestJump:
             config = SweepConfig(max_p)
             band = assert_folds_as_the_band_walk(max_p)
             assert run_verification(replace(config, workers=2)) == band.report(config), max_p
-        assert pool_sizes == [2] * 247  # no walk task to max_p 3 and 4
+        assert pool_sizes == [1] * 247  # no walk task to max_p 3 and 4
 
     def test_a_listed_knot_stops_the_jump_when_crosscap_numbers_are_raised(
         self, monkeypatch
@@ -638,6 +653,29 @@ class TestJump:
         banded = [q for p, q in offers if p == q + 1]
         assert banded == list(range(2, 300))
         assert walked == [2, 3, 4, 5, 6, 7, 298, 299]
+
+    @pytest.mark.parametrize(
+        "max_p, visited, knots", [(300, 13_898, 27_098), (1000, 152_749, 303_192)]
+    )
+    def test_the_report_walk_visits_only_the_knots_that_can_change_the_report(
+        self, monkeypatch, max_p, visited, knots
+    ):
+        # the knots a walk visits are the iterations of its knot loop, the one
+        # range of two arguments in `_walk`.  The band walk visits every knot;
+        # the report's walk jumps, and leaves a prefix whose last knot's genus
+        # is below the largest gap so far (18,399 and 203,246 visits before it
+        # did), and folds as the band walk does
+        counts = Counter()
+
+        def counted_range(*args):
+            for value in range(*args):
+                counts[len(args)] += 1
+                yield value
+
+        monkeypatch.setattr(verify_module, "range", counted_range, raising=False)
+        band = assert_folds_as_the_band_walk(max_p)
+        assert band.count == knots
+        assert counts[2] == knots + visited
 
     def test_the_row_kernel_meets_the_jumps_premises_to_400(self):
         # at each a where the jump's condition holds, by the row kernel's
@@ -698,7 +736,7 @@ class TestJump:
                 sweep()
             assert info.value.knot == knot
             assert info.value.value == HalfInteger(kernel_total(18, 11) + 1)
-        assert pool_sizes == [2, 2]
+        assert pool_sizes == [1, 2]
 
 
 class TestLemma9Lists:
@@ -742,7 +780,7 @@ class TestKernelGuards:
         tasks = run_verification(replace(config, workers=2))
         force_bands(monkeypatch, 120, 3)
         bands = band_report(replace(config, workers=2))
-        assert pool_sizes == [2, 2]
+        assert pool_sizes == [1, 2]
         assert walk == tasks == bands == kernel_report(config)
         knots = list(enumerate_coprime(120))
         assert walk.lemma_failures == tuple((k, ("lemma9",)) for k in knots)
@@ -788,7 +826,7 @@ class TestKernelGuards:
 
         monkeypatch.setattr(verify_module, "_runs", runs)
         report = run_verification(SweepConfig(120, workers=2))
-        assert pool_sizes == [2]
+        assert pool_sizes == [1]
         h1, h2, k1, k2, *_ = flipped[0]
         below = []
         for k in enumerate_coprime(120):
@@ -863,7 +901,7 @@ class TestKernelGuards:
         with pytest.raises(IntegralityError) as info:
             run_verification(SweepConfig(60, workers=workers))
         assert info.value.knot == TorusKnot(5, 3)
-        assert pool_sizes == ([] if workers == 1 else [workers])
+        assert pool_sizes == ([] if workers == 1 else [workers - 1])
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -894,7 +932,7 @@ class TestKernelGuards:
                 sweep(SweepConfig(60, workers=workers))
             assert walk.value.knot == row.value.knot == TorusKnot(31, 19)
             assert walk.value.value == row.value.value == HalfInteger(11)
-        assert pool_sizes == ([] if workers == 1 else [2])
+        assert pool_sizes == ([] if workers == 1 else [1])
 
     def test_drivers_fold_plain_ints(self, monkeypatch, pool_sizes):
         # what a pool task returns: the checked knot (p, q, c, violated, hits)
@@ -908,7 +946,7 @@ class TestKernelGuards:
 
         monkeypatch.setattr(verify_module, "_walk", recorded)
         run_verification(SweepConfig(300, workers=2))
-        assert pool_sizes == [2]
+        assert pool_sizes == [1]
         lo, band, cells = verify_module._band(298, 300)
         assert parts[1].listed and band.listed  # sharp: (7, 5) = [0; 1, 2, 2]; (298, 3)
         for part in [*parts[1:], band]:  # the walk's tasks, then a band task
@@ -1198,6 +1236,50 @@ class TestWriteRows:
             assert all(line.startswith(f"{p},") for line in text.splitlines())
 
 
+def watch_the_pool(monkeypatch, fail: BaseException | None = None) -> tuple[list, list]:
+    """Record, in this process, the futures that a real pool's `submit`
+    returns, in task order, and each walk this process runs, by the
+    `_Partial` it builds (a pool's fold comes back pickled, which builds
+    none): the top prefixes' walk first, then each run it takes from the
+    pool.  Raise `fail`, if given, as this process starts its first run; a
+    forked pool process inherits the patch, but raises nothing."""
+    submitted, walks = [], []
+    parent, submit, init = os.getpid(), futures.ProcessPoolExecutor.submit, _Partial.__init__
+
+    def recorded_submit(self, fn, *args):
+        submitted.append(submit(self, fn, *args))
+        return submitted[-1]
+
+    def recorded_init(self, *args):
+        if os.getpid() == parent:
+            walks.append(self)
+            if fail is not None and len(walks) == 2:
+                raise fail
+        init(self, *args)
+
+    monkeypatch.setattr(futures.ProcessPoolExecutor, "submit", recorded_submit)
+    monkeypatch.setattr(_Partial, "__init__", recorded_init)
+    return submitted, walks
+
+
+def assert_stolen_from_the_back(submitted: list, walks: list) -> int:
+    """Assert that this process took its runs from the back of the pool's
+    list, each cancelled there, and returns how many it took."""
+    own = len(walks) - 1
+    assert own >= 1
+    assert [f.cancelled() for f in submitted[-own:]] == [True] * own
+    return own
+
+
+def assert_no_run_left(submitted: list, own: int) -> None:
+    """After an abort: no pool process is left, and each run the pool had
+    not started was cancelled, besides the `own` runs this process took,
+    rather than run by the pool's shutdown."""
+    assert multiprocessing.active_children() == []
+    assert all(f.done() for f in submitted)
+    assert sum(f.cancelled() for f in submitted) > own
+
+
 class TestRunVerification:
     def test_tiny_sweep_counts(self):
         report = run_verification(SweepConfig(max_p=4))
@@ -1263,7 +1345,7 @@ class TestRunVerification:
         monkeypatch.setattr(verify_module, "_BAND_SLOTS", 1)
         assert verify_module._bands(max_p) == [(p, p) for p in range(3, max_p + 1)]
         if cpus is not None:
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(verify_module, "_cpus", lambda: cpus)
         report = band_report(SweepConfig(max_p=max_p, workers=workers))
         assert pool_sizes == ([] if size is None else [size])
         assert report == run_verification(SweepConfig(max_p=max_p))
@@ -1272,12 +1354,76 @@ class TestRunVerification:
     def test_report_builds_one_pool_of_walk_tasks(self, pool_sizes, workers):
         # the walk's tasks are the prefixes below [0] and [0; 1]: none to
         # max_p 4, two to 5 ([0; 2] and [0; 1, 1]), and more than 5 to 100;
-        # the pool has one process per task, worker and CPU at most
-        for max_p, size in ((3, None), (4, None), (5, min(workers, 2)), (100, workers)):
+        # this process and the pool have one process per task, worker and
+        # CPU at most
+        for max_p, size in ((3, None), (4, None), (5, 1), (100, workers - 1)):
             pool_sizes.clear()
             report = run_verification(SweepConfig(max_p=max_p, workers=workers))
             assert pool_sizes == ([] if size is None else [size]), max_p
             assert report == run_verification(SweepConfig(max_p=max_p)), max_p
+
+    def test_one_cpu_of_affinity_builds_no_pool(self, pool_sizes, monkeypatch, capsys):
+        # the pool is capped by the CPUs this process may run on, its
+        # affinity mask, not by those of the host; where the OS has no mask,
+        # by the CPU count
+        monkeypatch.setattr(verify_module, "_cpus", CPUS)  # past the fixture's 64
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(["verify", "--max-p", "300", "--workers", "2", "--json"]) == 0
+        assert capsys.readouterr().out == reference_report(300)
+        assert pool_sizes == []
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, sizes in ((1, []), (None, []), (2, [1])):
+            pool_sizes.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            run_verification(SweepConfig(300, workers=2))
+            assert pool_sizes == sizes, cpus
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_this_process_walks_runs_beside_a_real_pool(self, monkeypatch, workers):
+        # a pool of workers - 1 processes takes the runs from the front, and
+        # this process takes them from the back until it meets one the pool
+        # has started; the report is the one-worker report
+        monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
+        submitted, walks = watch_the_pool(monkeypatch)
+        report = run_verification(SweepConfig(300, workers=workers))
+        own = assert_stolen_from_the_back(submitted, walks)
+        assert own < len(submitted)
+        assert sum(f.cancelled() for f in submitted) == own
+        assert serialize_report(report) == reference_report(300)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched table reaches only forked pool workers",
+    )
+    def test_an_abort_in_a_run_this_process_walks_names_the_earliest_knot(self, monkeypatch):
+        # doctored as in doctor_skip_rule, every run of max_p 60 aborts: the
+        # last, which this process walks first, at (53, 3), the first at
+        # (5, 3).  The last run's abort waits for the earlier runs, and stops
+        # this process's stealing; the pool's abort of the first run is raised
+        doctor_skip_rule(monkeypatch)
+        prefixes = []
+        verify_module._walk(60, [verify_module._ROOT], prefixes)
+        runs = verify_module._runs(prefixes, 2 * verify_module._RUNS_PER_WORKER)
+        with pytest.raises(IntegralityError) as last:
+            verify_module._walk(60, runs[-1])
+        assert last.value.knot == TorusKnot(53, 3)
+        submitted, walks = watch_the_pool(monkeypatch)
+        with pytest.raises(IntegralityError) as info:
+            run_verification(SweepConfig(60, workers=2))
+        assert info.value.knot == TorusKnot(5, 3)
+        assert len(submitted) == len(runs)
+        assert assert_stolen_from_the_back(submitted, walks) == 1
+        assert_no_run_left(submitted, 1)
+
+    def test_ctrl_c_in_a_run_this_process_walks_exits_2(self, tmp_path, capsys, monkeypatch):
+        submitted, walks = watch_the_pool(monkeypatch, KeyboardInterrupt())
+        path = tmp_path / "report.json"
+        assert main(["verify", "--max-p", "300", "--workers", "2", "--json", str(path)]) == 2
+        assert capsys.readouterr().err == "crosscap: verify did not complete: KeyboardInterrupt()\n"
+        assert list(tmp_path.iterdir()) == []
+        assert assert_stolen_from_the_back(submitted, walks) == 1
+        assert_no_run_left(submitted, 1)
 
     @pytest.mark.parametrize(
         "where, code",
@@ -1324,7 +1470,7 @@ class TestRunVerification:
             cause = info.value.__cause__
             assert isinstance(cause, OSError) and cause.errno == code, sweep
             assert os.strerror(code) in str(info.value)
-        assert sizes == ([2] if where in ("pooled band", "walk task") else [])
+        assert sizes == {"pooled band": [2], "walk task": [1]}.get(where, [])
 
     def test_checks_echoed_sorted(self):
         report = run_verification(SweepConfig(max_p=5))
