@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 from array import array
 from collections.abc import Callable, Iterable, Iterator
 from concurrent import futures
@@ -508,7 +509,8 @@ def _runs(prefixes: list, count: int) -> list[list]:
     grow with that length.  A prefix is never split, and [0; 1, 1] and
     [0; 2] each hold about a sixth of the knots.  The time a run takes
     follows its knots only roughly, since the report's walk jumps over more
-    of them below a small k1: `_shared` evens that out by stealing runs."""
+    of them below a small k1: `_shared` evens that out, as each process
+    claims the next run once it is free."""
     weights = [1 / (k1 * (k1 + k2)) for _, _, k1, k2, *_ in prefixes]
     return [run[::-1] for run in _cut(prefixes, weights, count)]
 
@@ -558,9 +560,10 @@ def _write_rows(write: Callable[[str], object], lo: int, cells: array) -> None:
 @contextmanager
 def _sweep_failed() -> Iterator[None]:
     """Raise an OSError from the block as BrokenExecutor: the sweep did not
-    complete.  That covers a task run in-process or on a pool, and building
-    a pool or submitting to it (ENOSYS where POSIX semaphores are missing,
-    EAGAIN at the process limit, ENOMEM anywhere)."""
+    complete.  That covers a task run in-process or on another process,
+    and building a pool or a walker's claim counter, submitting to a pool
+    or starting a walker (ENOSYS where POSIX semaphores are missing, EAGAIN
+    at the process limit, ENOMEM anywhere)."""
     try:
         yield
     except OSError as exc:
@@ -595,39 +598,85 @@ def _mapped(size: int, fn: Callable, tasks: Iterator[tuple]) -> Iterator:
                     future.cancel()
 
 
-def _shared(size: int, fn: Callable, tasks: list[tuple]) -> Iterator:
-    """`fn` over the argument tuples `tasks`, in order, on `size` processes:
-    a pool of `size` - 1 and this one, or this one alone when `size` is at
-    most 1.  Every task goes to the pool; then this process takes tasks from
-    the back, each that it can still cancel on the pool, and stops at the
-    first one the pool has started, or at one that raised.  The results come
-    in task order, and so does an exception: a task run here raises only
-    after every earlier task has come in, so the one raised is the earliest
-    task's.  On any exit, an abort's or Ctrl-C's too, the tasks not yet
-    started are cancelled, so that the pool's shutdown does not run them.
-    An OSError is raised as BrokenExecutor (see `_sweep_failed`)."""
+def _claimed(fn: Callable, tasks: list[tuple], claims) -> list[tuple]:
+    """`fn` over the `tasks` this process claims, in claim order: each claim
+    takes the lowest task index no process has claimed from the shared
+    counter `claims`, so each task runs once, on whichever process is free.
+    A task gives (index, result, None) and one that raises (index, None,
+    exception); that one ends the claims of every process, as every task
+    before it has been claimed and no task after it is needed."""
+    done = []
+    while True:
+        with claims.get_lock():
+            i = claims.value
+            claims.value = i + 1
+        if i >= len(tasks):
+            return done
+        try:
+            done.append((i, fn(*tasks[i]), None))
+        except Exception as exc:  # raised in task order, by `_shared`
+            claims.value = len(tasks)
+            done.append((i, None, exc))
+            return done
+
+
+def _walker(fn: Callable, tasks: list[tuple], claims, results) -> None:
+    """A walker process: what `_claimed` gives it, sent through the pipe end
+    `results` in one message.  Ctrl-C is left to the process that started
+    it, which ends its walkers."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    results.send(_claimed(fn, tasks, claims))
+
+
+def _shared(size: int, fn: Callable, tasks: list[tuple]) -> list:
+    """`fn` over the argument tuples `tasks`, its results in task order, on
+    `size` processes: this one and `size` - 1 walker processes, which claim
+    the tasks from one shared counter (see `_claimed`), or this one alone
+    when `size` is at most 1.  A walker sends all its results at once, when
+    no task is left, so no thread of this process has to feed it.  A task's
+    exception is raised once every process has sent its results: the
+    earliest task's, since every task before it has run.  On any exit, an
+    abort's or Ctrl-C's too, the claims end and the walkers are stopped and
+    joined.  A walker that dies before it sends, and an OSError (see
+    `_sweep_failed`), are raised as BrokenExecutor.
+
+    Walkers start by the default start method, as the CSV's pool does: a
+    spawned walker imports the package anew, which costs more than a whole
+    sweep at max_p 300."""
     with _sweep_failed():
         if size <= 1:
-            yield from starmap(fn, tasks)
-            return
-        with futures.ProcessPoolExecutor(size - 1) as pool:
-            pending = []
-            try:
-                pending += (pool.submit(fn, *args) for args in tasks)
-                for i in reversed(range(len(tasks))):
-                    if not pending[i].cancel():
-                        break
-                    pending[i] = futures.Future()
-                    try:
-                        pending[i].set_result(fn(*tasks[i]))
-                    except Exception as exc:  # raised in task order, below
-                        pending[i].set_exception(exc)
-                        break
-                for future in pending:
-                    yield future.result()
-            finally:
-                for future in pending:
-                    future.cancel()
+            return [fn(*args) for args in tasks]
+        import multiprocessing  # here, so that a sweep on one process never loads it
+
+        claims = multiprocessing.Value("i", 0)
+        walkers, ends = [], []
+        try:
+            for _ in range(size - 1):
+                end, results = multiprocessing.Pipe(duplex=False)
+                walker = multiprocessing.Process(
+                    target=_walker, args=(fn, tasks, claims, results), daemon=True
+                )
+                walker.start()
+                walkers.append(walker)
+                # this process's copy of the walker's end: without it `end`
+                # reads EOF once the walker dies, and no later walker holds it
+                results.close()
+                ends.append(end)
+            done = _claimed(fn, tasks, claims)
+            for end in ends:
+                done += end.recv()
+        except EOFError:
+            raise futures.BrokenExecutor("the sweep failed: a walker process died") from None
+        finally:
+            claims.value = len(tasks)
+            for walker in walkers:
+                walker.terminate()  # one that has sent its results has no more to do
+                walker.join()
+        done.sort(key=lambda task: task[0])
+        for _, _, exc in done:
+            if exc is not None:
+                raise exc
+        return [result for _, result, _ in done]
 
 
 def run_verification(
@@ -640,7 +689,7 @@ def run_verification(
     `write`, this process walks the top prefixes (see :func:`_walk`), and the
     walks from the `_runs` of the prefixes below them, `_RUNS_PER_WORKER` per
     process, are its tasks: they run through `_shared`, on at most one
-    process per task, so this process walks runs beside the pool.  With
+    process per task, so this process walks runs beside its walkers.  With
     `write`, each of the `_bands` is one `_band` task, and this process
     writes the CSV through `write`: the header, then each band's rows.  The
     band tasks run through `_mapped`, on a pool of at most one process per

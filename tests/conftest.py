@@ -20,7 +20,9 @@ def pool_sizes(monkeypatch):
     """Stand the ProcessPoolExecutor that verify looks up in `concurrent.futures`
     in with an in-process fake, and let this process run on 64 CPUs; the
     list returned gets the size of each pool built.  The fake runs each task
-    as it is submitted, so this process can cancel none to walk it itself."""
+    as it is submitted.  A report's walker processes are stood in for too:
+    the list gets how many `_shared` would start, and this process walks
+    every run."""
     import crosscap.verify as verify_module
 
     sizes = []
@@ -44,6 +46,13 @@ def pool_sizes(monkeypatch):
                 future.set_exception(exc)
             return future
 
+    def recorded_shared(size, fn, tasks):
+        if size > 1:
+            sizes.append(size - 1)
+        return shared(1, fn, tasks)
+
+    shared = verify_module._shared
     monkeypatch.setattr(verify_module.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify_module, "_shared", recorded_shared)
     monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
     return sizes

@@ -6,6 +6,7 @@ import csv
 import errno
 import io
 import json
+import multiprocessing
 import os
 import stat
 import subprocess
@@ -174,8 +175,10 @@ def pool_that_cannot_start(monkeypatch, where: str) -> None:
     """Stand the ProcessPoolExecutor that verify looks up in `concurrent.futures`
     in with a fake that cannot start: its constructor fails with ENOSYS, as
     where POSIX semaphores are missing, or its `submit`, where a process forks
-    or spawns, with EAGAIN, as at the process limit.  This process may run on
-    64 CPUs, so that a sweep at two workers builds the pool on any machine."""
+    or spawns, with EAGAIN, as at the process limit.  A report's walkers fail
+    the same way: building their claim counter, a semaphore's value, or
+    starting a walker process.  This process may run on 64 CPUs, so that a
+    sweep at two workers builds the pool and starts a walker on any machine."""
 
     class FailingPool:
         def __init__(self, max_workers):
@@ -192,6 +195,11 @@ def pool_that_cannot_start(monkeypatch, where: str) -> None:
             raise_oserror(errno.EAGAIN)
 
     monkeypatch.setattr(verify_module.futures, "ProcessPoolExecutor", FailingPool)
+    if where == "constructor":
+        target, name, code = multiprocessing, "Value", errno.ENOSYS
+    else:
+        target, name, code = multiprocessing.Process, "start", errno.EAGAIN
+    monkeypatch.setattr(target, name, lambda *args: raise_oserror(code))
     monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
 
 

@@ -9,6 +9,7 @@ import io
 import json
 import multiprocessing
 import os
+import time
 from array import array
 from collections import Counter
 from concurrent import futures
@@ -1236,48 +1237,42 @@ class TestWriteRows:
             assert all(line.startswith(f"{p},") for line in text.splitlines())
 
 
-def watch_the_pool(monkeypatch, fail: BaseException | None = None) -> tuple[list, list]:
-    """Record, in this process, the futures that a real pool's `submit`
-    returns, in task order, and each walk this process runs, by the
-    `_Partial` it builds (a pool's fold comes back pickled, which builds
-    none): the top prefixes' walk first, then each run it takes from the
-    pool.  Raise `fail`, if given, as this process starts its first run; a
-    forked pool process inherits the patch, but raises nothing."""
-    submitted, walks = [], []
-    parent, submit, init = os.getpid(), futures.ProcessPoolExecutor.submit, _Partial.__init__
+def hold_the_first_run(monkeypatch, walker=None) -> dict:
+    """Let a walker process claim the first run before this process claims
+    any: this process waits until the walker starts a run, the walker's
+    first.  The walker then runs `walker`, if given, before that run, and
+    holds the run until this process has walked all it claims.  The dict
+    returned gets the claim counter, what `_claimed` gave this process, the
+    event "taken" and, as "walked", a count of the runs the walkers started."""
+    taken, held = multiprocessing.Event(), multiprocessing.Event()
+    seen = {"taken": taken, "walked": multiprocessing.Value("i", 0)}
+    parent, walk, claimed = os.getpid(), verify_module._walk, verify_module._claimed
 
-    def recorded_submit(self, fn, *args):
-        submitted.append(submit(self, fn, *args))
-        return submitted[-1]
+    def held_walk(max_p, stack, *rest):
+        if os.getpid() != parent:
+            with seen["walked"].get_lock():
+                seen["walked"].value += 1
+            taken.set()
+            if walker is not None:
+                walker()
+            held.wait(60)
+        return walk(max_p, stack, *rest)
 
-    def recorded_init(self, *args):
-        if os.getpid() == parent:
-            walks.append(self)
-            if fail is not None and len(walks) == 2:
-                raise fail
-        init(self, *args)
+    def after_the_walker(fn, tasks, claims):
+        if os.getpid() != parent:
+            return claimed(fn, tasks, claims)
+        assert taken.wait(60)
+        seen["claims"] = claims
+        try:
+            seen["own"] = claimed(fn, tasks, claims)
+        finally:
+            held.set()
+        return list(seen["own"])  # which `_shared` extends with the walkers' results
 
-    monkeypatch.setattr(futures.ProcessPoolExecutor, "submit", recorded_submit)
-    monkeypatch.setattr(_Partial, "__init__", recorded_init)
-    return submitted, walks
-
-
-def assert_stolen_from_the_back(submitted: list, walks: list) -> int:
-    """Assert that this process took its runs from the back of the pool's
-    list, each cancelled there, and returns how many it took."""
-    own = len(walks) - 1
-    assert own >= 1
-    assert [f.cancelled() for f in submitted[-own:]] == [True] * own
-    return own
-
-
-def assert_no_run_left(submitted: list, own: int) -> None:
-    """After an abort: no pool process is left, and each run the pool had
-    not started was cancelled, besides the `own` runs this process took,
-    rather than run by the pool's shutdown."""
-    assert multiprocessing.active_children() == []
-    assert all(f.done() for f in submitted)
-    assert sum(f.cancelled() for f in submitted) > own
+    monkeypatch.setattr(verify_module, "_walk", held_walk)
+    monkeypatch.setattr(verify_module, "_claimed", after_the_walker)
+    monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
+    return seen
 
 
 class TestRunVerification:
@@ -1379,51 +1374,120 @@ class TestRunVerification:
             run_verification(SweepConfig(300, workers=2))
             assert pool_sizes == sizes, cpus
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_this_process_walks_runs_beside_a_real_pool(self, monkeypatch, workers):
-        # a pool of workers - 1 processes takes the runs from the front, and
-        # this process takes them from the back until it meets one the pool
-        # has started; the report is the one-worker report
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_walkers_give_the_one_worker_report(self, monkeypatch, workers):
+        # workers - 1 walker processes and this one claim the runs from one
+        # counter, also with more processes than CPUs: a run walked twice or
+        # never would change the count of knots checked
         monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
-        submitted, walks = watch_the_pool(monkeypatch)
         report = run_verification(SweepConfig(300, workers=workers))
-        own = assert_stolen_from_the_back(submitted, walks)
-        assert own < len(submitted)
-        assert sum(f.cancelled() for f in submitted) == own
+        assert multiprocessing.active_children() == []
         assert serialize_report(report) == reference_report(300)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
-        reason="the patched table reaches only forked pool workers",
+        reason="the patched walk reaches only forked walkers",
     )
-    def test_an_abort_in_a_run_this_process_walks_names_the_earliest_knot(self, monkeypatch):
-        # doctored as in doctor_skip_rule, every run of max_p 60 aborts: the
-        # last, which this process walks first, at (53, 3), the first at
-        # (5, 3).  The last run's abort waits for the earlier runs, and stops
-        # this process's stealing; the pool's abort of the first run is raised
+    def test_this_process_walks_runs_beside_its_walker(self, monkeypatch):
+        # the walker holds the first run while this process claims the rest
+        seen = hold_the_first_run(monkeypatch)
+        report = run_verification(SweepConfig(300, workers=2))
+        runs = seen["claims"].value
+        assert runs > 2 and [i for i, _, _ in seen["own"]] == list(range(1, runs))
+        assert seen["walked"].value == 1
+        assert multiprocessing.active_children() == []
+        assert serialize_report(report) == reference_report(300)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched table reaches only forked walkers",
+    )
+    def test_an_abort_in_a_run_this_process_walks_waits_for_the_earlier_runs(self, monkeypatch):
+        # doctored as in doctor_skip_rule, every run of max_p 60 aborts.  A
+        # walker holds the first run, whose abort is at (5, 3), until this
+        # process has walked the second, whose abort ends the claims; the
+        # first run's abort is raised, once the walker has sent it
         doctor_skip_rule(monkeypatch)
         prefixes = []
         verify_module._walk(60, [verify_module._ROOT], prefixes)
         runs = verify_module._runs(prefixes, 2 * verify_module._RUNS_PER_WORKER)
-        with pytest.raises(IntegralityError) as last:
-            verify_module._walk(60, runs[-1])
-        assert last.value.knot == TorusKnot(53, 3)
-        submitted, walks = watch_the_pool(monkeypatch)
+        with pytest.raises(IntegralityError) as second:
+            verify_module._walk(60, runs[1])
+        assert second.value.knot != TorusKnot(5, 3)
+        seen = hold_the_first_run(monkeypatch)
         with pytest.raises(IntegralityError) as info:
             run_verification(SweepConfig(60, workers=2))
         assert info.value.knot == TorusKnot(5, 3)
-        assert len(submitted) == len(runs)
-        assert assert_stolen_from_the_back(submitted, walks) == 1
-        assert_no_run_left(submitted, 1)
+        [(index, result, exc)] = seen["own"]
+        assert (index, result, exc.knot) == (1, None, second.value.knot)
+        assert seen["claims"].value == len(runs)
+        assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched walk reaches only forked walkers",
+    )
+    def test_an_abort_here_ends_the_walkers_claims(self, monkeypatch):
+        # this process's first run raises while the walker holds the first
+        # run; the walker then finishes that run and claims no other
+        seen = hold_the_first_run(monkeypatch)
+        claimed, parent = verify_module._claimed, os.getpid()
+
+        def fail(*args):
+            raise RuntimeError("doctored")
+
+        def failing_here(fn, tasks, claims):
+            return claimed(fail if os.getpid() == parent else fn, tasks, claims)
+
+        monkeypatch.setattr(verify_module, "_claimed", failing_here)
+        with pytest.raises(RuntimeError, match="doctored"):
+            run_verification(SweepConfig(300, workers=2))
+        assert [i for i, _, _ in seen["own"]] == [1]
+        assert seen["walked"].value == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched walk reaches only forked walkers",
+    )
     def test_ctrl_c_in_a_run_this_process_walks_exits_2(self, tmp_path, capsys, monkeypatch):
-        submitted, walks = watch_the_pool(monkeypatch, KeyboardInterrupt())
+        # the claims end, and the walker, held in the first run, is stopped
+        claimed, parent = verify_module._claimed, os.getpid()
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        def interrupted(fn, tasks, claims):
+            if os.getpid() != parent:
+                return claimed(fn, tasks, claims)
+            assert seen["taken"].wait(60)
+            seen["claims"], seen["runs"] = claims, len(tasks)
+            return claimed(interrupt, tasks, claims)
+
+        seen = hold_the_first_run(monkeypatch)
+        monkeypatch.setattr(verify_module, "_claimed", interrupted)
         path = tmp_path / "report.json"
+        start = time.monotonic()
         assert main(["verify", "--max-p", "300", "--workers", "2", "--json", str(path)]) == 2
+        assert time.monotonic() - start < 30  # the walker held its run for up to 60 s
         assert capsys.readouterr().err == "crosscap: verify did not complete: KeyboardInterrupt()\n"
         assert list(tmp_path.iterdir()) == []
-        assert assert_stolen_from_the_back(submitted, walks) == 1
-        assert_no_run_left(submitted, 1)
+        assert seen["claims"].value == seen["runs"] and seen["walked"].value == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched walk reaches only forked walkers",
+    )
+    def test_a_walker_that_dies_exits_2(self, tmp_path, capsys, monkeypatch):
+        # it never sends its results: the sweep did not complete
+        hold_the_first_run(monkeypatch, lambda: os._exit(1))
+        path = tmp_path / "report.json"
+        assert main(["verify", "--max-p", "300", "--workers", "2", "--json", str(path)]) == 2
+        err = "BrokenExecutor('the sweep failed: a walker process died')"
+        assert capsys.readouterr().err == f"crosscap: verify did not complete: {err}\n"
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "where, code",
@@ -1448,7 +1512,10 @@ class TestRunVerification:
         # one rule, in _mapped: whether a task fails in-process or on the
         # pool, or the pool cannot be built or take a task, the sweep did not
         # complete; the OSError is the cause
-        sizes = [] if where == "forked band" else request.getfixturevalue("pool_sizes")
+        # (the fixture's report walks in this process alone, so the cases of
+        # a pool or a walker that cannot start go without it)
+        faked = where in ("band", "pooled band", "walk task")
+        sizes = request.getfixturevalue("pool_sizes") if faked else []
         config = SweepConfig(max_p=60, workers=2)
         if where == "band":
             force_bands(monkeypatch, 60, 1)
