@@ -285,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except OSError as exc:  # the output's: verify._mapped raises the sweep's as BrokenExecutor
+    except OSError as exc:  # the output's: verify._shared raises the sweep's as BrokenExecutor
         code, message = EXIT_USAGE, f"error: cannot write output: {exc}"
     except (  # before ValueError, SweepCapError's base
         *_loaded(f"{__package__}.torus_knots", "IntegralityError"),

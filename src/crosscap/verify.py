@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
+import time
 from array import array
 from collections.abc import Callable, Iterable, Iterator
 from concurrent import futures
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby, islice, starmap
+from itertools import accumulate, groupby, starmap
 from math import gcd
 
 from .continued_fractions import (
@@ -96,7 +97,10 @@ class SweepCapError(ValueError):
 @dataclass(frozen=True)
 class SweepConfig:
     """Range and parallelism for one verification run, which runs every check:
-    `workers` caps the processes it runs on (see :func:`run_verification`)."""
+    `workers` caps the processes it runs on, at most one per CPU: a report
+    runs on `workers` processes, this one and `workers` - 1 walkers, and a
+    CSV of two bands or more on up to `workers` band walkers beside this
+    one, which renders the rows (see :func:`run_verification`)."""
 
     max_p: int
     workers: int = 1
@@ -524,21 +528,24 @@ def _bands(max_p: int) -> list[tuple[int, int]]:
     return [(band[0], band[-1]) for band in _cut(rows, (p - 2 for p in rows), count)]
 
 
-def _band(lo: int, hi: int) -> tuple[int, _Partial, array]:
+def _band(lo: int, hi: int) -> tuple[int, _Partial, pickle.PickleBuffer]:
     """The band lo <= p <= hi: its first row lo, the fold of its knots, and the
-    array of their cells c << 8 | violated, c the crosscap number and
+    C ints of their cells c << 8 | violated, c the crosscap number and
     violated the 8 check bits, one slot per (p, q) with 2 <= q < p, by p
     then q; the slot of a non-coprime (p, q) holds -1 (module-level, so that
-    it pickles).  A cell cannot overflow: c is at most the coefficient sum
-    of p/q, which is at most p <= MAX_SWEEP_P, so c << 8 | violated < 2^31."""
+    it pickles; a walker sends the cells as raw bytes, see `_send`).  A cell
+    cannot overflow: c is at most the coefficient sum of p/q, which is at
+    most p <= MAX_SWEEP_P, so c << 8 | violated < 2^31."""
     cells = array("i", [-1]) * (_row(hi + 1) - _row(lo))
-    return lo, _walk(hi, [_ROOT], None, lo, cells), cells
+    return lo, _walk(hi, [_ROOT], None, lo, cells), pickle.PickleBuffer(cells)
 
 
-def _write_rows(write: Callable[[str], object], lo: int, cells: array) -> None:
+def _write_rows(write: Callable[[str], object], lo: int, cells) -> None:
     """Write the `_CSV_HEADER` rows of a band from row lo, one text per p with
-    its knots in q order, from its cells (see `_band`): the fields of a row's
-    knots go into one flat list, and one `%` renders them all."""
+    its knots in q order, from its cells (see `_band`), any buffer of their C
+    ints: the fields of a row's knots go into one flat list, and one `%`
+    renders them all."""
+    cells = memoryview(cells).cast("B").cast("i")
     tail, parity, flag_texts = _CSV_TAIL, _PARITY, _FLAGS
     width = len(RECORD_FIELDS)  # a knot's fields after p: q to gap, then its flags
     start, p = 0, lo
@@ -557,126 +564,120 @@ def _write_rows(write: Callable[[str], object], lo: int, cells: array) -> None:
         p += 1
 
 
-@contextmanager
-def _sweep_failed() -> Iterator[None]:
-    """Raise an OSError from the block as BrokenExecutor: the sweep did not
-    complete.  That covers a task run in-process or on another process,
-    and building a pool or a walker's claim counter, submitting to a pool
-    or starting a walker (ENOSYS where POSIX semaphores are missing, EAGAIN
-    at the process limit, ENOMEM anywhere)."""
+def _run_next(fn: Callable, tasks: list, claims, limit: int, owners, me: int) -> tuple | None:
+    """Claim the lowest task index i that no process has claimed, if it is
+    below `limit`, for process `me`, and run it: (i, (result, None)), or (i,
+    (None, exception)) for a task that raises, which ends every process's
+    claims, as every task before it has been claimed and no task after it is
+    needed; None when nothing is claimed.  The shared counter `claims` is read
+    and bumped, and the claim's owner written to `owners`, under the
+    counter's lock, so each task runs once."""
+    with claims.get_lock():
+        if (i := claims.value) >= limit:
+            return None
+        claims.value, owners[i] = i + 1, me
     try:
-        yield
-    except OSError as exc:
-        raise futures.BrokenExecutor(f"the sweep failed: {exc}") from exc
-
-
-def _mapped(size: int, fn: Callable, tasks: Iterator[tuple]) -> Iterator:
-    """`fn` over the argument tuples `tasks`, in order: on a pool of `size`
-    processes, or in-process when that is at most 1.  The pool holds at most
-    `size` + 1 tasks whose results the caller has not taken, one per process
-    and one queued: once the oldest result is ready, it submits the next task,
-    then yields that result.  So finished results cannot pile up here, and a
-    process that finishes before the oldest task starts the queued one in
-    place of waiting for the caller.
-
-    An OSError is raised as BrokenExecutor (see `_sweep_failed`).  The
-    caller's own writes run while this generator is suspended, so their
-    errors never pass here."""
-    with _sweep_failed():
-        if size <= 1:
-            yield from starmap(fn, tasks)
-            return
-        with futures.ProcessPoolExecutor(size) as pool:
-            pending = [pool.submit(fn, *args) for args in islice(tasks, size + 1)]
-            try:
-                while pending:
-                    result = pending.pop(0).result()
-                    pending += [pool.submit(fn, *args) for args in islice(tasks, 1)]
-                    yield result
-            finally:
-                for future in pending:
-                    future.cancel()
-
-
-def _claimed(fn: Callable, tasks: list[tuple], claims) -> list[tuple]:
-    """`fn` over the `tasks` this process claims, in claim order: each claim
-    takes the lowest task index no process has claimed from the shared
-    counter `claims`, so each task runs once, on whichever process is free.
-    A task gives (index, result, None) and one that raises (index, None,
-    exception); that one ends the claims of every process, as every task
-    before it has been claimed and no task after it is needed."""
-    done = []
-    while True:
+        return i, (fn(*tasks[i]), None)
+    except Exception as exc:  # raised in its task's turn, by `_shared`
         with claims.get_lock():
-            i = claims.value
-            claims.value = i + 1
-        if i >= len(tasks):
-            return done
-        try:
-            done.append((i, fn(*tasks[i]), None))
-        except Exception as exc:  # raised in task order, by `_shared`
             claims.value = len(tasks)
-            done.append((i, None, exc))
-            return done
+        return i, (None, exc)
 
 
-def _walker(fn: Callable, tasks: list[tuple], claims, results) -> None:
-    """A walker process: what `_claimed` gives it, sent through the pipe end
-    `results` in one message.  Ctrl-C is left to the process that started
+def _walker(fn: Callable, tasks: list, claims, owners, me: int, window, eager, results) -> None:
+    """Walker process `me`: it takes a place in `window`, then claims and runs
+    a task (see `_run_next`), until no task is left, and sends its results
+    through the pipe end `results` (see `_send`): each at once if `eager`,
+    else all of them at the end.  Ctrl-C is left to the process that started
     it, which ends its walkers."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    results.send(_claimed(fn, tasks, claims))
+    done = []
+    while window.acquire() and (task := _run_next(fn, tasks, claims, len(tasks), owners, me)):
+        done.append(task)
+        if eager:
+            _send(results, done)
+            done = []
+    _send(results, done)
 
 
-def _shared(size: int, fn: Callable, tasks: list[tuple]) -> list:
-    """`fn` over the argument tuples `tasks`, its results in task order, on
-    `size` processes: this one and `size` - 1 walker processes, which claim
-    the tasks from one shared counter (see `_claimed`), or this one alone
-    when `size` is at most 1.  A walker sends all its results at once, when
-    no task is left, so no thread of this process has to feed it.  A task's
-    exception is raised once every process has sent its results: the
-    earliest task's, since every task before it has run.  On any exit, an
-    abort's or Ctrl-C's too, the claims end and the walkers are stopped and
-    joined.  A walker that dies before it sends, and an OSError (see
-    `_sweep_failed`), are raised as BrokenExecutor.
+def _send(results, message) -> None:
+    """Send `message` through the pipe end `results`, each of its
+    `pickle.PickleBuffer`s after it as raw bytes, so that no copy is made of
+    them here, and one on receipt (see `_shared`)."""
+    buffers = []
+    results.send_bytes(pickle.dumps(message, 5, buffer_callback=buffers.append))
+    for buffer in buffers:
+        results.send_bytes(buffer)
 
-    Walkers start by the default start method, as the CSV's pool does: a
-    spawned walker imports the package anew, which costs more than a whole
-    sweep at max_p 300."""
-    with _sweep_failed():
-        if size <= 1:
-            return [fn(*args) for args in tasks]
+
+def _shared(walkers: int, fn: Callable, tasks: list[tuple], ahead: int) -> Iterator:
+    """`fn` over the argument tuples `tasks`, its results yielded in task
+    order: on `walkers` walker processes and this one, or on this one alone
+    when `walkers` is below 1.  The processes claim the tasks from one
+    shared counter (see `_run_next`): this one up to `ahead` tasks past the
+    last result taken, and the walkers up to `walkers` + 1 more, a place
+    each and one queued, so a walker that finishes before the oldest task
+    claims the next one in place of waiting.  The report passes every run,
+    so this process walks runs until none is left; the CSV passes 0, so this
+    process renders while at most `walkers` + 1 bands wait for it.  A walker
+    sends each result at once when this process takes results while tasks
+    are left, else all of them when none is left; this process reads a
+    result only in its turn, from the walker that claimed it, once one has.
+
+    A task's exception is raised in that task's turn: the earliest task's.
+    On any exit, an abort's or Ctrl-C's too, the walkers are terminated and
+    joined, which ends their claims.  A walker that dies before it sends a
+    result this process waits for, and an OSError (a task's, or building
+    the claim counter or starting a walker: ENOSYS where POSIX semaphores
+    are missing, EAGAIN at the process limit, ENOMEM anywhere), are raised
+    as BrokenExecutor.  This process's own writes run while the generator
+    is suspended, so their errors never pass here.
+
+    Walkers start by the default start method: a spawned walker imports the
+    package anew, which costs more than a whole sweep at max_p 300."""
+    try:
+        if walkers < 1:
+            yield from starmap(fn, tasks)
+            return
         import multiprocessing  # here, so that a sweep on one process never loads it
 
         claims = multiprocessing.Value("i", 0)
-        walkers, ends = [], []
+        owners = multiprocessing.RawArray("i", len(tasks))
+        window = multiprocessing.Semaphore(ahead + walkers + 1)
+        procs, ends = [], [None]  # walkers 1 to `walkers`; an owner of 0 is this process or none
         try:
-            for _ in range(size - 1):
+            for me in range(1, walkers + 1):
                 end, results = multiprocessing.Pipe(duplex=False)
-                walker = multiprocessing.Process(
-                    target=_walker, args=(fn, tasks, claims, results), daemon=True
-                )
-                walker.start()
-                walkers.append(walker)
+                args = (fn, tasks, claims, owners, me, window, ahead < len(tasks), results)
+                (proc := multiprocessing.Process(target=_walker, args=args, daemon=True)).start()
+                procs.append(proc)
                 # this process's copy of the walker's end: without it `end`
                 # reads EOF once the walker dies, and no later walker holds it
                 results.close()
                 ends.append(end)
-            done = _claimed(fn, tasks, claims)
-            for end in ends:
-                done += end.recv()
+            done = {}
+            for taken in range(len(tasks)):
+                while taken not in done:
+                    limit = min(len(tasks), taken + ahead)
+                    if task := _run_next(fn, tasks, claims, limit, owners, 0):
+                        done.update([task])
+                    elif end := ends[owners[taken]]:
+                        done.update(pickle.loads(end.recv_bytes(), buffers=iter(end.recv_bytes, None)))
+                    else:  # not claimed yet, as a CSV starts: a walker will claim it
+                        time.sleep(0.001)
+                result, exc = done.pop(taken)
+                window.release()
+                if exc is not None:
+                    raise exc
+                yield result
         except EOFError:
             raise futures.BrokenExecutor("the sweep failed: a walker process died") from None
         finally:
-            claims.value = len(tasks)
-            for walker in walkers:
-                walker.terminate()  # one that has sent its results has no more to do
-                walker.join()
-        done.sort(key=lambda task: task[0])
-        for _, _, exc in done:
-            if exc is not None:
-                raise exc
-        return [result for _, result, _ in done]
+            for proc in procs:
+                proc.terminate()  # one that has sent its results has no more to do
+                proc.join()
+    except OSError as exc:
+        raise futures.BrokenExecutor(f"the sweep failed: {exc}") from exc
 
 
 def run_verification(
@@ -685,36 +686,38 @@ def run_verification(
     """Run the configured sweep and aggregate a deterministic report.
 
     The sweep runs on `config.workers` processes, this one included, and at
-    most one per CPU this process may run on (see `_cpus`).  Without
-    `write`, this process walks the top prefixes (see :func:`_walk`), and the
-    walks from the `_runs` of the prefixes below them, `_RUNS_PER_WORKER` per
-    process, are its tasks: they run through `_shared`, on at most one
-    process per task, so this process walks runs beside its walkers.  With
-    `write`, each of the `_bands` is one `_band` task, and this process
-    writes the CSV through `write`: the header, then each band's rows.  The
-    band tasks run through `_mapped`, on a pool of at most one process per
-    worker, band and CPU, beside this process, which renders the rows; so
-    more workers speed a CSV only from two bands on.  The folds come in task
-    order, so the result, and the knot an abort names (the first odd total in
-    walk order, of the first task that has one), do not depend on worker
-    count or scheduling.  The max-gap witness is the smallest (p, q) among the
-    knots of the largest gap.
+    most one per CPU this process may run on (see `_cpus`); call that the
+    size.  Without `write`, this process walks the top prefixes (see
+    :func:`_walk`), and the walks from the `_runs` of the prefixes below
+    them, `_RUNS_PER_WORKER` per process, are its tasks: they run through
+    `_shared` on this process and size - 1 walker processes, at most one
+    process per run.  With `write`, each of the `_bands` is one `_band` task,
+    and this process writes the CSV through `write`: the header, then each
+    band's rows.  The band tasks run through `_shared` on up to size walker
+    processes, one per band at most, beside this process, which renders the
+    rows in band order; a CSV of one band, or of size 1, runs in this
+    process alone, so more workers speed a CSV only from two bands on.  The
+    folds come in task order, so the result, and the knot an abort names
+    (the first odd total in walk order, of the first task that has one), do
+    not depend on worker count or scheduling.  The max-gap witness is the smallest (p, q)
+    among the knots of the largest gap.
     """
     size = min(config.workers, _cpus())
     if write is None:
         prefixes = []
         merged = _walk(config.max_p, [_ROOT], prefixes)
-        runs = _runs(prefixes, _RUNS_PER_WORKER * size)
-        for part in _shared(min(size, len(runs)), _walk, [(config.max_p, run) for run in runs]):
+        runs = [(config.max_p, run) for run in _runs(prefixes, _RUNS_PER_WORKER * size)]
+        for part in _shared(min(size, len(runs)) - 1, _walk, runs, len(runs)):
             merged.add(part.count, part.listed, part.best)
         return merged.report(config)
     write(_csv_text([_CSV_HEADER]))
     bands = _bands(config.max_p)
+    walkers = min(size, len(bands))
     merged = _Partial()
-    for lo, part, cells in _mapped(min(size, len(bands)), _band, iter(bands)):
+    for lo, part, cells in _shared(walkers if walkers > 1 else 0, _band, bands, 0):
         merged.add(part.count, part.listed, part.best)
         _write_rows(write, lo, cells)
-        del part, cells  # one band's array at a time, unless a pool runs ahead
+        del part, cells  # one band's cells at a time
     return merged.report(config)
 
 

@@ -172,29 +172,12 @@ def fail_in_walk_tasks(monkeypatch, exc: BaseException) -> None:
 
 
 def pool_that_cannot_start(monkeypatch, where: str) -> None:
-    """Stand the ProcessPoolExecutor that verify looks up in `concurrent.futures`
-    in with a fake that cannot start: its constructor fails with ENOSYS, as
-    where POSIX semaphores are missing, or its `submit`, where a process forks
-    or spawns, with EAGAIN, as at the process limit.  A report's walkers fail
-    the same way: building their claim counter, a semaphore's value, or
-    starting a walker process.  This process may run on 64 CPUs, so that a
-    sweep at two workers builds the pool and starts a walker on any machine."""
-
-    class FailingPool:
-        def __init__(self, max_workers):
-            if where == "constructor":
-                raise_oserror(errno.ENOSYS)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return None
-
-        def submit(self, fn, *args):
-            raise_oserror(errno.EAGAIN)
-
-    monkeypatch.setattr(verify_module.futures, "ProcessPoolExecutor", FailingPool)
+    """Make verify's walkers fail to start, for either output: at
+    "constructor" their claim counter cannot be built (`multiprocessing.Value`
+    fails with ENOSYS, as where POSIX semaphores are missing), at "submit" a
+    walker process cannot start (`Process.start` fails with EAGAIN, as at the
+    process limit).  This process may run on 64 CPUs, so that a sweep at two
+    workers starts a walker on any machine."""
     if where == "constructor":
         target, name, code = multiprocessing, "Value", errno.ENOSYS
     else:

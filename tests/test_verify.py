@@ -70,6 +70,12 @@ from test_cli import (
 #: `pool_sizes` fixture stands in for.
 CPUS = verify_module._cpus
 
+#: A patch made in this process reaches a walker process only if it is forked.
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a patch in this process reaches only forked walkers",
+)
+
 
 def phi_sieve(n: int) -> list[int]:
     """Independent Euler-totient table for the pair-count oracle."""
@@ -855,10 +861,7 @@ class TestKernelGuards:
         err = capsys.readouterr().err
         assert "non-integral crosscap candidate N = 1/2 for torus knot (4,3)" in err
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched kernel reaches only forked pool workers",
-    )
+    @FORK_ONLY
     def test_odd_skip_total_in_a_pool_worker_aborts(self, monkeypatch, capsys, tmp_path):
         # the CSV's band tasks, two bands on a pool of two: the walk steps
         # the rule's table, doctored as in test_odd_skip_total_aborts, and
@@ -872,10 +875,7 @@ class TestKernelGuards:
         assert "BrokenProcessPool" not in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched table reaches only forked pool workers",
-    )
+    @FORK_ONLY
     def test_odd_skip_total_in_a_walk_task_aborts(self, monkeypatch, capsys, tmp_path):
         # doctor the table to skip after an even coefficient added to an odd
         # total.  The top prefixes [0] and [0; 1], which this process walks,
@@ -904,10 +904,7 @@ class TestKernelGuards:
         assert info.value.knot == TorusKnot(5, 3)
         assert pool_sizes == ([] if workers == 1 else [workers - 1])
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched table reaches only forked pool workers",
-    )
+    @FORK_ONLY
     def test_abort_in_a_forked_walk_task_names_the_first_knot_in_walk_order(self, monkeypatch):
         doctor_skip_rule(monkeypatch)
         with pytest.raises(IntegralityError) as info:
@@ -954,7 +951,8 @@ class TestKernelGuards:
             for knot in [*part.listed, part.best]:
                 assert type(knot) is tuple and len(knot) == 5
                 assert {type(x) for x in knot} == {int}, knot
-        assert lo == 298 and cells.typecode == "i" and len(cells) == 296 + 297 + 298
+        cells = memoryview(cells)
+        assert lo == 298 and cells.format == "i" and len(cells) == 296 + 297 + 298
 
 
 class TestLemma9Shortcut:
@@ -1076,10 +1074,7 @@ class TestBands:
         assert "".join(sink) == two_pass_csv(60)
         assert_flags_set("".join(sink), how)
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched checks reach only forked pool workers",
-    )
+    @FORK_ONLY
     @pytest.mark.parametrize("how", ["bounds", "q3", "lemma9"])
     def test_banded_csv_with_flags_set_on_a_forked_pool(self, monkeypatch, how):
         several_bands(monkeypatch)
@@ -1089,39 +1084,41 @@ class TestBands:
         assert "".join(sink) == two_pass_csv(60)
         assert_flags_set("".join(sink), how)
 
-    def test_band_pool_holds_one_band_per_process_and_one_more(self, monkeypatch, pool_sizes):
-        # the pool submits the next band once a result is ready, before this
-        # process takes it: while a band renders, the pool holds one more
-        # band per process and one queued, not every band left, and the
-        # bytes and the abort's knot stay the same
+    @FORK_ONLY
+    def test_band_pool_holds_one_band_per_process_and_one_more(self, monkeypatch):
+        # two band walkers claim a band each, and one more, past the last
+        # band taken: while a band renders, at most three bands are claimed
+        # and not yet taken, not every band left, and the bytes and the
+        # abort's knot stay the same.  Each rendering first sleeps, so that
+        # the walkers fill the window
         assert len(several_bands(monkeypatch)) == 18
-        submitted, outstanding = [], []
+        monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
+        started, outstanding = multiprocessing.Value("i", 0), []
         band, write_rows = verify_module._band, verify_module._write_rows
 
         def counted_band(lo, hi):
-            submitted.append(lo)
+            with started.get_lock():
+                started.value += 1
             return band(lo, hi)
 
         def counted_write_rows(write, lo, cells):
-            outstanding.append(len(submitted) - len(outstanding) - 1)
+            time.sleep(0.05)
+            outstanding.append(started.value - len(outstanding) - 1)
             write_rows(write, lo, cells)
 
         monkeypatch.setattr(verify_module, "_band", counted_band)
         monkeypatch.setattr(verify_module, "_write_rows", counted_write_rows)
         sink = []
         band_report(SweepConfig(60, workers=2), sink)
-        assert pool_sizes == [2]
-        assert outstanding == [3] * 15 + [2, 1, 0]
+        assert max(outstanding) == 3 and outstanding[-3:] == [2, 1, 0], outstanding
         assert "".join(sink) == two_pass_csv(60)
         doctor_skip_rule(monkeypatch)
         with pytest.raises(IntegralityError) as info:
             band_report(SweepConfig(60, workers=2))
         assert info.value.knot == TorusKnot(5, 3)
+        assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched band size reaches only forked pool workers",
-    )
+    @FORK_ONLY
     def test_banded_csv_on_a_forked_pool(self, monkeypatch):
         several_bands(monkeypatch)
         sink = []
@@ -1241,12 +1238,13 @@ def hold_the_first_run(monkeypatch, walker=None) -> dict:
     """Let a walker process claim the first run before this process claims
     any: this process waits until the walker starts a run, the walker's
     first.  The walker then runs `walker`, if given, before that run, and
-    holds the run until this process has walked all it claims.  The dict
-    returned gets the claim counter, what `_claimed` gave this process, the
-    event "taken" and, as "walked", a count of the runs the walkers started."""
+    holds the run until this process has claimed all it can.  The dict
+    returned gets the claim counter, what `_run_next` gave this process
+    (each (index, (result, exception))) as "own", the event "taken" and, as
+    "walked", a count of the runs the walkers started."""
     taken, held = multiprocessing.Event(), multiprocessing.Event()
-    seen = {"taken": taken, "walked": multiprocessing.Value("i", 0)}
-    parent, walk, claimed = os.getpid(), verify_module._walk, verify_module._claimed
+    seen = {"taken": taken, "walked": multiprocessing.Value("i", 0), "own": []}
+    parent, walk, run_next = os.getpid(), verify_module._walk, verify_module._run_next
 
     def held_walk(max_p, stack, *rest):
         if os.getpid() != parent:
@@ -1258,21 +1256,46 @@ def hold_the_first_run(monkeypatch, walker=None) -> dict:
             held.wait(60)
         return walk(max_p, stack, *rest)
 
-    def after_the_walker(fn, tasks, claims):
+    def after_the_walker(fn, tasks, claims, *rest):
         if os.getpid() != parent:
-            return claimed(fn, tasks, claims)
+            return run_next(fn, tasks, claims, *rest)
         assert taken.wait(60)
         seen["claims"] = claims
+        task = None
         try:
-            seen["own"] = claimed(fn, tasks, claims)
+            task = run_next(fn, tasks, claims, *rest)
         finally:
-            held.set()
-        return list(seen["own"])  # which `_shared` extends with the walkers' results
+            if task is None:  # nothing left for this process to claim
+                held.set()
+        seen["own"].append(task)
+        return task
 
     monkeypatch.setattr(verify_module, "_walk", held_walk)
-    monkeypatch.setattr(verify_module, "_claimed", after_the_walker)
+    monkeypatch.setattr(verify_module, "_run_next", after_the_walker)
     monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
     return seen
+
+
+class LockedCounter:
+    """A claim counter whose value may be read or written only by a process
+    that holds its lock: a stand-in for the `multiprocessing.Value` it wraps
+    (module-level, so that a forked walker gets it as it is)."""
+
+    def __init__(self, real):
+        self.real = real
+
+    def get_lock(self):
+        return self.real.get_lock()
+
+    @property
+    def value(self):
+        assert self.real.get_lock()._semlock._is_mine(), "the claim counter read without its lock"
+        return self.real.value
+
+    @value.setter
+    def value(self, value):
+        assert self.real.get_lock()._semlock._is_mine(), "the claim counter set without its lock"
+        self.real.value = value
 
 
 class TestRunVerification:
@@ -1384,24 +1407,19 @@ class TestRunVerification:
         assert multiprocessing.active_children() == []
         assert serialize_report(report) == reference_report(300)
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched walk reaches only forked walkers",
-    )
+    @FORK_ONLY
     def test_this_process_walks_runs_beside_its_walker(self, monkeypatch):
         # the walker holds the first run while this process claims the rest
         seen = hold_the_first_run(monkeypatch)
         report = run_verification(SweepConfig(300, workers=2))
         runs = seen["claims"].value
-        assert runs > 2 and [i for i, _, _ in seen["own"]] == list(range(1, runs))
+        assert runs > 2 and [task[0] for task in seen["own"][:-1]] == list(range(1, runs))
+        assert seen["own"][-1] is None
         assert seen["walked"].value == 1
         assert multiprocessing.active_children() == []
         assert serialize_report(report) == reference_report(300)
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched table reaches only forked walkers",
-    )
+    @FORK_ONLY
     def test_an_abort_in_a_run_this_process_walks_waits_for_the_earlier_runs(self, monkeypatch):
         # doctored as in doctor_skip_rule, every run of max_p 60 aborts.  A
         # walker holds the first run, whose abort is at (5, 3), until this
@@ -1418,67 +1436,115 @@ class TestRunVerification:
         with pytest.raises(IntegralityError) as info:
             run_verification(SweepConfig(60, workers=2))
         assert info.value.knot == TorusKnot(5, 3)
-        [(index, result, exc)] = seen["own"]
-        assert (index, result, exc.knot) == (1, None, second.value.knot)
+        [(index, (result, exc)), none] = seen["own"]
+        assert (index, result, exc.knot, none) == (1, None, second.value.knot, None)
         assert seen["claims"].value == len(runs)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched walk reaches only forked walkers",
-    )
+    @FORK_ONLY
     def test_an_abort_here_ends_the_walkers_claims(self, monkeypatch):
         # this process's first run raises while the walker holds the first
         # run; the walker then finishes that run and claims no other
         seen = hold_the_first_run(monkeypatch)
-        claimed, parent = verify_module._claimed, os.getpid()
+        run_next, parent = verify_module._run_next, os.getpid()
 
         def fail(*args):
             raise RuntimeError("doctored")
 
-        def failing_here(fn, tasks, claims):
-            return claimed(fail if os.getpid() == parent else fn, tasks, claims)
+        def failing_here(fn, *rest):
+            return run_next(fail if os.getpid() == parent else fn, *rest)
 
-        monkeypatch.setattr(verify_module, "_claimed", failing_here)
+        monkeypatch.setattr(verify_module, "_run_next", failing_here)
         with pytest.raises(RuntimeError, match="doctored"):
             run_verification(SweepConfig(300, workers=2))
-        assert [i for i, _, _ in seen["own"]] == [1]
+        assert [task and task[0] for task in seen["own"]] == [1, None]
         assert seen["walked"].value == 1
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched walk reaches only forked walkers",
-    )
+    @FORK_ONLY
     def test_ctrl_c_in_a_run_this_process_walks_exits_2(self, tmp_path, capsys, monkeypatch):
-        # the claims end, and the walker, held in the first run, is stopped
-        claimed, parent = verify_module._claimed, os.getpid()
+        # the walker, held in the first run, is stopped: it would hold the
+        # run for up to 60 s, as this process never finishes its claims
+        run_next, parent = verify_module._run_next, os.getpid()
 
         def interrupt(*args):
             raise KeyboardInterrupt
 
-        def interrupted(fn, tasks, claims):
+        def interrupted(fn, *rest):
             if os.getpid() != parent:
-                return claimed(fn, tasks, claims)
+                return run_next(fn, *rest)
             assert seen["taken"].wait(60)
-            seen["claims"], seen["runs"] = claims, len(tasks)
-            return claimed(interrupt, tasks, claims)
+            return run_next(interrupt, *rest)
 
         seen = hold_the_first_run(monkeypatch)
-        monkeypatch.setattr(verify_module, "_claimed", interrupted)
+        monkeypatch.setattr(verify_module, "_run_next", interrupted)
         path = tmp_path / "report.json"
         start = time.monotonic()
         assert main(["verify", "--max-p", "300", "--workers", "2", "--json", str(path)]) == 2
         assert time.monotonic() - start < 30  # the walker held its run for up to 60 s
         assert capsys.readouterr().err == "crosscap: verify did not complete: KeyboardInterrupt()\n"
         assert list(tmp_path.iterdir()) == []
-        assert seen["claims"].value == seen["runs"] and seen["walked"].value == 1
+        assert seen["walked"].value == 1
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched walk reaches only forked walkers",
-    )
+    @FORK_ONLY
+    def test_a_walker_that_claims_nothing_is_not_a_dead_one(self, monkeypatch):
+        # two walkers wait until this process has claimed the last run, then
+        # find none left and exit, and this process reads none of their pipes
+        claimed_all, parent = multiprocessing.Event(), os.getpid()
+        run_next, own = verify_module._run_next, []
+
+        def this_process_first(fn, tasks, claims, *rest):
+            if os.getpid() != parent:
+                assert claimed_all.wait(60)
+                return run_next(fn, tasks, claims, *rest)
+            task = run_next(fn, tasks, claims, *rest)
+            own.append(task[0])
+            if task[0] == len(tasks) - 1:
+                claimed_all.set()
+            return task
+
+        monkeypatch.setattr(verify_module, "_run_next", this_process_first)
+        monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
+        report = run_verification(SweepConfig(300, workers=3))
+        assert len(own) > 2 and own == list(range(len(own)))
+        assert multiprocessing.active_children() == []
+        assert serialize_report(report) == reference_report(300)
+
+    @pytest.mark.parametrize("workers", ["3", "5"])
+    def test_a_csv_on_more_processes_than_bands_completes(self, tmp_path, capsys, monkeypatch, workers):
+        # two bands at three workers or more: two band walkers, one of which
+        # finishes its band and exits while this process renders the other's
+        force_bands(monkeypatch, 60, 2)
+        monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
+        path = tmp_path / "knots.csv"
+        argv = ["verify", "--max-p", "60", "--workers", workers, "--csv", str(path)]
+        assert main(argv) == 0
+        assert path.read_bytes() == two_pass_csv(60).encode()
+        assert multiprocessing.active_children() == []
+
+    @FORK_ONLY
+    def test_claims_hold_the_counters_lock(self, monkeypatch):
+        # every read and write of the claim counter, in this process and in
+        # the walkers, holds its lock: the report on three processes, the
+        # CSV on two band walkers, and an abort, which ends the claims
+        value = multiprocessing.Value
+        monkeypatch.setattr(multiprocessing, "Value", lambda *args: LockedCounter(value(*args)))
+        monkeypatch.setattr(verify_module, "_cpus", lambda: 64)
+        report = run_verification(SweepConfig(300, workers=3))
+        assert serialize_report(report) == reference_report(300)
+        several_bands(monkeypatch)
+        sink = []
+        band_report(SweepConfig(60, workers=2), sink)
+        assert "".join(sink) == two_pass_csv(60)
+        doctor_skip_rule(monkeypatch)
+        for sweep in (run_verification, band_report):
+            with pytest.raises(IntegralityError) as info:
+                sweep(SweepConfig(60, workers=2))
+            assert info.value.knot == TorusKnot(5, 3)
+        assert multiprocessing.active_children() == []
+
+    @FORK_ONLY
     def test_a_walker_that_dies_exits_2(self, tmp_path, capsys, monkeypatch):
         # it never sends its results: the sweep did not complete
         hold_the_first_run(monkeypatch, lambda: os._exit(1))
@@ -1501,19 +1567,16 @@ class TestRunVerification:
                 "forked band",
                 errno.ENOMEM,
                 id="csv-forked-pool",
-                marks=pytest.mark.skipif(
-                    multiprocessing.get_start_method() != "fork",
-                    reason="the patched band task reaches only forked pool workers",
-                ),
+                marks=FORK_ONLY,
             ),
         ],
     )
     def test_an_oserror_in_the_sweep_is_a_broken_executor(self, request, monkeypatch, where, code):
-        # one rule, in _mapped: whether a task fails in-process or on the
-        # pool, or the pool cannot be built or take a task, the sweep did not
-        # complete; the OSError is the cause
-        # (the fixture's report walks in this process alone, so the cases of
-        # a pool or a walker that cannot start go without it)
+        # one rule, in _shared: whether a task fails in-process or on a
+        # walker, or the claim counter cannot be built or a walker cannot
+        # start, the sweep did not complete; the OSError is the cause
+        # (the fixture's `_shared` runs in this process alone, so the cases
+        # of a walker that cannot start go without it)
         faked = where in ("band", "pooled band", "walk task")
         sizes = request.getfixturevalue("pool_sizes") if faked else []
         config = SweepConfig(max_p=60, workers=2)
