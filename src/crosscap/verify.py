@@ -7,7 +7,7 @@ exists.  A non-integral crosscap candidate, by contrast, aborts the sweep,
 because it means the computation itself is wrong.  The report, the CSV and
 the knot an abort names are the same for every worker count.
 
-`_walk` checks the knots of both outputs, `run_verification` drives it, and
+`_walk` settles the knots of both outputs, `run_verification` drives it, and
 the row kernel `_check`, typed by `check_knot`, is the walk's oracle.
 """
 
@@ -338,7 +338,7 @@ def _walk(
     kernel `_check` is the independent oracle: it runs `continuant` on the
     explicit `lemma9_lists`.
 
-    The report's walk jumps over each prefix's quiet run.  At a knot a of a
+    The walk jumps over each prefix's quiet run.  At a knot a of a
     prefix with a > first, where neither knot a - 1 nor knot a was listed (no
     violated bit and no thm1 or thm2 hit, so lemma 9 holds on the prefix),
     q >= 4, p + q >= 12 at a - 1 and a < last, it leaves the prefix if the
@@ -363,10 +363,13 @@ def _walk(
       has gap <= g <= the genus of knot last, as c >= 0 and g grows with a, so
       below the largest gap so far none can be the witness, and a knot that
       ties it is still visited, for `_rank` to break the tie.
-    The CSV's walk visits every knot, because every slot needs its cell.
 
     Given `cells` (see `_band`), the walk stores each knot's c << 8 | violated
-    in its slot once it has checked the knot.  Given `tasks`, it visits only
+    in its slot once it has checked the knot, and at a jump c << 8, no flag
+    being set, in the slot of each knot it jumps over, a + 1 to last - 2, or
+    to last if it leaves the prefix: c is half the total T + S a, which for
+    an odd knot is min(up, down) = head + (take0 + take_y) a - |take0 -
+    take_y|.  So each slot is written once.  Given `tasks`, it visits only
     the top prefixes [0] and [0; 1], whose last convergent has denominator 1,
     and appends each prefix below them to `tasks` in walk order instead.
     """
@@ -412,10 +415,6 @@ def _walk(
         # lemma 9, for every a: h2 k1 - h1 k2 = sign, +1 when the up list is
         # the minus list
         lemma9 = 0 if h2 * k1 - h1 * k2 == (1 if minus_up else -1) else _LEMMA9
-        # the report's walk jumps from a < last once knots a - 1 and a are
-        # quiet (see above); the CSV's never does: a - 1 < stop = first
-        # would need a = first, and loud < a - 1 needs a > first
-        stop = last - 1 if cells is None else first
         loud = first - 1  # the last listed a, or first - 1
         a = first
         while True:
@@ -470,12 +469,25 @@ def _walk(
                 if gap >= best_gap:
                     part.add(0, (), (p, q, c, violated, hits))
                     best_gap = gap
-                if stop > a - 1 > loud and q > 3 and p + q >= 12 + k1 + h1:
-                    break
+                if last > a > loud + 1 and q > 3 and p + q >= 12 + k1 + h1:
+                    break  # knots a - 1 and a are quiet: jump (see above)
             else:
                 break
-            if (last * k1 + k2 - 1) * (last * h1 + h2 - 1) >> 1 < best_gap:
-                break  # no knot past a can be the witness: gap <= g <= g(last)
+            # no knot past a can be the witness: gap <= g <= g(last)
+            leave = (last * k1 + k2 - 1) * (last * h1 + h2 - 1) >> 1 < best_gap
+            if cells is not None:  # fill the cells of the knots passed over
+                for a in range(a + 1, last + 1 if leave else last - 1):
+                    p = a * k1 + k2
+                    q = a * h1 + h2
+                    if p & q & 1:  # min(up, down)
+                        step = next_[~a & 1]
+                        take_y = (mid := step[s0]) != SKIP
+                        total = t0 + tail[step[mid]] + (take0 + take_y) * a - (take0 ^ take_y)
+                    else:
+                        total = t1 + take1 * a if p & 1 == 0 else t0 + take0 * a
+                    cells[((p - 2) * (p - 3) >> 1) + q - base] = total << 7  # c << 8, no flag
+            if leave:
+                break
             a = max(a + 1, last - 1)
         part.count += last - first + 1
     return part
@@ -532,10 +544,12 @@ def _band(lo: int, hi: int) -> tuple[int, _Partial, pickle.PickleBuffer]:
     """The band lo <= p <= hi: its first row lo, the fold of its knots, and the
     C ints of their cells c << 8 | violated, c the crosscap number and
     violated the 8 check bits, one slot per (p, q) with 2 <= q < p, by p
-    then q; the slot of a non-coprime (p, q) holds -1 (module-level, so that
-    it pickles; a walker sends the cells as raw bytes, see `_send`).  A cell
-    cannot overflow: c is at most the coefficient sum of p/q, which is at
-    most p <= MAX_SWEEP_P, so c << 8 | violated < 2^31."""
+    then q, which the walk stores once, for a knot it checks or one it
+    jumps over (see `_walk`); the slot of a non-coprime (p, q) holds -1
+    (module-level, so that it pickles; a walker sends the cells as raw
+    bytes, see `_send`).  A cell cannot overflow: c is at most the
+    coefficient sum of p/q, which is at most p <= MAX_SWEEP_P, so c << 8 |
+    violated < 2^31."""
     cells = array("i", [-1]) * (_row(hi + 1) - _row(lo))
     return lo, _walk(hi, [_ROOT], None, lo, cells), pickle.PickleBuffer(cells)
 
@@ -556,9 +570,12 @@ def _write_rows(write: Callable[[str], object], lo: int, cells) -> None:
                 c = cell >> 8
                 g = (p - 1) * (q - 1) >> 1
                 n = p * (q - 1)
-                fields += (q, parity[p & q & 1], g, n, c)
-                fields += bound_ints(g, n)
-                fields += (g - c, flag_texts[cell & 255])
+                # the bounds as `bound_ints` gives them: clark, my, thm1, thm2
+                fields += (
+                    q, parity[p & q & 1], g, n, c,
+                    2 * g + 1, n >> 1, (g + 9) // 6, (n + 16) // 12,
+                    g - c, flag_texts[cell & 255],
+                )
         write((f"{p}," + tail) * (len(fields) // width) % tuple(fields))
         start += p - 2
         p += 1

@@ -63,13 +63,13 @@ def two_pass_csv(max_p):
 def count_checked(monkeypatch, fail_at=None, exc=None):
     """Record the knots verify's walks reach in this process, as TorusKnots
     in walk order; raise `exc` at knot number `fail_at`.  A walk given cells,
-    a CSV band's, checks every knot and stores each knot's cell once it has
-    checked it, at slot _row(p) - _row(lo) + q - 2 (see `verify._band`): the
-    patched `_walk` hands it a stand-in for its cells that stores to them and
-    records the knot of each slot.  A walk without cells, the report's, jumps
-    over knots that it settles unchecked, so it records each knot that walk
-    offers as the max-gap witness through `_Partial.add`, which a walk calls
-    for nothing else."""
+    a CSV band's, writes each knot's cell once, at slot _row(p) - _row(lo) +
+    q - 2 (see `verify._band`), whether it checked the knot or filled its
+    cell past a jump: the patched `_walk` hands it a stand-in for its cells
+    that stores to them and records the knot of each slot.  A walk without
+    cells, the report's, jumps over knots that it settles unchecked, so it
+    records each knot that walk offers as the max-gap witness through
+    `_Partial.add`, which a walk calls for nothing else."""
     calls = []
     row, walk, add = verify_module._row, verify_module._walk, verify_module._Partial.add
 
@@ -701,16 +701,13 @@ class TestExitCodeTable:
     def test_memoryerror_in_a_rows_format_exits_2(
         self, tmp_path, capsys, monkeypatch, pool_sizes, workers
     ):
-        # the allocation fails inside the `%` that renders a row: one bound
-        # of each knot compares as its int but cannot become text
-        class Unprintable(int):
+        # the allocation fails inside the `%` that renders a row: each knot's
+        # violated flags are a text that cannot become text
+        class Unprintable(str):
             def __str__(self):
                 raise MemoryError
 
-        real = verify_module.bound_ints
-        monkeypatch.setattr(
-            verify_module, "bound_ints", lambda g, n: (*real(g, n)[:3], Unprintable(real(g, n)[3]))
-        )
+        monkeypatch.setattr(verify_module, "_FLAGS", tuple(map(Unprintable, verify_module._FLAGS)))
         force_bands(monkeypatch, 50, 1 if workers == "1" else 3)
         path = tmp_path / "out"
         argv = ["verify", "--max-p", "50", "--workers", workers, "--csv", str(path)]

@@ -9,6 +9,7 @@ import io
 import json
 import multiprocessing
 import os
+import sys
 import time
 from array import array
 from collections import Counter
@@ -528,10 +529,10 @@ class TestBoundGuard:
         # [0; 1, 17], by their matrices (h1, h2, k1, k2).  The witness is the
         # smaller knot, as the row kernel folded in (p, q) order finds it,
         # whichever is walked first and in whichever order the two tasks'
-        # folds are merged.  The band walk checks every knot; the report's
-        # walk, which in the third case leaves 8 prefixes below [0; 1, 1]
-        # after a jump, the genus of their last knot below the largest gap
-        # so far, still offers both tied knots
+        # folds are merged.  The band walk writes every knot's cell; the
+        # report's walk, which in the third case leaves 8 prefixes below
+        # [0; 1, 1] after a jump, the genus of their last knot below the
+        # largest gap so far, still offers both tied knots
         prefixes = []
         verify_module._walk(max_p, [verify_module._ROOT], prefixes)
         a, b = ({pre[:4]: pre for pre in prefixes}[key] for key in (first, second))
@@ -597,30 +598,88 @@ def doctor_prefix(monkeypatch, key: tuple, index: int, by: int) -> None:
     ))
 
 
-def assert_folds_as_the_band_walk(max_p: int) -> _Partial:
-    """Assert that the report's walk to max_p folds the count, the listed
-    knots and the witness of the CSV's band walk, which visits every knot;
-    returns the band walk's fold."""
-    band = verify_module._band(3, max_p)[1]
+def kernel_sweep(knots) -> tuple[list, dict]:
+    """The row kernel's cells and folds from its checked knots (p, q, c,
+    violated, hits), given in (p, q) order from (3, 2): the cell c << 8 |
+    violated of each slot, -1 where (p, q) is not coprime, as `_band(3,
+    max_p)` stores them; and for each p, the fold to max_p = p, as (count,
+    listed knots, witness)."""
+    cells, folds, part = [], {}, _Partial()
+    for p, row in groupby(knots, lambda knot: knot[0]):
+        by_q = {knot[1]: knot for knot in row}
+        for q in range(2, p):
+            knot = by_q.get(q)
+            cells.append(-1 if knot is None else knot[2] << 8 | knot[3])
+            if knot is not None:
+                listed = knot[3] or knot[4] & verify_module._SHARPENED
+                part.add(1, (knot,) if listed else (), knot)
+        folds[p] = (part.count, list(part.listed), part.best)  # listed in (p, q) order
+    return cells, folds
+
+
+@functools.cache
+def kernel_sweep_to(max_p: int) -> tuple[list, dict]:
+    """`kernel_sweep` of the row kernel to max_p: a cap's cells are the
+    first _row(cap + 1) of them, and its fold is folds[cap]."""
+    return kernel_sweep(kernel_knots(max_p))
+
+
+def cells_of(buffer) -> list[int]:
+    """The C ints of a band's cells, as `_band` returns them."""
+    return memoryview(buffer).cast("B").cast("i").tolist()
+
+
+def assert_walks_as_the_kernel(max_p: int, kernel: tuple[list, dict]) -> _Partial:
+    """Assert that the CSV's band walk to max_p stores the cells of the row
+    kernel's `kernel` (see `kernel_sweep`), a cell per slot, and that it
+    and the report's walk each fold the kernel's count, listed knots and
+    witness; returns the band walk's fold."""
+    cells, folds = kernel
+    _, band, banded = verify_module._band(3, max_p)
     walk = verify_module._walk(max_p, [verify_module._ROOT])
-    assert (walk.count, sorted(walk.listed), walk.best) == (
-        band.count, sorted(band.listed), band.best
-    ), max_p
+    assert cells_of(banded) == cells[: verify_module._row(max_p + 1)], max_p
+    for part in (band, walk):
+        assert (part.count, sorted(part.listed), part.best) == folds[max_p], max_p
     return band
 
 
-class TestJump:
-    """The report's walk jumps from a quiet knot a of a prefix to a = last - 1
-    (see `verify._walk`); the CSV's band walk visits every knot, so it is the
-    oracle of the report's."""
+def loop_counts(monkeypatch) -> Counter:
+    """Count the values that each two-argument `range` in `verify` yields, by
+    the line that calls it: `_walk`'s knot loop, whose knots it checks, and
+    the fill loop after it, whose cells it stores unchecked."""
+    counts = Counter()
 
-    def test_the_report_walk_folds_as_the_band_walk_at_every_cap(self, pool_sizes):
-        # the same count, listed knots and witness: in-process, and through
-        # the walk's tasks on a pool of two, to every max_p from 3 to 250
-        # and at 1000
+    def counted_range(*args):
+        line = sys._getframe(1).f_lineno
+
+        def values():
+            for value in range(*args):
+                counts[line] += 1
+                yield value
+
+        return values() if len(args) == 2 else range(*args)
+
+    monkeypatch.setattr(verify_module, "range", counted_range, raising=False)
+    return counts
+
+
+class TestJump:
+    """Both walks jump from a quiet knot a of a prefix to a = last - 1 (see
+    `verify._walk`), and the CSV's band walk fills the cells of the knots
+    it jumps over; the row kernel, run on every knot, is the oracle of the
+    cells and of both walks' folds."""
+
+    def test_both_walks_fold_as_the_row_kernel_and_the_band_walk_stores_its_cells_at_every_cap(
+        self, pool_sizes
+    ):
+        # every cell of the band walk and the same count, listed knots and
+        # witness in both walks, in-process, and the report through the
+        # walk's tasks on a pool of two, to every max_p from 3 to 250 and
+        # at 1000, from one kernel pass to 1000
+        kernel = kernel_sweep_to(1000)
         for max_p in [*range(3, 251), 1000]:
             config = SweepConfig(max_p)
-            band = assert_folds_as_the_band_walk(max_p)
+            band = assert_walks_as_the_kernel(max_p, kernel)
             assert run_verification(replace(config, workers=2)) == band.report(config), max_p
         assert pool_sizes == [1] * 247  # no walk task to max_p 3 and 4
 
@@ -628,24 +687,29 @@ class TestJump:
         self, monkeypatch
     ):
         # the root's skip totals t0 and t1 (fields 5 and 7) raised by 2r
-        # raise every knot's crosscap number by r: from r = 2, knots of q >= 4
-        # meet or pass the sharpened bounds, and a walk that jumped from a
-        # listed knot would miss the listed knots after it
-        root = verify_module._ROOT
+        # raise every knot's crosscap number by r, as the row kernel's is
+        # raised by r: from r = 2, knots of q >= 4 meet or pass the
+        # sharpened bounds, and a walk that jumped from a listed knot would
+        # miss the listed knots after it, and fill their cells unflagged
+        root, real = verify_module._ROOT, verify_module.crosscap_from
         for raised in range(0, 41, 4):
             monkeypatch.setattr(verify_module, "_ROOT", (
                 *root[:5], root[5] + raised, root[6], root[7] + raised, *root[8:]
             ))
-            assert_folds_as_the_band_walk(150)
+            monkeypatch.setattr(
+                verify_module, "crosscap_from", lambda *args: real(*args) + raised // 2
+            )
+            knots = ((k.p, k.q, *verify_module._check(k.p, k.q)) for k in enumerate_coprime(150))
+            assert_walks_as_the_kernel(150, kernel_sweep(knots))
 
-    def test_the_report_walk_jumps_over_a_prefix_and_the_band_walk_does_not(
+    def test_both_walks_jump_over_a_prefix_and_the_band_walk_fills_its_cells(
         self, monkeypatch
     ):
         # at max_p 300 the prefix [0; 1] holds the 298 knots (a + 1, a),
         # 1 < a < 300, each with a larger gap than the one before, so each is
-        # a witness offer where the walk visits it.  (3, 2) to (6, 5) are
-        # listed, (7, 6) and (8, 7) are not, so the report's walk jumps from
-        # a = 7 to a = 298
+        # a witness offer where a walk checks it.  (3, 2) to (6, 5) are
+        # listed, (7, 6) and (8, 7) are not, so both walks jump from a = 7
+        # to a = 298, and the band walk fills the cells of a = 8 to 297
         offers, add = [], _Partial.add
 
         def counted(self, count, listed, best):
@@ -656,10 +720,12 @@ class TestJump:
         verify_module._walk(300, [verify_module._ROOT])
         walked = [q for p, q in offers if p == q + 1]
         offers.clear()
-        verify_module._band(3, 300)
+        cells = cells_of(verify_module._band(3, 300)[2])
         banded = [q for p, q in offers if p == q + 1]
-        assert banded == list(range(2, 300))
-        assert walked == [2, 3, 4, 5, 6, 7, 298, 299]
+        assert walked == banded == [2, 3, 4, 5, 6, 7, 298, 299]
+        filled = [cells[verify_module._row(a + 1) + a - 2] for a in range(8, 298)]
+        kernel = (verify_module._check(a + 1, a) for a in range(8, 298))
+        assert filled == [c << 8 | violated for c, violated, _ in kernel]
 
     @pytest.mark.parametrize(
         "max_p, visited, knots", [(300, 13_898, 27_098), (1000, 152_749, 303_192)]
@@ -667,22 +733,44 @@ class TestJump:
     def test_the_report_walk_visits_only_the_knots_that_can_change_the_report(
         self, monkeypatch, max_p, visited, knots
     ):
-        # the knots a walk visits are the iterations of its knot loop, the one
-        # range of two arguments in `_walk`.  The band walk visits every knot;
-        # the report's walk jumps, and leaves a prefix whose last knot's genus
-        # is below the largest gap so far (18,399 and 203,246 visits before it
-        # did), and folds as the band walk does
-        counts = Counter()
+        # the knots a walk checks are the iterations of its knot loop.  The
+        # report's walk jumps, and leaves a prefix whose last knot's genus
+        # is below the largest gap so far (18,399 and 203,246 checks before
+        # it did); the band walk checks the same knots and fills the cells
+        # of the others (13,200 and 150,443) in its fill loop, and both fold
+        # as the row kernel does
+        counts = loop_counts(monkeypatch)
+        walk = verify_module._walk(max_p, [verify_module._ROOT])
+        checks = dict(counts)
+        counts.clear()
+        band = verify_module._band(3, max_p)[1]
+        (knot_loop,) = checks
+        assert checks == {knot_loop: visited} and walk.count == knots
+        for part in (walk, band):
+            assert (part.count, sorted(part.listed), part.best) == kernel_sweep_to(1000)[1][max_p]
+        assert sorted(counts.items()) == [(knot_loop, visited), (max(counts), knots - visited)]
 
-        def counted_range(*args):
-            for value in range(*args):
-                counts[len(args)] += 1
-                yield value
+    @pytest.mark.parametrize("bands", [1, 3])
+    @pytest.mark.parametrize("max_p", [300, 1000])
+    def test_the_band_walk_writes_each_slot_once(self, monkeypatch, max_p, bands):
+        # each coprime slot once, checked or filled, and no other slot, also
+        # in three bands, which start mid-prefix and jump; the cells are the
+        # row kernel's
+        row = verify_module._row
+        writes, cells = [0] * row(max_p + 1), [-1] * row(max_p + 1)
 
-        monkeypatch.setattr(verify_module, "range", counted_range, raising=False)
-        band = assert_folds_as_the_band_walk(max_p)
-        assert band.count == knots
-        assert counts[2] == knots + visited
+        class Cells:
+            def __init__(self, lo):
+                self.start = row(lo)
+
+            def __setitem__(self, slot, cell):
+                writes[self.start + slot] += 1
+                cells[self.start + slot] = cell
+
+        for lo, hi in force_bands(monkeypatch, max_p, bands):
+            verify_module._walk(hi, [verify_module._ROOT], None, lo, Cells(lo))
+        assert writes == [int(cell >= 0) for cell in cells]
+        assert cells == kernel_sweep_to(1000)[0][: row(max_p + 1)]
 
     def test_the_row_kernel_meets_the_jumps_premises_to_400(self):
         # at each a where the jump's condition holds, by the row kernel's
@@ -998,15 +1086,20 @@ class TestLemma9Shortcut:
 
 def doctor_flags(monkeypatch, how: str) -> None:
     """Make the checks fail on some knots, for the walk and the row kernel
-    alike: every bound one less (a knot that meets a bound violates it, and
-    the walk runs the bound checks on each knot that meets thm1 or thm2, the
-    least bound), the closed form off by one at p % 6 == 1 (q3 fails there),
-    or the two lemma-9 lists swapped (lemma9 fails on every knot, and q3 on
-    every odd (p, 3) knot)."""
+    alike: the bound checks as if every bound were one less (a knot that
+    meets a bound violates it, and the walk runs the bound checks on each
+    knot that meets thm1 or thm2, the least bound), the records and the CSV
+    keeping the true bounds; the closed form off by one at p % 6 == 1 (q3
+    fails there); or the two lemma-9 lists swapped (lemma9 fails on every
+    knot, and q3 on every odd (p, 3) knot)."""
     if how == "bounds":
-        real = verify_module.bound_ints
-        lowered = lambda g, n: tuple(b - 1 for b in real(g, n))  # noqa: E731
-        monkeypatch.setattr(verify_module, "bound_ints", lowered)
+        real = verify_module._bound_flags
+
+        def lowered(c, g, n):  # c > bound - 1 is c + 1 > bound; gap stays c > g
+            violated, hits = real(c + 1, g, n)
+            return violated & ~verify_module._GAP | real(c, g, n)[0] & verify_module._GAP, hits
+
+        monkeypatch.setattr(verify_module, "_bound_flags", lowered)
     elif how == "q3":
 
         def doctored(p):
