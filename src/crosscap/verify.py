@@ -319,11 +319,13 @@ def _walk(
     total that differs by 0 or 1, so an even total is the canonical list's
     and an odd one aborts.
 
-    Per knot the walk keeps plain ints.  It runs the bound checks and the
-    gap check only on a knot whose crosscap number meets thm1 or thm2, the
-    least of the four bounds, as every knot with c > g does, and builds the
-    checked knot (p, q, c, violated, hits) only to list it or to offer it as
-    the witness: each knot whose gap is at least the largest so far goes to
+    Per knot the walk keeps plain ints.  An odd knot's lemma-9 totals are
+    base +/- d, d = take0 - take_y in {-1, 0, 1}, its total base - d d and
+    its minus total base + sign d.  The walk runs the bound and gap checks
+    only where g <= 6c - 4 or n <= 12c - 5: where c meets thm1 or thm2, the
+    least of the four bounds, as every c > g does.  It builds the checked
+    knot (p, q, c, violated, hits) only to list it or to offer it as the
+    witness: each knot whose gap is at least the largest so far goes to
     `_Partial.add`, whose `_rank` keeps the smallest (p, q) of a tie, so the
     witness does not depend on walk order.
 
@@ -367,9 +369,8 @@ def _walk(
     Given `cells` (see `_band`), the walk stores each knot's c << 8 | violated
     in its slot once it has checked the knot, and at a jump c << 8, no flag
     being set, in the slot of each knot it jumps over, a + 1 to last - 2, or
-    to last if it leaves the prefix: c is half the total T + S a, which for
-    an odd knot is min(up, down) = head + (take0 + take_y) a - |take0 -
-    take_y|.  So each slot is written once.  Given `tasks`, it visits only
+    to last if it leaves the prefix: c is half the total T + S a, for an odd
+    knot base - d d.  So each slot is written once.  Given `tasks`, it visits only
     the top prefixes [0] and [0; 1], whose last convergent has denominator 1,
     and appends each prefix below them to `tasks` in walk order instead.
     """
@@ -378,7 +379,7 @@ def _walk(
     best_gap = float("-inf")
     next_ = NEXT
     sharp = _SHARPENED
-    base = _row(lo) + 2  # cells[_row(p) + q - base] is the slot of (p, q)
+    offset = _row(lo) + 2  # cells[_row(p) + q - offset] is the slot of (p, q)
     # a prefix is (h1, h2, k1, k2): the continuant matrix of [0, a1, ..., a(n-1)],
     # whose columns are its last two convergents; (s0, t0) and (s1, t1): the skip
     # states and totals of [0, a1, ...] (the leading 0 makes the rule skip a1) and
@@ -414,7 +415,8 @@ def _walk(
 
         # lemma 9, for every a: h2 k1 - h1 k2 = sign, +1 when the up list is
         # the minus list
-        lemma9 = 0 if h2 * k1 - h1 * k2 == (1 if minus_up else -1) else _LEMMA9
+        sign = 1 if minus_up else -1
+        lemma9 = 0 if h2 * k1 - h1 * k2 == sign else _LEMMA9
         loud = first - 1  # the last listed a, or first - 1
         a = first
         while True:
@@ -424,15 +426,14 @@ def _walk(
                 if p & q & 1:
                     # the lemma-9 lists: head, middle pair (a +/- 1, a -/+ 1), tail;
                     # a + 1 and a - 1 share a parity, so both pass the same states,
-                    # and the totals differ by 2 (take0 - take_y): one parity test covers both
+                    # and up = base + d, down = base - d: the least is base - d d
                     step = next_[~a & 1]
                     mid = step[s0]
                     take_y = mid != SKIP
-                    head = t0 + tail[step[mid]]
-                    up = head + take0 * (a + 1) + take_y * (a - 1)
-                    down = head + take0 * (a - 1) + take_y * (a + 1)
-                    minus, plus = (up, down) if minus_up else (down, up)
-                    total = min(minus, plus)
+                    d = take0 - take_y
+                    base = t0 + tail[step[mid]] + (take0 + take_y) * a
+                    total = base - d * d
+                    minus = base + sign * d  # and plus = base - sign d
                 else:
                     # N(p, q) reads p/q = [a1, ..., a], N(q, p) reads q/p = [0, a1, ..., a];
                     # an abort names this total, and an odd knot's minus total
@@ -440,28 +441,27 @@ def _walk(
                 if total & 1:
                     raise IntegralityError(TorusKnot(p, q), HalfInteger(minus))
                 c = total >> 1
-                g = (p - 1) * (q - 1) >> 1
                 n = p * (q - 1)
+                g = (n - q + 1) >> 1  # (p - 1)(q - 1) = n - (q - 1)
                 gap = g - c
-                violated = hits = 0
+                violated, hits = lemma9, 0
                 # c >= min(bound_ints(g, n)), below which `_bound_flags` flags
-                # nothing: every knot has g >= 1, where clark = 2g + 1 >
-                # (g + 9) // 6 = thm1, and n >= 3, where my = n // 2 >=
-                # (n + 16) // 12 = thm2, so the least bound is thm1's or thm2's;
-                # and g + 1 >= thm1 there, so each knot with c > g (gap) passes
-                if c >= (g + 9) // 6 or c >= (n + 16) // 12:
-                    violated, hits = _bound_flags(c, g, n)
+                # nothing: g >= 1 and n >= 3 on every knot, so clark = 2g + 1 >
+                # thm1 = (g + 9) // 6 and my = n // 2 >= thm2 = (n + 16) // 12;
+                # and g + 1 >= thm1, so each knot with c > g (gap) passes.  In
+                # ints, thm1 <= c is g + 9 <= 6c + 5, thm2 <= c n + 16 <= 12c + 11
+                if g <= 6 * c - 4 or n <= 12 * c - 5:
+                    flags, hits = _bound_flags(c, g, n)
+                    violated |= flags
 
                 if coeff_sum + a > p:
                     violated |= _LEMMA2
 
-                violated |= lemma9
-
-                if q == 3 and p & 1 and _q3_fails(p, c, minus, plus):
+                if q == 3 and p & 1 and _q3_fails(p, c, minus, base - sign * d):
                     violated |= _Q3
 
                 if cells is not None:
-                    cells[((p - 2) * (p - 3) >> 1) + q - base] = c << 8 | violated
+                    cells[((p - 2) * (p - 3) >> 1) + q - offset] = c << 8 | violated
 
                 if violated or hits & sharp:
                     listed.append((p, q, c, violated, hits))
@@ -479,13 +479,13 @@ def _walk(
                 for a in range(a + 1, last + 1 if leave else last - 1):
                     p = a * k1 + k2
                     q = a * h1 + h2
-                    if p & q & 1:  # min(up, down)
+                    if p & q & 1:  # base - d d, and d d = take0 ^ take_y
                         step = next_[~a & 1]
                         take_y = (mid := step[s0]) != SKIP
                         total = t0 + tail[step[mid]] + (take0 + take_y) * a - (take0 ^ take_y)
                     else:
                         total = t1 + take1 * a if p & 1 == 0 else t0 + take0 * a
-                    cells[((p - 2) * (p - 3) >> 1) + q - base] = total << 7  # c << 8, no flag
+                    cells[((p - 2) * (p - 3) >> 1) + q - offset] = total << 7  # c << 8, no flag
             if leave:
                 break
             a = max(a + 1, last - 1)

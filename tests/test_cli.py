@@ -41,23 +41,28 @@ EXPECTED_HEADER = "p,q,parity,genus,crossing,crosscap,bound_clark,bound_my,bound
 
 
 def csv_module_text(rows):
-    """`rows` as the csv module writes them, each line ending in a newline:
-    the oracle of the program's own CSV encoding."""
+    """`rows`, any iterable of rows, as the csv module writes them, each line
+    ending in a newline: the oracle of the program's own CSV encoding.  Each
+    row is encoded as it is taken, so a generator's rows are never held."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
 def two_pass_csv(max_p):
-    """verify --csv as first defined: check_knot over enumerate_coprime, a row per knot."""
+    """verify --csv as first defined: check_knot over enumerate_coprime, a row
+    per knot, each encoded as it is made."""
     fields = EXPECTED_HEADER.split(",")
-    rows = [fields + [f"violated_{name}" for name in CHECK_NAMES]]
-    for knot in enumerate_coprime(max_p):
-        checked = check_knot(knot)
-        record = checked.record.as_dict()
-        flags = [1 if name in checked.violated else 0 for name in CHECK_NAMES]
-        rows.append([record[name] for name in fields] + flags)
-    return csv_module_text(rows)
+
+    def rows():
+        yield fields + [f"violated_{name}" for name in CHECK_NAMES]
+        for knot in enumerate_coprime(max_p):
+            checked = check_knot(knot)
+            record = checked.record.as_dict()
+            flags = [1 if name in checked.violated else 0 for name in CHECK_NAMES]
+            yield [record[name] for name in fields] + flags
+
+    return csv_module_text(rows())
 
 
 def count_checked(monkeypatch, fail_at=None, exc=None):

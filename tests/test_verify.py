@@ -16,7 +16,8 @@ from collections import Counter
 from concurrent import futures
 from dataclasses import replace
 from fractions import Fraction
-from itertools import groupby
+from hashlib import sha256
+from itertools import groupby, product
 from math import gcd
 
 import pytest
@@ -190,6 +191,32 @@ def kernel_report(config: SweepConfig) -> VerificationReport:
         knot = (k.p, k.q, c, violated, hits)
         part.add(1, (knot,) if violated or hits & verify_module._SHARPENED else (), knot)
     return part.report(config)
+
+
+#: The sharpness hits off the family (p, 3), 3 not dividing p.
+SPORADIC_HITS = ((3, 2), (5, 2), (7, 2), (5, 4), (6, 5), (7, 5))
+
+
+def predicted_report(max_p: int) -> VerificationReport:
+    """The report of a sweep to max_p in closed form, from four facts and no
+    code of the walk's loop: the knot count is the sum of phi(p) - 1 over
+    3 <= p <= max_p; no knot violates a check or fails a lemma; the
+    sharpness hits are every (p, 3), 3 not dividing p, and those of
+    SPORADIC_HITS with p <= max_p; and the max-gap witness is (max_p,
+    max_p - 1), its record from the row kernel.  A sweep's report that
+    differs names a knot that breaks one of the facts."""
+    phi = phi_sieve(max_p)
+    family = ((p, 3) for p in range(4, max_p + 1) if p % 3)
+    hits = sorted([*family, *((p, q) for p, q in SPORADIC_HITS if p <= max_p)])
+    return VerificationReport(
+        max_p=max_p,
+        checks=tuple(sorted(CHECK_NAMES)),
+        knots_checked=sum(phi[p] - 1 for p in range(3, max_p + 1)),
+        violations=(),
+        sharpness_hits=tuple(TorusKnot(p, q) for p, q in hits),
+        max_gap_witness=check_knot(TorusKnot(max_p, max_p - 1)).record,
+        lemma_failures=(),
+    )
 
 
 def band_report(config: SweepConfig, sink: list | None = None) -> VerificationReport:
@@ -422,16 +449,33 @@ class TestWalkPerKnot:
         # runs them where the crosscap number meets thm1 or thm2, the least
         # of the four bounds, so exactly those knots are listed, with the four
         # bound checks violated and the bounds 0 in their records
+        self.assert_flags_where_the_guard_admits(monkeypatch, pool_sizes, 0)
+
+    def test_walk_flags_no_bound_just_outside_the_guard(self, monkeypatch, pool_sizes):
+        # as above, with the root's skip totals t0 and t1 (fields 5 and 7)
+        # lowered by 2: every crosscap number is 1 lower, and the q3 check's
+        # closed form fails on every odd (p, 3) knot.  Then each (p, 3) knot
+        # with p = 4 mod 6 has g = p - 1 = 6c - 3 and n = 2p = 12c - 4, just
+        # outside both halves of the guard, g <= 6c - 4 and n <= 12c - 5
+        self.assert_flags_where_the_guard_admits(monkeypatch, pool_sizes, 1)
+
+    @staticmethod
+    def assert_flags_where_the_guard_admits(monkeypatch, pool_sizes, lowered):
         config = SweepConfig(300)
         records = []
         for r in reference_records(300, CHECK_NAMES):
-            b = r.record.bounds
-            admitted = r.record.crosscap >= min(b.thm1, b.thm2)
+            b, c, knot = r.record.bounds, r.record.crosscap - lowered, r.record.knot
+            admitted = c >= min(b.thm1, b.thm2)
+            q3 = {"q3"} if lowered and knot.q == 3 and knot.p % 2 else set()
             records.append(BoundCheckRecord(
-                replace(r.record, bounds=Bounds(0, 0, 0, 0)),
-                r.violated | ({"thm1", "thm2", "clark", "my"} if admitted else set()),
+                replace(r.record, crosscap=c, bounds=Bounds(0, 0, 0, 0), gap=r.record.gap + lowered),
+                r.violated | q3 | ({"thm1", "thm2", "clark", "my"} if admitted else set()),
                 frozenset(),
             ))
+        root = verify_module._ROOT
+        monkeypatch.setattr(verify_module, "_ROOT", (
+            *root[:5], root[5] - 2 * lowered, root[6], root[7] - 2 * lowered, *root[8:]
+        ))
         # the report builds each record's bounds through verify's bound_ints
         monkeypatch.setattr(verify_module, "bound_ints", lambda g, n: (0, 0, 0, 0))
         expected = fold(records).report(config)
@@ -478,8 +522,9 @@ class TestWalkPerKnot:
 
 class TestBoundGuard:
     """The walk runs the bound checks only where c >= (g + 9) // 6 or
-    c >= (n + 16) // 12, which is c >= min(bound_ints(g, n)); the row kernel
-    runs them on every knot, and finds the same flags and witness."""
+    c >= (n + 16) // 12, which is c >= min(bound_ints(g, n)), a test it
+    makes as g <= 6c - 4 or n <= 12c - 5; the row kernel runs them on every
+    knot, and finds the same flags and witness."""
 
     def test_least_bound_is_thm1_or_thm2_to_1000(self):
         for p in range(3, 1001):
@@ -494,6 +539,47 @@ class TestBoundGuard:
         assume(gcd(p, q) == 1)
         g, n = (p - 1) * (q - 1) // 2, p * (q - 1)
         assert min(bound_ints(g, n)) == min((g + 9) // 6, (n + 16) // 12)
+
+    def test_the_walks_guard_in_ints_is_the_floor_form_on_a_box(self):
+        # g <= 6c - 4 or n <= 12c - 5, the walk's guard, against c >=
+        # (g + 9) // 6 or c >= (n + 16) // 12: each is an or of a test on
+        # (c, g) and one on (c, n), so they agree on every (c, g, n) with
+        # c <= 300 and g, n <= 4000 exactly when each pair of tests does
+        for c in range(301):
+            assert [g <= 6 * c - 4 for g in range(4001)] == [
+                c >= (g + 9) // 6 for g in range(4001)
+            ], c
+            assert [n <= 12 * c - 5 for n in range(4001)] == [
+                c >= (n + 16) // 12 for n in range(4001)
+            ], c
+
+    @given(
+        st.integers(0, 10**12 // 12),
+        st.one_of(st.integers(-30, 30), st.integers(-(10**12), 10**12)),
+        st.one_of(st.integers(-30, 30), st.integers(-(10**12), 10**12)),
+    )
+    def test_the_walks_guard_in_ints_is_the_floor_form(self, c, dg, dn):
+        # g and n to about 10^12, near the edges 6c and 12c or anywhere
+        g, n = abs(6 * c + dg), abs(12 * c + dn)
+        assert (g <= 6 * c - 4 or n <= 12 * c - 5) == (c >= (g + 9) // 6 or c >= (n + 16) // 12)
+
+    def test_an_odd_knots_totals_from_base_and_d(self):
+        # the middle pair (a +/- 1, a -/+ 1) of the lemma-9 lists adds take0
+        # times its first entry and take_y times its second to a head total:
+        # with base = head + (take0 + take_y) a and d = take0 - take_y, the
+        # up and down totals are base +/- d, their least base - d d, which
+        # the fill loop writes base - (take0 ^ take_y), and the minus and
+        # plus totals base +/- sign d, sign = +1 where up is minus
+        for take0, take_y in product((False, True), repeat=2):
+            d = take0 - take_y
+            for head, a in product(range(-3, 4), range(2, 40)):
+                up = head + take0 * (a + 1) + take_y * (a - 1)
+                down = head + take0 * (a - 1) + take_y * (a + 1)
+                base = head + (take0 + take_y) * a
+                assert (base + d, base - d) == (up, down)
+                assert base - d * d == base - (take0 ^ take_y) == min(up, down)
+                for sign, minus_plus in ((1, (up, down)), (-1, (down, up))):
+                    assert (base + sign * d, base - sign * d) == minus_plus
 
     def test_walk_witness_equals_the_row_kernels_at_every_cap(self, monkeypatch, pool_sizes):
         # the row kernel's witness to each max_p: the first knot, in (p, q)
@@ -1708,6 +1794,27 @@ class TestRunVerification:
         assert report.lemma_failures == ()
         hits = {(k.p, k.q) for k in report.sharpness_hits}
         assert {(6 * n - 2, 3) for n in range(1, 51)} <= hits
+
+
+class TestPredictedReport:
+    """`predicted_report`, the report in closed form, is an oracle of the
+    walk that shares no code with its loop."""
+
+    def test_the_walk_gives_the_predicted_report_at_every_cap_to_400(self):
+        for max_p in range(3, 401):
+            assert run_verification(SweepConfig(max_p)) == predicted_report(max_p), max_p
+
+    @pytest.mark.parametrize("max_p", [1000, 3000])
+    def test_the_walkers_give_the_predicted_report(self, max_p):
+        assert run_verification(SweepConfig(max_p, workers=2)) == predicted_report(max_p)
+
+    def test_the_predicted_full_cap_report_has_the_pinned_digest(self):
+        # the digest CI's full-cap sweep is pinned to
+        text = serialize_report(predicted_report(MAX_SWEEP_P))
+        assert len(text) == 286_462
+        assert sha256(text.encode()).hexdigest() == (
+            "d671e01042a61ab8d1c4c481af91da96be09e9049502040e9e75d2e9f604cf57"
+        )
 
 
 class TestSummarize:
