@@ -5,8 +5,14 @@ no intermediate can overflow or wrap, so values like (p*q - 1) / p**2 are
 safe for any p the sweep cap admits.
 
 The algorithms run on plain int lists (``euclid``, ``skip_total``,
-``lemma9_lists``, ``continuant``); the typed functions below them validate
-their arguments and wrap the results, so each algorithm exists once.
+``lemma9_totals``, ``lemma9_lists``, ``continuant``); the typed functions
+below them validate their arguments and wrap the results, so each algorithm
+exists once.  ``skip_total`` states the Bredon-Wood skip rule in its own
+words; ``NEXT`` is the same rule as a state table, for the sweep's walk, and
+the tests check the table against the sentence.  ``lemma9_totals`` gives
+both Lemma 9 skip totals of an odd knot in one pass over the expansion of
+q/p, so the crosscap number (``torus_knots.crosscap_from``) takes that
+expansion alone and builds neither list.
 
 Each value type checks its arguments in its own ``__init__``, then writes
 its fields with one update of the instance dict, the write the generated
@@ -114,9 +120,10 @@ def euclid(n: int, d: int) -> list[int]:
     return coeffs
 
 
-#: The skip rule's states: the total is even and the next coefficient is added
-#: (the start); the total is even and the next coefficient is skipped; the
-#: total is odd and the next coefficient is added.
+#: The skip rule's states, for the sweep's walk, which steps the rule by
+#: `NEXT`: the total is even and the next coefficient is added (the start);
+#: the total is even and the next coefficient is skipped; the total is odd
+#: and the next coefficient is added.
 TAKE, SKIP, ODD = 0, 1, 2
 #: NEXT[a % 2][state]: the state after coefficient a, which every state but
 #: SKIP adds to the total.
@@ -126,15 +133,48 @@ NEXT = ((SKIP, TAKE, ODD), (ODD, TAKE, SKIP))
 def skip_total(coeffs: Sequence[int]) -> int:
     """Sum with the Bredon-Wood skip rule: after an addition that leaves the
     total even, skip the next coefficient.  The total is 2N, un-halved."""
-    total = state = TAKE
-    next_ = NEXT  # a local name is quicker to look up
+    total, skip = 0, False
     for a in coeffs:
-        if state == SKIP:
-            state = TAKE  # NEXT's SKIP column, for either parity
+        if skip:
+            skip = False
         else:
             total += a
-            state = next_[a & 1][state]
+            skip = not total & 1
     return total
+
+
+def lemma9_totals(coeffs: list[int]) -> tuple[int, int]:
+    """The skip totals of both :func:`lemma9_lists` of the expansion
+    [0, a1, ..., an] of q/p, n >= 2, (minus, plus), in one pass and with
+    neither list built.
+
+    The rule runs once over the up list, middle pair (an + 1, an - 1): the
+    pair's two entries have one parity, so the down list, (an - 1, an + 1),
+    passes through the same states, and its total is the up total less
+    2 (take_x - take_y), where take_x and take_y say whether the rule added
+    the pair's first and second entry.  So both totals have one parity.  The
+    up list is the minus list when n is odd."""
+    n = len(coeffs) - 1
+    last = coeffs[n]
+    total, skip = 0, False
+    for a in coeffs[:n]:
+        if skip:
+            skip = False
+        else:
+            total += a
+            skip = not total & 1
+    # the pair's first entry is added unless skipped, its second unless the
+    # first was added and left the total even
+    take_x = not skip
+    take_y = skip or (total + last + 1) & 1
+    for a in (last + 1, last - 1, *coeffs[n - 1 : 0 : -1]):
+        if skip:
+            skip = False
+        else:
+            total += a
+            skip = not total & 1
+    down = total - 2 * (take_x - take_y)
+    return (total, down) if n & 1 else (down, total)
 
 
 def lemma9_lists(coeffs: list[int]) -> tuple[list[int], list[int]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .continued_fractions import HalfInteger, euclid, lemma9_lists, skip_total
+from .continued_fractions import HalfInteger, euclid, lemma9_totals, skip_total
 
 
 class Parity(Enum):
@@ -210,27 +210,24 @@ def crosscap(k: TorusKnot | Unknot) -> int:
     return crosscap_from(k.p, k.q, euclid(k.q, k.p))
 
 
-def crosscap_from(
-    p: int, q: int, coeffs: list[int], branches: tuple[list[int], list[int]] | None = None
-) -> int:
+def crosscap_from(p: int, q: int, coeffs: list[int]) -> int:
     """Crosscap number of the (p, q) knot from the expansion [0, a1, ..., an] of q/p.
 
     An even knot needs no more: N(q, p) is the skip total of that list, and
     N(p, q) that of [a1, ..., an], the expansion of p/q.  An odd knot takes the
-    lesser N of `branches`, the expansions of (p*q -/+ 1)/p^2 as Lemma 9
-    states them, which :func:`lemma9_lists` builds from the list when the
-    caller has not.  The pair is trusted to be a knot: a `TorusKnot` is built
-    only for the error.
+    lesser of its two Lemma 9 totals, those of the expansions of
+    (p*q -/+ 1)/p^2, which :func:`lemma9_totals` reads from the list in one
+    pass; they have one parity, so an odd minus total is the one that raises.
+    The pair is trusted to be a knot: a `TorusKnot` is built only for the error.
     """
     if p & q & 1:
-        minus, plus = branches or lemma9_lists(coeffs)
-        totals = (skip_total(minus), skip_total(plus))
+        total, plus = lemma9_totals(coeffs)
+        least = min(total, plus)
     else:
-        totals = (skip_total(coeffs if p & 1 else coeffs[1:]),)
-    for total in totals:
-        if total % 2:
-            raise IntegralityError(TorusKnot(p, q), HalfInteger(total))
-    return min(totals) // 2
+        total = least = skip_total(coeffs if p & 1 else coeffs[1:])
+    if total & 1:
+        raise IntegralityError(TorusKnot(p, q), HalfInteger(total))
+    return least // 2
 
 
 def bound_ints(genus: int, crossing: int) -> tuple[int, int, int, int]:
@@ -307,11 +304,13 @@ def invariants(k: TorusKnot | Unknot) -> InvariantRecord:
     """Fully populated invariant record for a knot; all zeros for the unknot.
 
     Built from plain ints by the formulas of :func:`genus`,
-    :func:`crossing_number`, :func:`crosscap` and :func:`bounds_for`, less
-    the latter's non-negativity check: a `TorusKnot` has g >= 1 and n >= 3."""
+    :func:`crossing_number`, :func:`crosscap` and :func:`bound_ints`, less
+    :func:`bounds_for`'s non-negativity check: a `TorusKnot` has g >= 1 and
+    n >= 3."""
     if isinstance(k, Unknot):
         return InvariantRecord(k, None, 0, 0, 0, Bounds(0, 0, 0, 0), 0)
     p, q = k.p, k.q
     g, n = (p - 1) * (q - 1) // 2, p * (q - 1)
     c = crosscap_from(p, q, euclid(q, p))
-    return InvariantRecord(k, PARITY[p & q & 1], g, n, c, Bounds(*bound_ints(g, n)), g - c)
+    bounds = Bounds(2 * g + 1, n // 2, (g + 9) // 6, (n + 16) // 12)
+    return InvariantRecord(k, PARITY[p & q & 1], g, n, c, bounds, g - c)

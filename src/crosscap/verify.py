@@ -163,9 +163,10 @@ def _check(p: int, q: int) -> tuple[int, int, int]:
     and equality-hit bits, plain ints; see :func:`check_knot` for the checks.
     """
     coeffs = euclid(q, p)  # [0, a1, ..., an]: q/p, and p/q after the leading 0
-    # an odd knot's crosscap number is read from the lemma-9 lists
+    # an odd knot's crosscap number is read from the lemma-9 totals in one
+    # pass; the lemma9 and q3 checks read the explicit lists
+    c = crosscap_from(p, q, coeffs)
     branches = lemma9_lists(coeffs)
-    c = crosscap_from(p, q, coeffs, branches)
     g = (p - 1) * (q - 1) // 2
     n = p * (q - 1)
     violated, hits = _bound_flags(c, g, n)

@@ -49,20 +49,21 @@ def csv_module_text(rows):
     return buf.getvalue()
 
 
-def two_pass_csv(max_p):
-    """verify --csv as first defined: check_knot over enumerate_coprime, a row
-    per knot, each encoded as it is made."""
+def two_pass_rows(max_p):
+    """The rows of verify --csv as first defined, header first: check_knot over
+    enumerate_coprime, a row per knot, each made as it is taken."""
     fields = EXPECTED_HEADER.split(",")
+    yield fields + [f"violated_{name}" for name in CHECK_NAMES]
+    for knot in enumerate_coprime(max_p):
+        checked = check_knot(knot)
+        record = checked.record.as_dict()
+        flags = [1 if name in checked.violated else 0 for name in CHECK_NAMES]
+        yield [record[name] for name in fields] + flags
 
-    def rows():
-        yield fields + [f"violated_{name}" for name in CHECK_NAMES]
-        for knot in enumerate_coprime(max_p):
-            checked = check_knot(knot)
-            record = checked.record.as_dict()
-            flags = [1 if name in checked.violated else 0 for name in CHECK_NAMES]
-            yield [record[name] for name in fields] + flags
 
-    return csv_module_text(rows())
+def two_pass_csv(max_p):
+    """verify --csv as first defined: `two_pass_rows`, each encoded as it is made."""
+    return csv_module_text(two_pass_rows(max_p))
 
 
 def count_checked(monkeypatch, fail_at=None, exc=None):

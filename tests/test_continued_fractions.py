@@ -10,10 +10,11 @@ from __future__ import annotations
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crosscap import (
@@ -28,6 +29,16 @@ from crosscap import (
     lemma9_expansions,
     make_rational,
     skipped_sum,
+)
+from crosscap.continued_fractions import (
+    NEXT,
+    ODD,
+    SKIP,
+    TAKE,
+    euclid,
+    lemma9_lists,
+    lemma9_totals,
+    skip_total,
 )
 
 
@@ -60,6 +71,27 @@ def raw_coeff_lists(draw):
     a0 = draw(st.integers(0, 20))
     rest = [draw(st.integers(1, 20)) for _ in range(length - 1)]
     return [a0] + rest
+
+
+def table_total(table, coeffs) -> int:
+    """The skip total of `coeffs` by stepping a table shaped as `NEXT`, as the
+    sweep's walk does: every state but SKIP adds the coefficient."""
+    total, state = 0, TAKE
+    for a in coeffs:
+        if state != SKIP:
+            total += a
+        state = table[a & 1][state]
+    return total
+
+
+def skip_rule_lists():
+    """Every list [a0, a1, ..., ak] of length 1 to 7 with a0 in 0..4 and the
+    rest in 1..4: the lists [0, a1, ...] the walk steps for q/p, and the lists
+    [a1, ...] it steps for p/q."""
+    for length in range(1, 8):
+        for head in range(5):
+            for rest in product(range(1, 5), repeat=length - 1):
+                yield [head, *rest]
 
 
 def check_frozen_value(value, text, names, change, changed):
@@ -218,6 +250,8 @@ class TestSums:
         assert skipped_sum(ContinuedFraction((0, 1, 2, 3, 1, 3))) == 6
         # 0 (even, skip) + 2 (even, skip) + 3 + 3 -> 8
         assert skipped_sum(ContinuedFraction((0, 1, 2, 1, 3, 3))) == 8
+        # 1 + 1 (even, skip) + 2 (even, skip) + 7 -> 11
+        assert skipped_sum(ContinuedFraction((1, 1, 5, 2, 9, 7))) == 11
 
     def test_skipped_sum_single_term(self):
         assert skipped_sum(ContinuedFraction((1,))) == 1
@@ -235,6 +269,67 @@ class TestSums:
         p, q = p // g, q // g
         assume(p > q)
         assert coefficient_sum(cf_expand(make_rational(p, q))) <= p
+
+
+class TestSkipRule:
+    """`skip_total` states the rule as its sentence, with one boolean; `NEXT`
+    is the same rule as the state table the sweep's walk steps."""
+
+    def test_next_steps_the_sentence(self):
+        lists = list(skip_rule_lists())
+        assert len(lists) == 5 * (4**7 - 1) // 3
+        for coeffs in lists:
+            assert table_total(NEXT, coeffs) == skip_total(coeffs), coeffs
+
+    def test_every_one_entry_change_to_next_breaks_the_sentence(self):
+        # the comparison above has teeth: a table with any one entry changed
+        # disagrees with the sentence on some list it checks
+        for parity, state in product((0, 1), (TAKE, SKIP, ODD)):
+            for wrong in {TAKE, SKIP, ODD} - {NEXT[parity][state]}:
+                row = list(NEXT[parity])
+                row[state] = wrong
+                table = tuple(tuple(row) if i == parity else NEXT[i] for i in (0, 1))
+                assert any(
+                    table_total(table, coeffs) != skip_total(coeffs)
+                    for coeffs in skip_rule_lists()
+                ), (parity, state, wrong)
+
+
+class TestLemma9Totals:
+    """`lemma9_totals`, the skip totals of both Lemma 9 lists in one pass,
+    against the rule run over the explicit `lemma9_lists`."""
+
+    def test_equals_the_explicit_lists_to_400(self):
+        checked = 0
+        for p in range(3, 401):
+            for q in range(2, p):
+                if gcd(p, q) == 1:
+                    coeffs = euclid(q, p)
+                    totals = lemma9_totals(coeffs)
+                    assert totals == tuple(map(skip_total, lemma9_lists(coeffs))), (p, q)
+                    assert totals[0] % 2 == totals[1] % 2
+                    checked += 1
+        assert checked == 48_278  # every knot with p <= 400
+
+    @settings(max_examples=300)
+    @given(st.integers(3, 10**12), st.integers(0, 10**9))
+    @example(7, 800_000_000)  # (7, 5): 5/7 = [0, 1, 2, 2], a1 = 1 unmerged
+    @example(5, 500_000_000)  # (5, 3): [0, 1, 1, 2]
+    @example(31, 607_142_858)  # (31, 19): [0, 1, 1, 1, 1, 2, 2]
+    @example(10**12, 10**9)  # (10**12, 10**12 - 1): [0, 1, 10**12 - 1]
+    def test_equals_the_explicit_lists_to_10_to_the_12(self, p, u):
+        q = 2 + (p - 3) * u // 10**9  # 2 <= q < p; q > p/2 leaves a trailing a1 = 1
+        assume(gcd(p, q) == 1)
+        coeffs = euclid(q, p)
+        assert lemma9_totals(coeffs) == tuple(map(skip_total, lemma9_lists(coeffs)))
+
+    @given(st.lists(st.integers(1, 10**6), min_size=2, max_size=12))
+    @example([1, 2])  # 2/3
+    @example([1, 1, 1, 2])
+    def test_equals_the_explicit_lists_for_any_coefficients(self, rest):
+        # the pair (an + 1, an - 1) has one parity whatever the entries are
+        coeffs = [0, *rest]
+        assert lemma9_totals(coeffs) == tuple(map(skip_total, lemma9_lists(coeffs)))
 
 
 class TestHalfInteger:

@@ -33,6 +33,8 @@ from crosscap import (
     q3_congruence_selector,
     sharp_family,
 )
+from crosscap.continued_fractions import euclid, lemma9_lists, skip_total
+from crosscap.torus_knots import crosscap_from
 from test_continued_fractions import check_frozen_value
 
 # The ten smallest odd knots handled individually in the source analysis,
@@ -148,6 +150,9 @@ class TestCrosscap:
         n_minus = bredon_wood_N(p * q - 1, p * p)
         n_plus = bredon_wood_N(p * q + 1, p * p)
         assert crosscap(k) == min(n_minus, n_plus).as_integer()
+        # the one-pass totals against the rule run over both explicit lists
+        coeffs = euclid(q, p)
+        assert crosscap_from(p, q, coeffs) == min(map(skip_total, lemma9_lists(coeffs))) // 2
 
     @given(st.integers(2, 5 * 10**11 - 1), st.integers(0, 5 * 10**11))
     @example(2, 0)  # (5, 3): 3/5 = [0, 1, 1, 2]
@@ -165,6 +170,14 @@ class TestCrosscap:
         n_minus = bredon_wood_N(p * q - 1, p * p)
         n_plus = bredon_wood_N(p * q + 1, p * p)
         assert crosscap(TorusKnot(p, q)) == min(n_minus, n_plus).as_integer()
+
+    def test_odd_crosscap_from_is_the_least_explicit_total_to_400(self):
+        # the one-pass totals against the rule run over both explicit lists
+        for p, q in coprime_pairs(400):
+            if p & q & 1:
+                coeffs = euclid(q, p)
+                want = min(map(skip_total, lemma9_lists(coeffs))) // 2
+                assert crosscap_from(p, q, coeffs) == want, (p, q)
 
     def test_every_consumed_total_is_even_in_range(self):
         # empirical integrality invariant: no knot in range raises

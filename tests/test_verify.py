@@ -66,6 +66,7 @@ from test_cli import (
     several_bands,
     two_pass_csv,
 )
+from test_continued_fractions import table_total
 
 
 #: verify's lookup of the CPUs this process may run on, which the
@@ -1022,11 +1023,15 @@ class TestKernelGuards:
         assert report.knots_checked == len(list(enumerate_coprime(120)))
 
     def test_odd_skip_total_aborts(self, monkeypatch, capsys):
+        # an odd knot's totals come from lemma9_totals in one pass, an even
+        # knot's from skip_total: an odd total from either aborts
+        patch_kernel(monkeypatch, "lemma9_totals", lambda coeffs: (7, 7))
         patch_kernel(monkeypatch, "skip_total", lambda coeffs: 7)
-        with pytest.raises(IntegralityError) as info:
-            crosscap(TorusKnot(7, 5))
-        assert info.value.knot == TorusKnot(7, 5)
-        assert info.value.value == HalfInteger(7)
+        for knot in (TorusKnot(7, 5), TorusKnot(8, 3)):
+            with pytest.raises(IntegralityError) as info:
+                crosscap(knot)
+            assert info.value.knot == knot
+            assert info.value.value == HalfInteger(7)
         # the walk never calls skip_total: it steps the rule's table, so doctor
         # that to skip after an odd coefficient added to an even total.  The
         # walk's second knot, (4, 3), reads 4/3 = [1, 3] and totals 1, not 4
@@ -1087,16 +1092,20 @@ class TestKernelGuards:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_odd_knots_abort_names_its_minus_total(self, monkeypatch, pool_sizes, workers):
-        # doctor both tables, the walk's and skip_total's, to skip after an
-        # even coefficient added to an odd total: to max_p 60 the first odd
-        # total in walk order is the odd knot (31, 19), 19/31 = [0; 1, 1, 1,
-        # 1, 2, 2], whose minus total 11 is above its plus total 9.  The
+        # doctor the skip rule to skip after an even coefficient added to an
+        # odd total: the walk's table, and the row kernel's lemma-9 totals,
+        # that table stepped over the explicit lists.  To max_p 60 the first
+        # odd total in walk order is the odd knot (31, 19), 19/31 = [0; 1, 1,
+        # 1, 1, 2, 2], whose minus total 11 is above its plus total 9.  The
         # walk's abort names the minus total, as the row kernel's does
         table = ((SKIP, TAKE, SKIP), (ODD, TAKE, SKIP))
-        monkeypatch.setattr(cf_module, "NEXT", table)
         monkeypatch.setattr(verify_module, "NEXT", table)
-        lists = lemma9_lists(euclid(19, 31))
-        assert tuple(map(cf_module.skip_total, lists)) == (11, 9)
+
+        def doctored(coeffs):
+            return tuple(table_total(table, lst) for lst in lemma9_lists(coeffs))
+
+        patch_kernel(monkeypatch, "lemma9_totals", doctored)
+        assert doctored(euclid(19, 31)) == (11, 9)
         with pytest.raises(IntegralityError) as row:
             check_knot(TorusKnot(31, 19))
         for sweep in (run_verification, band_report):
