@@ -3,7 +3,7 @@
 Every subcommand renders JSON, CSV or text and writes it through `_output`.
 Each imports the layers it runs when it is dispatched: `cf` loads only
 `continued_fractions`, `invariants` and `family` add `torus_knots`, and only
-`verify` loads the sweep and its process pool.
+`verify` loads the sweep, and `multiprocessing` once it starts walker processes.
 
 Exit codes: 0 = success / all checks hold, 1 = usage or input error,
 2 = verification finding, internal failure, or a run that did not complete;
@@ -255,7 +255,7 @@ def _build_parser() -> _Parser:
         type=int,
         default=1,
         help="processes for the sweep, capped by the CPUs this one may run on: the report's "
-        "walkers, this process included, or the pool for the CSV's p bands once there are "
+        "walkers, this process included, or the walkers of the CSV's p bands once there are "
         "two or more (above --max-p 2897), beside this process, which renders the rows",
     )
     _add_format_flags(p_verify)

@@ -4,15 +4,17 @@ Everything here is integer-exact: Python's arbitrary-precision ints mean
 no intermediate can overflow or wrap, so values like (p*q - 1) / p**2 are
 safe for any p the sweep cap admits.
 
-The algorithms run on plain int lists (``euclid``, ``skip_total``,
-``lemma9_totals``, ``lemma9_lists``, ``continuant``); the typed functions
-below them validate their arguments and wrap the results, so each algorithm
-exists once.  ``skip_total`` states the Bredon-Wood skip rule in its own
-words; ``NEXT`` is the same rule as a state table, for the sweep's walk, and
-the tests check the table against the sentence.  ``lemma9_totals`` gives
-both Lemma 9 skip totals of an odd knot in one pass over the expansion of
-q/p, so the crosscap number (``torus_knots.crosscap_from``) takes that
-expansion alone and builds neither list.
+The algorithms run on plain int lists (``euclid``, ``skip_run``,
+``skip_total``, ``lemma9_totals``, ``lemma9_lists``, ``continuant``); the
+typed functions below them validate their arguments and wrap the results,
+so each algorithm exists once.  ``skip_run`` is the Bredon-Wood skip rule in
+its own words, resumable from any state, and the module's only loop of it:
+``skip_total`` runs it from the start, and ``lemma9_totals`` resumes it
+around the middle pair to give both Lemma 9 skip totals of an odd knot in
+one run over the expansion of q/p, so the crosscap number
+(``torus_knots.crosscap_from``) takes that expansion alone and builds
+neither list.  ``NEXT`` is the same rule as a state table, for the sweep's
+walk, and the tests check the table against ``skip_run``.
 
 Each value type checks its arguments in its own ``__init__``, then writes
 its fields with one update of the instance dict, the write the generated
@@ -121,34 +123,42 @@ def euclid(n: int, d: int) -> list[int]:
 
 
 #: The skip rule's states, for the sweep's walk, which steps the rule by
-#: `NEXT`: the total is even and the next coefficient is added (the start);
-#: the total is even and the next coefficient is skipped; the total is odd
-#: and the next coefficient is added.
+#: `NEXT`: the total is even and the next coefficient is added (the start,
+#: `skip_run`'s (even, False)); the total is even and the next coefficient
+#: is skipped (even, True); the total is odd and the next coefficient is
+#: added (odd, False).
 TAKE, SKIP, ODD = 0, 1, 2
 #: NEXT[a % 2][state]: the state after coefficient a, which every state but
 #: SKIP adds to the total.
 NEXT = ((SKIP, TAKE, ODD), (ODD, TAKE, SKIP))
 
 
-def skip_total(coeffs: Sequence[int]) -> int:
-    """Sum with the Bredon-Wood skip rule: after an addition that leaves the
-    total even, skip the next coefficient.  The total is 2N, un-halved."""
-    total, skip = 0, False
+def skip_run(coeffs: Sequence[int], total: int = 0, skip: bool = False) -> tuple[int, bool]:
+    """The Bredon-Wood skip rule: after an addition that leaves the total
+    even, skip the next coefficient.  Runs it over `coeffs` from the state
+    (total, skip), the start by default, and returns the state after them,
+    so a run resumes where another stopped.  The total is 2N, un-halved."""
     for a in coeffs:
         if skip:
             skip = False
         else:
             total += a
             skip = not total & 1
-    return total
+    return total, skip
+
+
+def skip_total(coeffs: Sequence[int]) -> int:
+    """The skip total of `coeffs`: :func:`skip_run` from the start."""
+    return skip_run(coeffs)[0]
 
 
 def lemma9_totals(coeffs: list[int]) -> tuple[int, int]:
     """The skip totals of both :func:`lemma9_lists` of the expansion
-    [0, a1, ..., an] of q/p, n >= 2, (minus, plus), in one pass and with
-    neither list built.
+    [0, a1, ..., an] of q/p, n >= 2, (minus, plus), in one run of the rule
+    and with neither list built.
 
-    The rule runs once over the up list, middle pair (an + 1, an - 1): the
+    The rule runs over the up list, middle pair (an + 1, an - 1): the head,
+    then the pair and the reversed tail resumed from the head's state.  The
     pair's two entries have one parity, so the down list, (an - 1, an + 1),
     passes through the same states, and its total is the up total less
     2 (take_x - take_y), where take_x and take_y say whether the rule added
@@ -156,25 +166,14 @@ def lemma9_totals(coeffs: list[int]) -> tuple[int, int]:
     up list is the minus list when n is odd."""
     n = len(coeffs) - 1
     last = coeffs[n]
-    total, skip = 0, False
-    for a in coeffs[:n]:
-        if skip:
-            skip = False
-        else:
-            total += a
-            skip = not total & 1
+    total, skip = skip_run(coeffs[:n])
     # the pair's first entry is added unless skipped, its second unless the
     # first was added and left the total even
     take_x = not skip
     take_y = skip or (total + last + 1) & 1
-    for a in (last + 1, last - 1, *coeffs[n - 1 : 0 : -1]):
-        if skip:
-            skip = False
-        else:
-            total += a
-            skip = not total & 1
-    down = total - 2 * (take_x - take_y)
-    return (total, down) if n & 1 else (down, total)
+    up = skip_run(coeffs[n - 1 : 0 : -1], *skip_run((last + 1, last - 1), total, skip))[0]
+    down = up - 2 * (take_x - take_y)
+    return (up, down) if n & 1 else (down, up)
 
 
 def lemma9_lists(coeffs: list[int]) -> tuple[list[int], list[int]]:

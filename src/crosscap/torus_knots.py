@@ -176,7 +176,7 @@ class IntegralityError(Exception):
         )
 
     def __reduce__(self):
-        # the default passes __init__ only the message: a pool error would not unpickle
+        # the default passes __init__ only the message: a walker's error would not unpickle
         return type(self), (self.knot, self.value)
 
 

@@ -20,7 +20,6 @@ import signal
 import time
 from array import array
 from collections.abc import Callable, Iterable, Iterator
-from concurrent import futures
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby, starmap
 from math import gcd
@@ -391,7 +390,7 @@ def _walk(
     while stack:  # depth first, children in increasing order of their coefficient
         prefix = stack.pop()
         h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, minus_up = prefix
-        if tasks is not None and k1 > 1:  # below [0] and [0; 1]: a pool task's
+        if tasks is not None and k1 > 1:  # below [0] and [0; 1]: a task to claim
             tasks.append(prefix)
             continue
         take0, take1 = s0 != SKIP, s1 != SKIP
@@ -689,13 +688,18 @@ def _shared(walkers: int, fn: Callable, tasks: list[tuple], ahead: int) -> Itera
                     raise exc
                 yield result
         except EOFError:
-            raise futures.BrokenExecutor("the sweep failed: a walker process died") from None
+            # here, so that a sweep that does not fail never loads concurrent.futures
+            from concurrent.futures import BrokenExecutor
+
+            raise BrokenExecutor("the sweep failed: a walker process died") from None
         finally:
             for proc in procs:
                 proc.terminate()  # one that has sent its results has no more to do
                 proc.join()
     except OSError as exc:
-        raise futures.BrokenExecutor(f"the sweep failed: {exc}") from exc
+        from concurrent.futures import BrokenExecutor
+
+        raise BrokenExecutor(f"the sweep failed: {exc}") from exc
 
 
 def run_verification(

@@ -38,6 +38,7 @@ from crosscap.continued_fractions import (
     euclid,
     lemma9_lists,
     lemma9_totals,
+    skip_run,
     skip_total,
 )
 
@@ -271,9 +272,49 @@ class TestSums:
         assert coefficient_sum(cf_expand(make_rational(p, q))) <= p
 
 
+@st.composite
+def skip_rule_inputs(draw):
+    """A list [a0, a1, ...] with a0 >= 0 and every later entry >= 1, as an
+    expansion has."""
+    return [draw(st.integers(0, 10**6)), *draw(st.lists(st.integers(1, 10**6), max_size=12))]
+
+
+#: `skip_run`'s state (total parity, skip) of each state of `NEXT`.
+RUN_STATES = {TAKE: (0, False), SKIP: (0, True), ODD: (1, False)}
+
+
 class TestSkipRule:
-    """`skip_total` states the rule as its sentence, with one boolean; `NEXT`
-    is the same rule as the state table the sweep's walk steps."""
+    """`skip_run` states the rule as its sentence, with one boolean, and
+    resumes from any state; `NEXT` is the same rule as the state table the
+    sweep's walk steps."""
+
+    @pytest.mark.parametrize("a", [1, 2])
+    @pytest.mark.parametrize("state", [TAKE, SKIP, ODD])
+    def test_next_is_one_step_of_the_rule(self, state, a):
+        parity, skip = RUN_STATES[state]
+        total, skip = skip_run([a], 10 + parity, skip)
+        assert RUN_STATES[NEXT[a & 1][state]] == (total & 1, skip)
+        # every state but SKIP adds the coefficient
+        assert total == 10 + parity + (0 if state == SKIP else a)
+
+    @given(skip_rule_inputs(), st.integers(0, 13))
+    @example([0, 1, 1, 2], 1)  # the split falls after an addition that left the total even
+    @example([3, 1, 2], 1)
+    def test_a_run_resumes_from_where_another_stopped(self, coeffs, k):
+        head, rest = coeffs[:k], coeffs[k:]
+        assert skip_run(coeffs) == skip_run(rest, *skip_run(head))
+        assert skip_total(coeffs) == skip_run(coeffs)[0]
+
+    @given(skip_rule_inputs(), st.integers(0, 12))
+    @example([0, 1, 2], 1)  # a1 skipped after the leading 0
+    @example([1, 1, 2], 1)
+    def test_raising_an_entry_by_2_adds_0_or_2(self, coeffs, i):
+        # the rule sees an entry only through its parity, so the states stay
+        # and the total gains 2 exactly where the entry was added
+        i %= len(coeffs)
+        raised = [a + 2 * (j == i) for j, a in enumerate(coeffs)]
+        taken = not skip_run(coeffs[:i])[1]
+        assert skip_total(raised) - skip_total(coeffs) == 2 * taken
 
     def test_next_steps_the_sentence(self):
         lists = list(skip_rule_lists())
@@ -330,6 +371,17 @@ class TestLemma9Totals:
         # the pair (an + 1, an - 1) has one parity whatever the entries are
         coeffs = [0, *rest]
         assert lemma9_totals(coeffs) == tuple(map(skip_total, lemma9_lists(coeffs)))
+
+    @given(st.lists(st.integers(1, 10**6), min_size=2, max_size=12))
+    @example([1, 2])  # a1 is the whole head after the leading 0, and the whole tail
+    @example([2, 3])
+    @example([1, 1, 1, 2])
+    def test_raising_a1_by_2_adds_0_2_or_4(self, rest):
+        # a1 is in the head and the tail of both lists: the class step p -> p + 2q
+        coeffs = [0, *rest]
+        raised = [0, rest[0] + 2, *rest[1:]]
+        for before, after in zip(lemma9_totals(coeffs), lemma9_totals(raised)):
+            assert after - before in (0, 2, 4)
 
 
 class TestHalfInteger:
