@@ -135,19 +135,20 @@ def cmd_cf(args: argparse.Namespace) -> int:
 
     a, b = args.numerator, args.denominator
     cf = cf_expand(Rational(a, b))
+    coeff_sum = coefficient_sum(cf)
     total = skipped_sum(cf)
     n_value = HalfInteger(total)
     payload = {
         "numerator": a,
         "denominator": b,
         "coefficients": list(cf.coefficients),
-        "coefficient_sum": coefficient_sum(cf),
+        "coefficient_sum": coeff_sum,
         "skipped_total": total,
         "n": str(n_value),
     }
     lines = [
         f"{a}/{b} = {cf}",
-        f"coefficient sum: {coefficient_sum(cf)}",
+        f"coefficient sum: {coeff_sum}",
         f"skipped total:   {total}",
         f"N:               {n_value}",
     ]

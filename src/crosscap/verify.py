@@ -232,11 +232,14 @@ def check_knot(k: TorusKnot, checks: Iterable[str] = CHECK_NAMES) -> BoundCheckR
     range-independent facts about continued fractions: the coefficient sum
     of p/q stays at most p, and the two constructed expansions of
     (p*q -/+ 1)/p^2 evaluate exactly.  The lemma9 check applies to every
-    p > q > 1 regardless of knot parity; for an odd knot it checks the very
-    expansions the crosscap number was read from.  The q3 check (only when
-    q = 3 and p is odd, the closed form's domain) compares the closed form
-    against the general pipeline and confirms the congruence-selected
-    lemma-9 branch attains the minimum.
+    p > q > 1 regardless of knot parity and evaluates the explicit
+    `lemma9_lists`.  An odd knot's crosscap number does not come from those
+    lists: `crosscap_from` reads it from `lemma9_totals`, one run of the
+    skip rule over the same Euclid expansion that builds neither list.  The
+    q3 check (only when q = 3 and p is odd, the closed form's domain)
+    compares the closed form against that crosscap number and confirms
+    that the skip total of the congruence-selected explicit lemma-9 list is
+    twice it.
     """
     on = _mask(checks)
     c, violated, hits = _check(k.p, k.q)
@@ -300,7 +303,7 @@ def _row(p: int) -> int:
 
 
 #: The walk's start: the empty prefix [0] (see `_walk` for the fields).
-_ROOT = (0, 1, 1, 0, SKIP, 0, TAKE, 0, 0, (0, 0, 0), True)
+_ROOT = (0, 1, 1, 0, SKIP, 0, TAKE, 0, 0, (0, 0, 0), 1)
 
 
 def _walk(
@@ -320,25 +323,28 @@ def _walk(
     and an odd one aborts.
 
     Per knot the walk keeps plain ints.  An odd knot's lemma-9 totals are
-    base +/- d, d = take0 - take_y in {-1, 0, 1}, its total base - d d and
-    its minus total base + sign d.  The walk runs the bound and gap checks
-    only where g <= 6c - 4 or n <= 12c - 5: where c meets thm1 or thm2, the
-    least of the four bounds, as every c > g does.  It builds the checked
-    knot (p, q, c, violated, hits) only to list it or to offer it as the
-    witness: each knot whose gap is at least the largest so far goes to
-    `_Partial.add`, whose `_rank` keeps the smallest (p, q) of a tie, so the
-    witness does not depend on walk order.
+    base +/- d, d = take0 - take_y in {-1, 0, 1}, and its total is the least,
+    base - d d, which the knot loop and the fill of the cells compute in one
+    form, with d d = take0 ^ take_y.  Its minus total, base + sign d, and its
+    plus total, base - sign d, are formed only where they are read: in an
+    abort, which names the minus total, and in the q3 check.  The walk runs
+    the bound and gap checks only where g <= 6c - 4 or n <= 12c - 5: where c
+    meets thm1 or thm2, the least of the four bounds, as every c > g does.
+    It builds the checked knot (p, q, c, violated, hits) only to list it or
+    to offer it as the witness: each knot whose gap is at least the largest
+    so far goes to `_Partial.add`, whose `_rank` keeps the smallest (p, q)
+    of a tie, so the witness does not depend on walk order.
 
     The lemma-9 lists are the head [0, a1, ..., a(n-1)], a middle pair, and
     the reversed tail a(n-1), ..., a1, whose continuant is (k1, k2), since
     reversal does not change a continuant.  So the up list, middle pair
     (a + 1, a - 1), has the continuant (pq + h1 k2 - h2 k1, p^2) for every a,
     and the down list (pq - h1 k2 + h2 k1, p^2).  The minus list needs
-    (pq - 1, p^2) and the plus list (pq + 1, p^2), so with sign = +1 where
-    the up list is the minus list, both are right for every a exactly when
-    h2 k1 - h1 k2 = sign, and the walk decides that once per prefix.  The row
-    kernel `_check` is the independent oracle: it runs `continuant` on the
-    explicit `lemma9_lists`.
+    (pq - 1, p^2) and the plus list (pq + 1, p^2), so with the prefix's sign
+    +1 where the up list is the minus list and -1 where it is the plus list,
+    both are right for every a exactly when h2 k1 - h1 k2 = sign, and the
+    walk decides that once per prefix.  The row kernel `_check` is the
+    independent oracle: it runs `continuant` on the explicit `lemma9_lists`.
 
     The walk jumps over each prefix's quiet run.  At a knot a of a
     prefix with a > first, where neither knot a - 1 nor knot a was listed (no
@@ -384,12 +390,14 @@ def _walk(
     # whose columns are its last two convergents; (s0, t0) and (s1, t1): the skip
     # states and totals of [0, a1, ...] (the leading 0 makes the rule skip a1) and
     # of [a1, ...]; its coefficient sum; of the reversed tail a(n-1), ..., a1, the
-    # tail of both lemma-9 lists, the skip adds from each entry state; minus_up:
-    # n is odd, so the minus list has the middle pair (a + 1, a - 1).  A stack,
-    # not recursion, so that a walk can start from any run of prefixes.
+    # tail of both lemma-9 lists, the skip adds from each entry state; sign, the
+    # lemma-9 sign: +1 where n is odd, so the minus list is the up list, with
+    # the middle pair (a + 1, a - 1), and -1 where n is even; a child has the
+    # parent's -sign.  A stack, not recursion, so that a walk can start from
+    # any run of prefixes.
     while stack:  # depth first, children in increasing order of their coefficient
         prefix = stack.pop()
-        h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, minus_up = prefix
+        h1, h2, k1, k2, s0, t0, s1, t1, coeff_sum, tail, sign = prefix
         if tasks is not None and k1 > 1:  # below [0] and [0; 1]: a task to claim
             tasks.append(prefix)
             continue
@@ -403,7 +411,7 @@ def _walk(
                 step[s0], t0 + take0 * b, step[s1], t1 + take1 * b,
                 coeff_sum + b,
                 (b + tail[step[TAKE]], tail[TAKE], b + tail[step[ODD]]),
-                not minus_up,
+                -sign,
             ))
         if not h1:  # [0]: q/p = [0; a] = 1/a is no knot
             continue
@@ -413,9 +421,7 @@ def _walk(
         if first > last:
             continue
 
-        # lemma 9, for every a: h2 k1 - h1 k2 = sign, +1 when the up list is
-        # the minus list
-        sign = 1 if minus_up else -1
+        # lemma 9, for every a: h2 k1 - h1 k2 = sign
         lemma9 = 0 if h2 * k1 - h1 * k2 == sign else _LEMMA9
         loud = first - 1  # the last listed a, or first - 1
         a = first
@@ -426,20 +432,19 @@ def _walk(
                 if p & q & 1:
                     # the lemma-9 lists: head, middle pair (a +/- 1, a -/+ 1), tail;
                     # a + 1 and a - 1 share a parity, so both pass the same states,
-                    # and up = base + d, down = base - d: the least is base - d d
+                    # and up = base + d, down = base - d: the least is base - d d,
+                    # with base = t0 + tail[step[mid]] + (take0 + take_y) a and
+                    # d d = take0 ^ take_y
                     step = next_[~a & 1]
-                    mid = step[s0]
-                    take_y = mid != SKIP
-                    d = take0 - take_y
-                    base = t0 + tail[step[mid]] + (take0 + take_y) * a
-                    total = base - d * d
-                    minus = base + sign * d  # and plus = base - sign d
+                    take_y = (mid := step[s0]) != SKIP
+                    total = t0 + tail[step[mid]] + (take0 + take_y) * a - (take0 ^ take_y)
                 else:
-                    # N(p, q) reads p/q = [a1, ..., a], N(q, p) reads q/p = [0, a1, ..., a];
-                    # an abort names this total, and an odd knot's minus total
-                    minus = total = t1 + take1 * a if p & 1 == 0 else t0 + take0 * a
+                    # N(p, q) reads p/q = [a1, ..., a], N(q, p) reads q/p = [0, a1, ..., a]
+                    total = t1 + take1 * a if p & 1 == 0 else t0 + take0 * a
                 if total & 1:
-                    raise IntegralityError(TorusKnot(p, q), HalfInteger(minus))
+                    if p & q & 1:  # an abort names an odd knot's minus total
+                        total += (take0 ^ take_y) + sign * (take0 - take_y)
+                    raise IntegralityError(TorusKnot(p, q), HalfInteger(total))
                 c = total >> 1
                 n = p * (q - 1)
                 g = (n - q + 1) >> 1  # (p - 1)(q - 1) = n - (q - 1)
@@ -457,8 +462,10 @@ def _walk(
                 if coeff_sum + a > p:
                     violated |= _LEMMA2
 
-                if q == 3 and p & 1 and _q3_fails(p, c, minus, base - sign * d):
-                    violated |= _Q3
+                if q == 3 and p & 1:  # an odd knot: its minus and plus totals
+                    base, d = total + (take0 ^ take_y), take0 - take_y
+                    if _q3_fails(p, c, base + sign * d, base - sign * d):
+                        violated |= _Q3
 
                 if cells is not None:
                     cells[((p - 2) * (p - 3) >> 1) + q - offset] = c << 8 | violated

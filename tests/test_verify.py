@@ -949,14 +949,14 @@ class TestKernelGuards:
         assert check_knot(TorusKnot(7, 3)).violated == frozenset()  # 3/7 = [0, 2, 3], n = 2
 
     def test_walk_with_swapped_lists_fails_lemma9_on_every_knot(self, monkeypatch, pool_sizes):
-        # the walk's prefixes carry which list has the middle pair (a + 1, a - 1):
-        # flipping that at the root swaps the two lists for every knot, in
-        # the report's walk and in the CSV's bands, as swapping them in the
-        # row kernel's lemma9_lists does
+        # the walk's prefixes carry the lemma-9 sign, +1 where the up list, with
+        # the middle pair (a + 1, a - 1), is the minus list: negating it at the
+        # root swaps the two lists for every knot, in the report's walk and in
+        # the CSV's bands, as swapping them in the row kernel's lemma9_lists does
         real = cf_module.lemma9_lists
         patch_kernel(monkeypatch, "lemma9_lists", lambda coeffs: real(coeffs)[::-1])
         root = verify_module._ROOT
-        monkeypatch.setattr(verify_module, "_ROOT", (*root[:-1], not root[-1]))
+        monkeypatch.setattr(verify_module, "_ROOT", (*root[:-1], -root[-1]))
         config = SweepConfig(120)
         walk = run_verification(config)
         tasks = run_verification(replace(config, workers=2))
@@ -980,8 +980,8 @@ class TestKernelGuards:
         prefixes = []
         verify_module._walk(5, [verify_module._ROOT], prefixes)
         (prefix,) = (pre for pre in prefixes if pre[:4] == (1, 1, 2, 1))
-        assert prefix[10:] == (True,)
-        doctored = (*prefix[:10], False)
+        assert prefix[10:] == (1,)
+        doctored = (*prefix[:10], -1)
         part = verify_module._walk(7, [doctored])
         assert part.count == 2  # a = 2 and 3, and no prefix below it to 7
         lemma9, q3 = verify_module._LEMMA9, verify_module._Q3
@@ -992,17 +992,17 @@ class TestKernelGuards:
     def test_a_task_with_one_flipped_prefix_fails_lemma9_on_its_subtree(
         self, monkeypatch, pool_sizes
     ):
-        # flip which list is up on the first prefix of the second walk task:
-        # its knots, those whose expansion [0; a1, ..., a(n-1), a] has the
-        # prefix's convergents (h1/k1, h2/k2) among those of [0; a1, ...,
-        # a(n-1)], fail lemma 9, found from their own expansions, and no other
-        # knot does, through the pool and the merge
+        # negate the lemma-9 sign, which says which list is up, on the first
+        # prefix of the second walk task: its knots, those whose expansion
+        # [0; a1, ..., a(n-1), a] has the prefix's convergents (h1/k1, h2/k2)
+        # among those of [0; a1, ..., a(n-1)], fail lemma 9, found from their
+        # own expansions, and no other knot does, through the pool and the merge
         real, flipped = verify_module._runs, []
 
         def runs(prefixes, count):
             cut = real(prefixes, count)
             first = cut[1][-1]  # a run is reversed: its first prefix is last
-            flipped.append((*first[:-1], not first[-1]))
+            flipped.append((*first[:-1], -first[-1]))
             cut[1][-1] = flipped[0]
             return cut
 
@@ -1175,8 +1175,9 @@ class TestLemma9Shortcut:
         verify_module._walk(1000, [verify_module._ROOT], tasks)
         verify_module._walk(1000, Stack([verify_module._ROOT]))
         assert len(tasks) == 996 and len(visited) == 101_392
-        for h1, h2, k1, k2, *_, minus_up in [*tasks, *visited]:
-            assert h2 * k1 - h1 * k2 == (1 if minus_up else -1)
+        for h1, h2, k1, k2, *_, sign in [*tasks, *visited]:
+            assert type(sign) is int and sign in (1, -1)  # a sign, not a bool
+            assert h2 * k1 - h1 * k2 == sign
 
 
 def doctor_flags(monkeypatch, how: str) -> None:
@@ -1206,7 +1207,7 @@ def doctor_flags(monkeypatch, how: str) -> None:
         real = cf_module.lemma9_lists
         patch_kernel(monkeypatch, "lemma9_lists", lambda coeffs: real(coeffs)[::-1])
         root = verify_module._ROOT
-        monkeypatch.setattr(verify_module, "_ROOT", (*root[:-1], not root[-1]))
+        monkeypatch.setattr(verify_module, "_ROOT", (*root[:-1], -root[-1]))
 
 
 def assert_flags_set(text: str, how: str) -> None:
