@@ -13,14 +13,21 @@ its own words, resumable from any state, and the module's only loop of it:
 around the middle pair to give both Lemma 9 skip totals of an odd knot in
 one run over the expansion of q/p, so the crosscap number
 (``torus_knots.crosscap_from``) takes that expansion alone and builds
-neither list.  ``NEXT`` is the same rule as a state table, for the sweep's
-walk, and the tests check the table against ``skip_run``.
+neither list; for an even knot it runs the rule over the same expansion,
+from the skip state when N(p, q) wants the leading 0 passed.  ``NEXT`` is
+the same rule as a state table, for the sweep's walk, and the tests check
+the table against ``skip_run``.
 
 Each value type checks its arguments in its own ``__init__``, then writes
 its fields with one update of the instance dict, the write the generated
 frozen ``__init__`` makes one ``object.__setattr__`` per field.  The class
 stays a frozen dataclass, which keeps its equality, hash, repr, ordering,
-``replace`` and ``FrozenInstanceError`` on assignment.
+``replace`` and ``FrozenInstanceError`` on assignment.  So the public
+constructors check every value they are given.  The module's own results
+that are canonical by construction, ``cf_expand``'s Euclid expansion and
+``cf_canonicalize``'s validated and merged list, are built by
+``ContinuedFraction._from_canonical``, which writes the field with no
+second check, as ``fractions.Fraction._from_coprime_ints`` does.
 """
 
 from __future__ import annotations
@@ -72,6 +79,14 @@ class ContinuedFraction:
         if len(coeffs) > 1 and coeffs[-1] == 1:
             raise ValueError(f"not canonical: trailing coefficient 1 in {list(coeffs)}")
         self.__dict__.update(coefficients=coeffs)
+
+    @classmethod
+    def _from_canonical(cls, coefficients: Sequence[int]) -> ContinuedFraction:
+        """The expansion `coefficients`, which the caller has made canonical,
+        with no check: only this module's builders of a canonical list call it."""
+        self = object.__new__(cls)
+        self.__dict__["coefficients"] = tuple(coefficients)
+        return self
 
     def __iter__(self):
         return iter(self.coefficients)
@@ -204,14 +219,16 @@ def continuant(coeffs: Sequence[int]) -> tuple[int, int]:
 
 
 def _validate_raw(coeffs: Sequence[int]) -> None:
-    """Reject coefficient sequences that are not a simple continued fraction."""
+    """Reject coefficient sequences that are not a simple continued fraction.
+    The scan after the first coefficient keeps no index: the first one
+    below 1 is named by its first occurrence from a1 on."""
     if len(coeffs) == 0:
         raise ValueError("empty coefficient sequence")
     if coeffs[0] < 0:
         raise ValueError(f"leading coefficient must be non-negative, got {coeffs[0]}")
-    for i, a in enumerate(coeffs[1:], start=1):
+    for a in coeffs[1:]:
         if a < 1:
-            raise ValueError(f"coefficient a{i} must be positive, got {a}")
+            raise ValueError(f"coefficient a{coeffs.index(a, 1)} must be positive, got {a}")
 
 
 def make_rational(numerator: int, denominator: int) -> Rational:
@@ -226,7 +243,7 @@ def cf_expand(r: Rational) -> ContinuedFraction:
     The result is canonical by construction: the algorithm can only end
     with a coefficient of 1 when the whole expansion is the single term [1].
     """
-    return ContinuedFraction(euclid(r.numerator, r.denominator))
+    return ContinuedFraction._from_canonical(euclid(r.numerator, r.denominator))
 
 
 def cf_value(cf: ContinuedFraction | Sequence[int]) -> Rational:
@@ -248,14 +265,15 @@ def cf_canonicalize(coefficients: Sequence[int]) -> ContinuedFraction:
     coefficients can fail to be canonical, and the merge preserves the
     value because a + 1/1 = a + 1.  General re-normalization of arbitrary
     sequences is out of scope.  Validation comes first: the merge would
-    turn [0, 0, 1] into the valid [1].
+    turn [0, 0, 1] into the valid [1].  The merged list is canonical, so it
+    is not checked again.
     """
     coeffs = list(coefficients)
     _validate_raw(coeffs)
     if len(coeffs) > 1 and coeffs[-1] == 1:
         coeffs.pop()
         coeffs[-1] += 1
-    return ContinuedFraction(coeffs)
+    return ContinuedFraction._from_canonical(coeffs)
 
 
 def coefficient_sum(cf: ContinuedFraction) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .continued_fractions import HalfInteger, euclid, lemma9_totals, skip_total
+from .continued_fractions import HalfInteger, euclid, lemma9_totals, skip_run
 
 
 class Parity(Enum):
@@ -109,21 +109,19 @@ class InvariantRecord:
 
     def as_dict(self) -> dict:
         """Flat field mapping in the wire order used by JSON and CSV output."""
-        if isinstance(self.knot, TorusKnot):
-            p, q = self.knot.p, self.knot.q
-        else:
-            p, q = 0, 0
+        knot, parity, bounds = self.knot, self.parity, self.bounds
+        p, q = (knot.p, knot.q) if isinstance(knot, TorusKnot) else (0, 0)
         return {
             "p": p,
             "q": q,
-            "parity": self.parity.value if self.parity is not None else "unknot",
+            "parity": "unknot" if parity is None else parity.value,
             "genus": self.genus,
             "crossing": self.crossing,
             "crosscap": self.crosscap,
-            "bound_clark": self.bounds.clark,
-            "bound_my": self.bounds.murakami_yasuhara,
-            "bound_thm1": self.bounds.thm1,
-            "bound_thm2": self.bounds.thm2,
+            "bound_clark": bounds.clark,
+            "bound_my": bounds.murakami_yasuhara,
+            "bound_thm1": bounds.thm1,
+            "bound_thm2": bounds.thm2,
             "gap": self.gap,
         }
 
@@ -214,17 +212,19 @@ def crosscap_from(p: int, q: int, coeffs: list[int]) -> int:
     """Crosscap number of the (p, q) knot from the expansion [0, a1, ..., an] of q/p.
 
     An even knot needs no more: N(q, p) is the skip total of that list, and
-    N(p, q) that of [a1, ..., an], the expansion of p/q.  An odd knot takes the
-    lesser of its two Lemma 9 totals, those of the expansions of
-    (p*q -/+ 1)/p^2, which :func:`lemma9_totals` reads from the list in one
-    pass; they have one parity, so an odd minus total is the one that raises.
-    The pair is trusted to be a knot: a `TorusKnot` is built only for the error.
+    N(p, q) that of [a1, ..., an], the expansion of p/q: the rule run over
+    the same list from its skip state, which passes the leading 0.  An odd
+    knot takes the lesser of its two Lemma 9 totals, those of the expansions
+    of (p*q -/+ 1)/p^2, which :func:`lemma9_totals` reads from the list in
+    one pass; they have one parity, so an odd minus total is the one that
+    raises.  The pair is trusted to be a knot: a `TorusKnot` is built only
+    for the error.
     """
     if p & q & 1:
         total, plus = lemma9_totals(coeffs)
         least = min(total, plus)
     else:
-        total = least = skip_total(coeffs if p & 1 else coeffs[1:])
+        total = least = skip_run(coeffs, 0, not p & 1)[0]
     if total & 1:
         raise IntegralityError(TorusKnot(p, q), HalfInteger(total))
     return least // 2

@@ -641,12 +641,14 @@ def _shared(walkers: int, fn: Callable, tasks: list[tuple], ahead: int) -> Itera
     shared counter (see `_run_next`): this one up to `ahead` tasks past the
     last result taken, and the walkers up to `walkers` + 1 more, a place
     each and one queued, so a walker that finishes before the oldest task
-    claims the next one in place of waiting.  The report passes every run,
-    so this process walks runs until none is left; the CSV passes 0, so this
-    process renders while at most `walkers` + 1 bands wait for it.  A walker
-    sends each result at once when this process takes results while tasks
-    are left, else all of them when none is left; this process reads a
-    result only in its turn, from the walker that claimed it, once one has.
+    claims the next one in place of waiting.  The walkers start one after
+    another, and none starts once those before it have claimed every task.
+    The report passes every run, so this process walks runs until none is
+    left; the CSV passes 0, so this process renders while at most
+    `walkers` + 1 bands wait for it.  A walker sends each result at once
+    when this process takes results while tasks are left, else all of them
+    when none is left; this process reads a result only in its turn, from
+    the walker that claimed it, once one has.
 
     A task's exception is raised in that task's turn: the earliest task's.
     On any exit, an abort's or Ctrl-C's too, the walkers are terminated and
@@ -671,6 +673,9 @@ def _shared(walkers: int, fn: Callable, tasks: list[tuple], ahead: int) -> Itera
         procs, ends = [], [None]  # walkers 1 to `walkers`; an owner of 0 is this process or none
         try:
             for me in range(1, walkers + 1):
+                with claims.get_lock():
+                    if claims.value >= len(tasks):  # the walkers started have claimed them all
+                        break
                 end, results = multiprocessing.Pipe(duplex=False)
                 args = (fn, tasks, claims, owners, me, window, ahead < len(tasks), results)
                 (proc := multiprocessing.Process(target=_walker, args=args, daemon=True)).start()

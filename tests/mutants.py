@@ -1,5 +1,6 @@
-"""The kernel's mutants as a gate: each hand-made edit of the sweep's walk or
-of the skip rule must fail the tests named with it.
+"""The kernel's mutants as a gate: each hand-made edit of the sweep's walk,
+of the skip rule, of the crosscap number's even branch or of the checks on
+continued fractions must fail the tests named with it.
 
 A mutant is (file, old text, new text, test ids).  For each, the script
 copies src/, tests/ and pyproject.toml into a temporary directory, replaces
@@ -30,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY = "src/crosscap/verify.py"
 CF = "src/crosscap/continued_fractions.py"
+TK = "src/crosscap/torus_knots.py"
 
 
 def tests_of(module: str, *names: str) -> tuple[str, ...]:
@@ -149,6 +151,29 @@ MUTANTS = [
     # the rule skips after a total divisible by 4, not after any even total
     (CF, "skip = not total & 1", "skip = total & 3 == 0", tests_of(
         "continued_fractions", "TestSkipRule::test_next_steps_the_sentence"
+    )),
+    # an even knot's rule starts in the wrong state: it adds the leading 0 of
+    # q/p for N(p, q) and skips it for N(q, p)
+    (TK, "skip_run(coeffs, 0, not p & 1)", "skip_run(coeffs, 0, p & 1)", (
+        *tests_of(
+            "torus_knots",
+            "TestCrosscap::test_small_knots",
+            "TestCrosscap::test_even_crosscap_from_is_half_the_skip_total_to_400",
+        ),
+        *tests_of("acceptance", "test_04_sharpness_family_to_100"),
+    )),
+    # the unchecked builder gets cf_canonicalize's input, not its merged list
+    (CF, "_from_canonical(coeffs)", "_from_canonical(coefficients)", tests_of(
+        "continued_fractions",
+        "TestCanonicalize::test_trailing_one_merge",
+        "TestCanonicalBuilder::test_every_canonicalized_list_passes_the_constructor",
+        "TestCanonicalBuilder::test_lemma9_expansions_to_10_to_the_12",
+    )),
+    # the validation's scan lets a zero coefficient through
+    (CF, "        if a < 1:\n", "        if a < 0:\n", tests_of(
+        "continued_fractions",
+        "TestCanonicalize::test_invalid_coefficients",
+        "TestValueTypes::test_the_first_coefficient_below_1_is_named_in_any_list",
     )),
 ]
 

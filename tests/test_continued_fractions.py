@@ -238,6 +238,62 @@ class TestCanonicalize:
             ContinuedFraction((2, 1, 1))
 
 
+class TestCanonicalBuilder:
+    """`cf_expand` and `cf_canonicalize` build their results with
+    `ContinuedFraction._from_canonical`, which checks nothing: each result
+    must be one the public constructor accepts, equal to the one it builds."""
+
+    @staticmethod
+    def assert_canonical(cf):
+        assert type(cf) is ContinuedFraction and type(cf.coefficients) is tuple
+        assert ContinuedFraction(cf.coefficients) == cf
+
+    @given(st.integers(0, 10**12), st.integers(1, 10**12))
+    @example(0, 1)  # [0]
+    @example(1, 1)  # [1]: a single term may be 1
+    @example(3, 2)  # [1, 2]
+    @example(10**12 - 1, 10**12)  # [0, 1, 10**12 - 1]
+    @example(10**12, 1)
+    def test_every_expansion_passes_the_constructor(self, n, d):
+        self.assert_canonical(cf_expand(make_rational(n, d)))
+
+    def test_expansions_to_10_to_the_12(self):
+        # q/p and p/q for q at the ends and the middle of [1, p), and the
+        # consecutive Fibonacci numbers, whose expansions are all 1s but the last
+        fib = [1, 2]
+        while fib[-1] < 10**12:
+            fib.append(fib[-1] + fib[-2])
+        pairs = [(fib[i + 1], fib[i]) for i in range(len(fib) - 1)]
+        for p in (3, 10, 999, 10**6 + 3, 10**9 + 7, 10**12 - 1, 10**12):
+            pairs += [(p, q) for q in (1, 2, p // 2, p // 2 + 1, p - 2, p - 1) if gcd(p, q) == 1]
+        for p, q in pairs:
+            for n, d in ((q, p), (p, q)):
+                x = cf_expand(make_rational(n, d))
+                self.assert_canonical(x)
+                assert cf_value(x) == make_rational(n, d), (n, d)
+
+    @given(raw_coeff_lists())
+    @example([0, 1])  # merged into [1]
+    @example([3, 1])
+    @example([0, 2, 1])
+    @example([10**12, 1, 10**12 - 1, 1])
+    def test_every_canonicalized_list_passes_the_constructor(self, raw):
+        merged = cf_canonicalize(raw)
+        self.assert_canonical(merged)
+        assert merged == cf_expand(cf_value(raw))
+
+    def test_lemma9_expansions_to_10_to_the_12(self):
+        # through cf_canonicalize, with and without the merge of a trailing a1 = 1
+        for p in (5, 7, 31, 10**6 + 3, 10**9 + 7, 10**12 - 1):
+            for q in sorted({3, p // 2 - 1, p // 2, p // 2 + 1, p - 2}):
+                if q > 1 and q & p & 1 and gcd(p, q) == 1:
+                    cf_minus, cf_plus = lemma9_expansions(cf_expand(make_rational(q, p)))
+                    self.assert_canonical(cf_minus)
+                    self.assert_canonical(cf_plus)
+                    assert cf_minus == cf_expand(make_rational(p * q - 1, p * p)), (p, q)
+                    assert cf_plus == cf_expand(make_rational(p * q + 1, p * p)), (p, q)
+
+
 class TestSums:
     def test_coefficient_sum(self):
         assert coefficient_sum(ContinuedFraction((2, 1, 2))) == 5
@@ -512,3 +568,17 @@ class TestValueTypes:
         with pytest.raises(ValueError) as raised:
             build()
         assert str(raised.value) == message
+
+    @given(st.integers(0, 3), st.lists(st.integers(-2, 2), min_size=1, max_size=8))
+    @example(0, [0])
+    @example(0, [3, 0])  # a0 equals a2: a2 is named
+    @example(1, [2, 0, 1, -1, 0])
+    def test_the_first_coefficient_below_1_is_named_in_any_list(self, a0, rest):
+        coeffs = [a0, *rest]
+        first = next((i for i, a in enumerate(coeffs) if i and a < 1), None)
+        assume(first is not None)
+        message = f"coefficient a{first} must be positive, got {coeffs[first]}"
+        for build in (ContinuedFraction, cf_canonicalize, cf_value):
+            with pytest.raises(ValueError) as raised:
+                build(coeffs)
+            assert str(raised.value) == message, build

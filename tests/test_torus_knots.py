@@ -179,6 +179,19 @@ class TestCrosscap:
                 want = min(map(skip_total, lemma9_lists(coeffs))) // 2
                 assert crosscap_from(p, q, coeffs) == want, (p, q)
 
+    def test_even_crosscap_from_is_half_the_skip_total_to_400(self):
+        # N(q, p) is the total of [0, a1, ..., an] when p is odd, N(p, q) that
+        # of the slice [a1, ..., an] when p is even, which crosscap_from reads
+        # from the whole list by starting the rule in its skip state
+        checked = 0
+        for p, q in coprime_pairs(400):
+            if not p & q & 1:
+                coeffs = euclid(q, p)
+                want = skip_total(coeffs if p & 1 else coeffs[1:]) // 2
+                assert crosscap_from(p, q, coeffs) == want, (p, q)
+                checked += 1
+        assert checked == 32_295  # every even knot with p <= 400
+
     def test_every_consumed_total_is_even_in_range(self):
         # empirical integrality invariant: no knot in range raises
         for p, q in coprime_pairs(60):

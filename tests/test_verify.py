@@ -1024,15 +1024,15 @@ class TestKernelGuards:
 
     def test_odd_skip_total_aborts(self, monkeypatch, capsys):
         # an odd knot's totals come from lemma9_totals in one pass, an even
-        # knot's from skip_total: an odd total from either aborts
+        # knot's from one skip_run: an odd total from either aborts
         patch_kernel(monkeypatch, "lemma9_totals", lambda coeffs: (7, 7))
-        patch_kernel(monkeypatch, "skip_total", lambda coeffs: 7)
+        patch_kernel(monkeypatch, "skip_run", lambda coeffs, total=0, skip=False: (7, False))
         for knot in (TorusKnot(7, 5), TorusKnot(8, 3)):
             with pytest.raises(IntegralityError) as info:
                 crosscap(knot)
             assert info.value.knot == knot
             assert info.value.value == HalfInteger(7)
-        # the walk never calls skip_total: it steps the rule's table, so doctor
+        # the walk never calls skip_run: it steps the rule's table, so doctor
         # that to skip after an odd coefficient added to an even total.  The
         # walk's second knot, (4, 3), reads 4/3 = [1, 3] and totals 1, not 4
         monkeypatch.setattr(verify_module, "NEXT", ((SKIP, TAKE, ODD), (SKIP, TAKE, SKIP)))
@@ -1699,6 +1699,28 @@ class TestRunVerification:
         assert len(own) > 2 and own == list(range(len(own)))
         assert multiprocessing.active_children() == []
         assert serialize_report(report) == reference_report(300)
+
+    @FORK_ONLY
+    def test_no_walker_starts_once_every_task_is_claimed(self, monkeypatch):
+        # one task on three processes: this process waits after the first
+        # walker's start until that walker has claimed the task, so the
+        # second walker would find nothing to claim, and is not started
+        claimed, started = multiprocessing.Event(), []
+
+        class Awaited(multiprocessing.Process):
+            def start(self):
+                super().start()
+                started.append(self)
+                assert claimed.wait(60)
+
+        def task(x):
+            claimed.set()
+            return 2 * x
+
+        monkeypatch.setattr(multiprocessing, "Process", Awaited)
+        assert list(verify_module._shared(2, task, [(21,)], 1)) == [42]
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", ["3", "5"])
     def test_a_csv_on_more_processes_than_bands_completes(self, tmp_path, capsys, monkeypatch, workers):
